@@ -165,6 +165,33 @@ pub fn adversarial_source(rng: &mut StdRng) -> String {
     }
 }
 
+/// The committed QASM corpus (`tests/corpus/*.qasm` at the workspace root)
+/// as `(file name, source)` pairs in file-name order.
+///
+/// # Errors
+///
+/// Fails if the directory or one of its files cannot be read.
+pub fn corpus_sources() -> std::io::Result<Vec<(String, String)>> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "qasm") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let name = path
+                .file_name()
+                .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+            Ok((name, std::fs::read_to_string(&path)?))
+        })
+        .collect()
+}
+
 /// A fresh deterministic generator for case `index` of a campaign seeded
 /// with `seed` (splitting per case keeps every case independently
 /// replayable).

@@ -9,10 +9,10 @@ use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::bytes::{adversarial_source, case_rng};
+use crate::bytes::{adversarial_source, case_rng, corpus_sources};
 use crate::circuits::{hostile_circuits, wild_circuit};
 use crate::differential;
-use ion_circuit::qasm;
+use ion_circuit::qasm::{self, ParseLimits};
 
 /// How a case failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,35 +138,57 @@ fn run_case(
     }
 }
 
-/// Adversarial-ingestion campaign: `cases` generated byte streams through
-/// [`qasm::parse`]. A case fails if parsing (or rendering the error)
-/// panics, or if an accepted circuit is invalid or fails an exact
-/// `to_qasm` round trip.
+/// Adversarial-ingestion campaign: `cases` generated byte streams, then
+/// every file of the committed `tests/corpus`, through [`qasm::parse`] and
+/// the [`qasm_oracle`](crate::qasm_oracle) front-end. A case fails if
+/// parsing (or rendering the error) panics, if the two front-ends disagree
+/// ([`differential::check_qasm_oracle`]), or if an accepted circuit is
+/// invalid or fails an exact `to_qasm` round trip.
 pub fn qasm_campaign(seed: u64, cases: u64) -> CampaignReport {
     let mut failures = Vec::new();
     for case in 0..cases {
         run_case(&mut failures, case, || {
-            let source = adversarial_source(&mut case_rng(seed, case));
-            match qasm::parse(&source) {
-                Err(err) => {
-                    // Rendering diagnostics must not panic either.
-                    let _ = err.to_string();
-                    Ok(())
-                }
-                Ok(circuit) => {
-                    circuit
-                        .validate()
-                        .map_err(|e| format!("parser accepted an invalid circuit: {e}"))?;
-                    differential::check_qasm_roundtrip(&circuit)
-                }
-            }
+            check_source(&adversarial_source(&mut case_rng(seed, case)))
+        });
+    }
+    let corpus = corpus_sources().unwrap_or_else(|e| {
+        let detail = format!("reading the QASM corpus: {e}");
+        failures.push(CaseFailure {
+            case: cases,
+            kind: FailureKind::Divergence,
+            detail,
+        });
+        Vec::new()
+    });
+    for (i, (name, source)) in corpus.iter().enumerate() {
+        run_case(&mut failures, cases + i as u64, || {
+            check_source(source).map_err(|e| format!("{name}: {e}"))
         });
     }
     CampaignReport {
         name: "qasm",
         seed,
-        cases,
+        cases: cases + corpus.len() as u64,
         failures,
+    }
+}
+
+/// One ingestion case: both front-ends agree, and an accepted circuit is
+/// valid and round-trips.
+fn check_source(source: &str) -> Result<(), String> {
+    differential::check_qasm_oracle(source, &ParseLimits::default())?;
+    match qasm::parse(source) {
+        Err(err) => {
+            // Rendering diagnostics must not panic either.
+            let _ = err.to_string();
+            Ok(())
+        }
+        Ok(circuit) => {
+            circuit
+                .validate()
+                .map_err(|e| format!("parser accepted an invalid circuit: {e}"))?;
+            differential::check_qasm_roundtrip(&circuit)
+        }
     }
 }
 

@@ -5,15 +5,19 @@
 //! separately by [`crate::campaign`]). The oracles are the retained naive
 //! implementations the equivalence test suites pin against — `NaiveDag`,
 //! `NaivePlacement` and `WeightTable::compute` — plus the QASM writer/parser
-//! pair and a full `parse → compile` differential.
+//! pair, the production QASM front-end against the original one kept in
+//! [`crate::qasm_oracle`], and a full `parse → compile` differential.
 
 use baselines::{DaiCompiler, GridConfig, MqtStyleCompiler, MuraliCompiler};
 use eml_qccd::{Compiler, DeviceConfig, ModuleId};
+use ion_circuit::qasm::{Diagnostic, DiagnosticKind, ParseLimits};
 use ion_circuit::{generators, qasm, Circuit, DependencyDag, NaiveDag, QubitId};
 use muss_ti::{MussTiCompiler, MussTiOptions, NaivePlacement, PlacementState, WeightTable};
 use rand::rngs::StdRng;
 use rand::Rng;
 use verify::{DeviceModel, ScheduleVerifier};
+
+use crate::qasm_oracle;
 
 /// The look-ahead window depth used by the scheduler (and therefore by the
 /// weight-table and DAG oracle checks).
@@ -42,6 +46,82 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// A stable fingerprint of a compiled program's scheduled op stream.
 pub fn op_fingerprint(program: &eml_qccd::CompiledProgram) -> u64 {
     fnv1a(format!("{:?}", program.ops()).as_bytes())
+}
+
+/// The single-pass front-end must agree with the original two-phase one in
+/// [`qasm_oracle`]: the same verdict, and an accepted source must yield the
+/// same circuit, parameter bit for bit.
+///
+/// Diagnostics must be identical whenever the oracle's list is complete:
+/// under the cap and not cut short by `TooManyGates`. Otherwise the
+/// production list must hold at most `max_diagnostics` entries in source
+/// order, starting with the first problem in the source. Those are read from
+/// the oracle re-run with an unlimited cap, because the capped oracle's own
+/// list can be wrong: its lexer errors from anywhere in the file crowd out
+/// earlier parser errors. Without `TooManyGates`, and for caps up to the
+/// oracle lexer's own cap of [`qasm_oracle::MAX_LEX_DIAGNOSTICS`], the
+/// production list must be exactly the first `max_diagnostics` entries of
+/// the uncapped list.
+pub fn check_qasm_oracle(source: &str, limits: &ParseLimits) -> Result<(), String> {
+    let (err, oracle) = match (
+        qasm::parse_with_limits(source, limits),
+        qasm_oracle::parse_with_limits(source, limits),
+    ) {
+        (Ok(circuit), Ok(expected)) => {
+            ensure_eq!(circuit.num_qubits(), expected.num_qubits(), "parsed width");
+            // Debug prints the shortest text that round-trips each float, so
+            // equal text is equal bits (`Gate`'s `==` has 0.0 == -0.0).
+            let (got, want) = (circuit.gates(), expected.gates());
+            ensure_eq!(format!("{got:?}"), format!("{want:?}"), "parsed gates");
+            return Ok(());
+        }
+        (Ok(_), Err(oracle)) => {
+            return Err(format!(
+                "accepted; the oracle rejects: {:?}",
+                oracle.first()
+            ))
+        }
+        (Err(err), Ok(_)) => return Err(format!("rejected; the oracle accepts: {err}")),
+        (Err(err), Err(oracle)) => (err, oracle),
+    };
+    let got = err.diagnostics();
+    let cap = limits.max_diagnostics.max(1);
+    let too_many_gates = |list: &[Diagnostic]| {
+        list.iter()
+            .any(|d| matches!(d.kind, DiagnosticKind::TooManyGates { .. }))
+    };
+    if oracle.len() < cap && !too_many_gates(&oracle) {
+        ensure_eq!(got, oracle.as_slice(), "diagnostics");
+        return Ok(());
+    }
+    let uncapped = ParseLimits {
+        max_diagnostics: usize::MAX,
+        ..limits.clone()
+    };
+    let Err(full) = qasm_oracle::parse_with_limits(source, &uncapped) else {
+        return Err("the oracle accepts the source once uncapped".to_string());
+    };
+    if got.len() > cap
+        || got
+            .windows(2)
+            .any(|w| (w[0].line, w[0].col) > (w[1].line, w[1].col))
+    {
+        return Err(format!(
+            "{} diagnostics (cap {cap}) or out of source order",
+            got.len()
+        ));
+    }
+    ensure_eq!(got.first(), full.first(), "first diagnostic");
+    let head = &full[..cap.min(full.len())];
+    ensure_eq!(
+        too_many_gates(got),
+        too_many_gates(head),
+        "gate limit reported"
+    );
+    if !too_many_gates(&full) && cap <= qasm_oracle::MAX_LEX_DIAGNOSTICS {
+        ensure_eq!(got, head, "first {cap} diagnostics");
+    }
+    Ok(())
 }
 
 /// `to_qasm` must emit text that re-parses to the *identical* gate stream.
@@ -510,6 +590,58 @@ mod tests {
         for index in 0..3 {
             check_weight_table(&mut case_rng(44, index)).unwrap();
         }
+    }
+
+    #[test]
+    fn qasm_front_ends_agree_on_hand_picked_edge_cases() {
+        let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\n";
+        let bodies = [
+            "h q[3];\ncx q[0],q[1];\n",
+            "h q[999999999999999];\n",
+            "h q[9999999999999999];\n",
+            "h q[ 1 ];\nh q[1.0];\nh q[1e0];\nh q[0x1];\n",
+            "h q[1]\n",
+            "h q[",
+            "cx q[0], // comment\n q[1];\r\nrz(-pi/2) q[2];\r\n",
+            "h q[0]; é @ ! # $\n\u{2003}h q[1];\n",
+            "qreg\n  r[0];\nqreg\n q[1];\n",
+            "rz(1.2.3) q[0]; rz(1e309) q[0]; rz(.) q[0]; rz(1ee-+2) q[0];\n",
+            "include \"unterminated;\nh q[0];\n",
+            "ccx q[0],q[1];\nccx q,q[1],q[2];\nbarrier q[0],q;\nmeasure q -> c;\n",
+            "gate g a { h a; } h q[0]; if (c==1) x q[0];\n",
+        ];
+        for cap in [1, 3, 8, 64] {
+            let limits = ParseLimits {
+                max_diagnostics: cap,
+                ..ParseLimits::default()
+            };
+            for body in bodies {
+                for source in [format!("{header}{body}"), body.to_string()] {
+                    if let Err(e) = check_qasm_oracle(&source, &limits) {
+                        panic!("cap {cap}, {source:?}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_oracle_loses_early_parser_errors_the_front_end_keeps() {
+        // Lexer errors late in the file crowd the oracle's capped list, so
+        // the first-problem comparison must use the uncapped oracle.
+        let source = format!("h q[0];\n{}", "@\n".repeat(70));
+        let limits = ParseLimits::default();
+        let capped = qasm_oracle::parse_with_limits(&source, &limits).unwrap_err();
+        let err = qasm::parse(&source).unwrap_err();
+        assert!(matches!(
+            capped[0].kind,
+            DiagnosticKind::InvalidCharacter { .. }
+        ));
+        assert!(matches!(
+            err.first().kind,
+            DiagnosticKind::UnknownRegister { .. }
+        ));
+        check_qasm_oracle(&source, &limits).unwrap();
     }
 
     #[test]

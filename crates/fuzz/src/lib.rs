@@ -14,7 +14,10 @@
 //! * [`circuits`] — a generator for arbitrary *valid* [`Circuit`]s covering
 //!   the whole gate set plus deterministic hostile shapes (single-qubit-only
 //!   programs, measure-only programs, width-1 registers).
+//! * [`qasm_oracle`] — the original two-phase QASM front-end, kept as the
+//!   oracle the production single-pass parser is compared against.
 //! * [`differential`] — per-case checks: QASM round-trip exactness,
+//!   production-vs-oracle QASM parsing,
 //!   optimised-vs-oracle equivalence for [`ion_circuit::DependencyDag`] vs
 //!   `NaiveDag`, `muss_ti::PlacementState` vs `NaivePlacement`,
 //!   `muss_ti::WeightTable` incremental-vs-recompute, and the
@@ -38,5 +41,6 @@ pub mod bytes;
 pub mod campaign;
 pub mod circuits;
 pub mod differential;
+pub mod qasm_oracle;
 
 pub use campaign::CampaignReport;

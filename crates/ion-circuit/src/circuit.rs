@@ -67,6 +67,16 @@ impl Circuit {
         Self::try_new(name, num_qubits).expect("circuit must have at least one qubit")
     }
 
+    /// Wraps an already-built gate list without copying it (the QASM
+    /// front-end's result). The caller guarantees `num_qubits > 0`.
+    pub(crate) fn from_gates(name: &str, num_qubits: usize, gates: Vec<Gate>) -> Self {
+        Circuit {
+            name: name.to_string(),
+            num_qubits,
+            gates,
+        }
+    }
+
     /// The circuit's human-readable name (e.g. `"Adder_32"`).
     pub fn name(&self) -> &str {
         &self.name

@@ -1,23 +1,25 @@
-//! Recursive-descent parser for the OpenQASM 2.0 subset.
+//! Single-pass recursive-descent parser for the OpenQASM 2.0 subset.
 //!
-//! The parser is hardened against untrusted input: it recovers at statement
-//! boundaries and reports *every* problem it finds (capped by
-//! [`ParseLimits::max_diagnostics`]) instead of stopping at the first, every
-//! diagnostic carries a line/column span plus a source excerpt, and explicit
-//! resource limits bound register width, gate count and expression nesting so
-//! adversarial input (`qreg q[999999999];`, kilobyte-deep parentheses) is
-//! rejected with an error instead of exhausting memory or the stack.
+//! The parser pulls tokens from the byte [`Scanner`] one at a time and builds
+//! the gate list as it goes. It is hardened against untrusted input: it
+//! recovers at statement boundaries and reports the first
+//! [`ParseLimits::max_diagnostics`] problems in source order instead of
+//! stopping at the first, every diagnostic carries a line/column span plus a
+//! source excerpt, and explicit resource limits bound register width, gate
+//! count and expression nesting so adversarial input (`qreg q[999999999];`,
+//! kilobyte-deep parentheses) is rejected with an error instead of
+//! exhausting memory or the stack.
 
 // lint: no-panic
+// lint: hot-path
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
 
 use crate::{Circuit, Gate, QubitId};
 
-use super::lexer::{lex, Token, TokenKind};
+use super::lexer::{Scanner, Token, TokenKind};
 
 /// Resource limits applied while parsing untrusted OpenQASM source.
 ///
@@ -263,127 +265,211 @@ impl Error for QasmError {}
 ///
 /// # Errors
 ///
-/// Returns a [`QasmError`] collecting every problem found (the parser
-/// recovers at statement boundaries rather than stopping at the first
-/// error). This function never panics, for any input.
+/// Returns a [`QasmError`] carrying the first
+/// [`max_diagnostics`](ParseLimits::max_diagnostics) problems in source
+/// order (the parser recovers at statement boundaries rather than stopping
+/// at the first error). This function never panics, for any input.
 pub fn parse(source: &str) -> Result<Circuit, QasmError> {
     parse_with_limits(source, &ParseLimits::default())
 }
 
 /// [`parse`] with caller-chosen [`ParseLimits`].
 pub fn parse_with_limits(source: &str, limits: &ParseLimits) -> Result<Circuit, QasmError> {
-    let (tokens, lex_diagnostics) = lex(source);
-    let mut parser = Parser::new(tokens, lex_diagnostics, limits);
-    let result = parser.parse();
-    match result {
-        Ok(circuit) if parser.diagnostics.is_empty() => Ok(circuit),
-        _ => {
-            let mut diagnostics = parser.diagnostics;
-            diagnostics.sort_by_key(|d| (d.line, d.col));
-            attach_snippets(&mut diagnostics, source);
-            Err(QasmError { diagnostics })
-        }
+    let mut parser = Parser::new(source, limits);
+    match parser.run() {
+        Some(circuit) => Ok(circuit),
+        None => Err(QasmError {
+            diagnostics: parser.problems.into_diagnostics(source),
+        }),
     }
 }
 
-/// Fills each diagnostic's `snippet` with its trimmed source line.
-fn attach_snippets(diagnostics: &mut [Diagnostic], source: &str) {
-    let lines: Vec<&str> = source.lines().collect();
-    for diag in diagnostics {
-        if diag.line >= 1 && diag.line <= lines.len() {
-            diag.snippet = lines[diag.line - 1].trim_end().to_string();
+/// Where a problem is: byte offsets of the characters whose line and whose
+/// column the diagnostic cites (the same offset except for `qreg` checks,
+/// which cite the keyword's line and the name's column), or `None` for no
+/// position (reported as line 0, col 0).
+type Span = Option<(usize, usize)>;
+
+/// One problem, positioned by byte offsets until it becomes a [`Diagnostic`].
+struct Problem {
+    span: Span,
+    kind: DiagnosticKind,
+}
+
+impl Problem {
+    fn at(offset: usize, kind: DiagnosticKind) -> Self {
+        Problem {
+            span: Some((offset, offset)),
+            kind,
         }
+    }
+
+    fn unexpected(token: Token<'_>, expected: &'static str) -> Self {
+        let found = token.kind.to_string();
+        Problem::at(token.offset, DiagnosticKind::Unexpected { found, expected })
     }
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    limits: &'a ParseLimits,
-    diagnostics: Vec<Diagnostic>,
-    /// name -> (offset, size)
-    qregs: HashMap<String, (usize, usize)>,
+/// The problems found so far. Problems arrive almost in source order (a
+/// statement-level problem is reported after the lexical ones inside the
+/// statement), so the list keeps every problem until it holds twice the cap
+/// and then drops all but the first `cap` in source order: memory stays
+/// bounded and no early problem is lost.
+pub(crate) struct Problems {
+    list: Vec<Problem>,
+    cap: usize,
+}
+
+impl Problems {
+    pub(crate) fn new(cap: usize) -> Self {
+        Problems {
+            list: Vec::new(), // lint: allow (diagnostics are the error result)
+            cap,
+        }
+    }
+
+    /// Records a lexical or syntactic problem at a byte offset.
+    pub(crate) fn report(&mut self, offset: usize, kind: DiagnosticKind) {
+        self.push(Problem::at(offset, kind));
+    }
+
+    fn push(&mut self, problem: Problem) {
+        self.list.push(problem);
+        if self.list.len() > self.cap.saturating_mul(2) {
+            self.keep_first();
+        }
+    }
+
+    fn keep_first(&mut self) {
+        self.list.sort_by_key(|p| p.span);
+        self.list.truncate(self.cap);
+    }
+
+    /// Whether the cap is reached. Checked only at statement boundaries:
+    /// every later problem lies after the next statement's first token.
+    fn capped(&self) -> bool {
+        self.list.len() >= self.cap
+    }
+
+    /// The first `cap` problems in source order, with 1-based line/column
+    /// and the trimmed source line, computed in one sweep over the source.
+    pub(crate) fn into_diagnostics(mut self, source: &str) -> Vec<Diagnostic> {
+        self.keep_first();
+        let bytes = source.as_bytes();
+        let newline_in = |from: usize, to: usize| {
+            let found = bytes.get(from..to)?.iter().position(|&b| b == b'\n');
+            found.map(|i| from + i)
+        };
+        let (mut line, mut line_start) = (1, 0);
+        let mut diagnostics: Vec<Diagnostic> = self
+            .list
+            .into_iter()
+            .map(|Problem { span, kind }| {
+                let Some((line_at, col_at)) = span else {
+                    return Diagnostic {
+                        kind,
+                        line: 0,
+                        col: 0,
+                        snippet: String::new(),
+                    };
+                };
+                while let Some(nl) = newline_in(line_start, line_at) {
+                    line += 1;
+                    line_start = nl + 1;
+                }
+                let col_line_start = bytes
+                    .get(..col_at)
+                    .and_then(|b| b.iter().rposition(|&b| b == b'\n'))
+                    .map_or(0, |nl| nl + 1);
+                let col = source
+                    .get(col_line_start..col_at)
+                    .map_or(0, |s| s.chars().count());
+                let line_end = newline_in(line_at, bytes.len()).unwrap_or(bytes.len());
+                let snippet = source.get(line_start..line_end).unwrap_or("");
+                Diagnostic {
+                    kind,
+                    line,
+                    col: col + 1,
+                    snippet: snippet.trim_end().to_string(),
+                }
+            })
+            .collect();
+        diagnostics.sort_by_key(|d| (d.line, d.col));
+        diagnostics
+    }
+}
+
+/// A parsed operand: `len` consecutive qubits from `start` (`reg[i]` is one
+/// qubit, a whole register `reg` is all of it).
+type Operand = (usize, usize);
+
+/// Single-pass parser pulling tokens from a [`Scanner`]. Registers live in a
+/// linearly scanned `Vec` (programs declare a handful), and the parameter
+/// and operand buffers are reused across statements.
+struct Parser<'s, 'l> {
+    scanner: Scanner<'s>,
+    /// One token of lookahead; `Some(None)` is a peeked end of input.
+    lookahead: Option<Option<Token<'s>>>,
+    /// Whether the last consumed token was `;` (error recovery).
+    after_semicolon: bool,
+    limits: &'l ParseLimits,
+    problems: Problems,
+    /// (name, offset, size) per `qreg`.
+    qregs: Vec<(&'s str, usize, usize)>,
     total_qubits: usize,
     gates: Vec<Gate>,
+    params: Vec<f64>,
+    operands: Vec<Operand>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(tokens: Vec<Token>, lex_diagnostics: Vec<Diagnostic>, limits: &'a ParseLimits) -> Self {
+impl<'s, 'l> Parser<'s, 'l> {
+    fn new(source: &'s str, limits: &'l ParseLimits) -> Self {
         Parser {
-            tokens,
-            pos: 0,
+            scanner: Scanner::new(source),
+            lookahead: None,
+            after_semicolon: false,
             limits,
-            diagnostics: lex_diagnostics,
-            qregs: HashMap::new(),
+            // An error always carries at least one diagnostic.
+            problems: Problems::new(limits.max_diagnostics.max(1)),
+            qregs: Vec::new(), // lint: allow (one per parse)
             total_qubits: 0,
-            gates: Vec::new(),
+            gates: Vec::new(),    // lint: allow (the parsed circuit's gate list)
+            params: Vec::new(),   // lint: allow (reused across statements)
+            operands: Vec::new(), // lint: allow (reused across statements)
         }
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&mut self) -> Option<Token<'s>> {
+        *self
+            .lookahead
+            .get_or_insert_with(|| self.scanner.next_token(&mut self.problems))
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+    fn next(&mut self) -> Option<Token<'s>> {
+        let token = match self.lookahead.take() {
+            Some(token) => token,
+            None => self.scanner.next_token(&mut self.problems),
+        };
+        if let Some(t) = token {
+            self.after_semicolon = t.kind == TokenKind::Semicolon;
         }
-        t
+        token
     }
 
-    /// Position (line, col) for end-of-input diagnostics: the last token if
-    /// any, else unknown (0, 0).
-    fn eof_pos(&self) -> (usize, usize) {
-        self.tokens.last().map_or((0, 0), |t| (t.line, t.col))
-    }
-
-    fn diag_at(&self, kind: DiagnosticKind, line: usize, col: usize) -> Diagnostic {
-        Diagnostic {
-            kind,
-            line,
-            col,
-            snippet: String::new(),
-        }
-    }
-
-    fn eof_diag(&self) -> Diagnostic {
-        let (line, col) = self.eof_pos();
-        self.diag_at(DiagnosticKind::UnexpectedEof, line, col)
-    }
-
-    fn unexpected(&self, token: &Token, expected: &'static str) -> Diagnostic {
-        self.diag_at(
-            DiagnosticKind::Unexpected {
-                found: token.kind.to_string(),
-                expected,
-            },
-            token.line,
-            token.col,
-        )
-    }
-
-    fn report(&mut self, diag: Diagnostic) {
-        if self.diagnostics.len() < self.limits.max_diagnostics {
-            self.diagnostics.push(diag);
+    /// End of input, reported at the last token (or without a position when
+    /// the source has none).
+    fn eof(&self) -> Problem {
+        Problem {
+            span: self.scanner.last_token.map(|at| (at, at)),
+            kind: DiagnosticKind::UnexpectedEof,
         }
     }
 
-    /// Whether the diagnostic budget is exhausted (parsing aborts then: an
-    /// input bad enough to hit the cap yields no useful extra information,
-    /// and aborting bounds work on adversarial floods).
-    fn capped(&self) -> bool {
-        self.diagnostics.len() >= self.limits.max_diagnostics
-    }
-
-    fn expect_semicolon(&mut self) -> Result<(), Diagnostic> {
+    fn expect_kind(&mut self, kind: TokenKind<'_>, expected: &'static str) -> Result<(), Problem> {
         match self.next() {
-            Some(Token {
-                kind: TokenKind::Semicolon,
-                ..
-            }) => Ok(()),
-            Some(t) => Err(self.unexpected(&t, ";")),
-            None => Err(self.eof_diag()),
+            Some(t) if t.kind == kind => Ok(()),
+            Some(t) => Err(Problem::unexpected(t, expected)),
+            None => Err(self.eof()),
         }
     }
 
@@ -395,413 +481,261 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Error recovery: resynchronise at the next statement boundary. If the
-    /// token just consumed already was a semicolon (the error was *at* the
-    /// boundary), nothing more is skipped.
-    fn recover_to_statement(&mut self) {
-        if self.pos > 0
-            && matches!(
-                self.tokens.get(self.pos - 1),
-                Some(Token {
-                    kind: TokenKind::Semicolon,
-                    ..
-                })
-            )
-        {
-            return;
-        }
-        self.skip_to_semicolon();
-    }
-
+    /// Skips either `{ ... }` (gate definition body) or a `;`-terminated
+    /// statement.
     fn skip_block_or_statement(&mut self) {
-        // Skip either `{ ... }` (gate definition body) or a `;`-terminated statement.
         let mut depth = 0usize;
         while let Some(t) = self.next() {
             match t.kind {
                 TokenKind::LBrace => depth += 1,
-                TokenKind::RBrace => {
-                    if depth <= 1 {
-                        return;
-                    }
-                    depth -= 1;
-                }
+                TokenKind::RBrace if depth <= 1 => return,
+                TokenKind::RBrace => depth -= 1,
                 TokenKind::Semicolon if depth == 0 => return,
                 _ => {}
             }
         }
     }
 
-    fn parse(&mut self) -> Result<Circuit, ()> {
-        while let Some(token) = self.peek().cloned() {
-            if self.capped() {
-                return Err(());
+    fn run(&mut self) -> Option<Circuit> {
+        while let Some(token) = self.peek() {
+            if self.problems.capped() {
+                return None;
             }
-            if let Err(diag) = self.parse_statement(&token) {
-                self.report(diag);
-                self.recover_to_statement();
+            if let Err(problem) = self.statement(token) {
+                self.problems.push(problem);
+                // Resynchronise at the next statement boundary, unless the
+                // error was at the boundary itself.
+                if !self.after_semicolon {
+                    self.skip_to_semicolon();
+                }
             }
             if self.gates.len() > self.limits.max_gates {
-                let diag = self.diag_at(
-                    DiagnosticKind::TooManyGates {
-                        max_gates: self.limits.max_gates,
-                    },
-                    token.line,
-                    token.col,
-                );
-                self.report(diag);
-                return Err(());
+                let max_gates = self.limits.max_gates;
+                self.problems
+                    .report(token.offset, DiagnosticKind::TooManyGates { max_gates });
+                return None;
             }
         }
         if self.total_qubits == 0 {
             // Only worth reporting when no earlier diagnostic (e.g. a
             // rejected `qreg`) already explains why no register exists.
-            if self.diagnostics.is_empty() {
-                let diag = self.diag_at(DiagnosticKind::NoQuantumRegister, 0, 0);
-                self.report(diag);
+            if self.problems.list.is_empty() {
+                self.problems.push(Problem {
+                    span: None,
+                    kind: DiagnosticKind::NoQuantumRegister,
+                });
             }
-            return Err(());
+            return None;
         }
-        if !self.diagnostics.is_empty() {
-            return Err(());
+        if !self.problems.list.is_empty() {
+            return None;
         }
-        let mut circuit = Circuit::with_name("qasm", self.total_qubits);
-        circuit.extend(std::mem::take(&mut self.gates));
-        Ok(circuit)
+        let gates = std::mem::take(&mut self.gates);
+        Some(Circuit::from_gates("qasm", self.total_qubits, gates))
     }
 
-    fn parse_statement(&mut self, token: &Token) -> Result<(), Diagnostic> {
-        match &token.kind {
-            TokenKind::Ident(word) => match word.as_str() {
-                "OPENQASM" | "include" | "creg" => {
-                    self.skip_to_semicolon();
-                    Ok(())
-                }
-                "gate" | "opaque" => {
-                    self.skip_block_or_statement();
-                    Ok(())
-                }
-                "if" => {
-                    // `if (c==0) gate ...;` — drop the condition, keep nothing
-                    // (conditioned gates are rare in the benchmarks and do not
-                    // change shuttle scheduling structure).
-                    self.skip_to_semicolon();
-                    Ok(())
-                }
-                "qreg" => {
-                    self.next();
-                    self.parse_qreg(token.line)
-                }
-                "measure" => {
-                    self.next();
-                    self.parse_measure(token.line)
-                }
-                "barrier" => {
-                    self.next();
-                    self.parse_barrier(token.line)
-                }
-                _ => {
-                    let word = word.clone();
-                    self.next();
-                    self.parse_gate(&word, token.line, token.col)
-                }
-            },
-            TokenKind::Semicolon => {
-                self.next();
-                Ok(())
-            }
-            _ => {
-                self.next();
-                Err(self.unexpected(token, "statement"))
-            }
-        }
-    }
-
-    /// Consumes a number token and checks it denotes a non-negative integer
-    /// (register sizes and qubit indices). Values beyond `usize` saturate;
-    /// callers apply their own range checks and limit diagnostics.
-    fn expect_index(&mut self) -> Result<usize, Diagnostic> {
-        let token = match self.next() {
-            Some(t) => t,
-            None => return Err(self.eof_diag()),
-        };
-        let value = match token.kind {
-            TokenKind::Number(n) => n,
-            _ => return Err(self.unexpected(&token, "non-negative integer")),
-        };
-        if value.is_finite() && value.fract() == 0.0 && value >= 0.0 {
-            // `as` saturates at usize::MAX for values beyond the type.
-            Ok(value as usize)
-        } else {
-            Err(self.diag_at(
-                DiagnosticKind::NonIntegerLiteral { value },
-                token.line,
-                token.col,
-            ))
-        }
-    }
-
-    fn parse_qreg(&mut self, line: usize) -> Result<(), Diagnostic> {
-        let (name, name_col) = self.expect_ident()?;
-        self.expect_kind(TokenKind::LBracket, "[")?;
-        let size = self.expect_index()?;
-        self.expect_kind(TokenKind::RBracket, "]")?;
-        self.expect_semicolon()?;
-        if size == 0 {
-            return Err(self.diag_at(DiagnosticKind::EmptyRegister { name }, line, name_col));
-        }
-        let requested = self.total_qubits.saturating_add(size);
-        if requested > self.limits.max_qubits {
-            return Err(self.diag_at(
-                DiagnosticKind::RegisterTooWide {
-                    requested,
-                    max_qubits: self.limits.max_qubits,
-                },
-                line,
-                name_col,
-            ));
-        }
-        if self.qregs.contains_key(&name) {
-            return Err(self.diag_at(DiagnosticKind::DuplicateRegister { name }, line, name_col));
-        }
-        self.qregs.insert(name, (self.total_qubits, size));
-        self.total_qubits += size;
-        Ok(())
-    }
-
-    fn parse_measure(&mut self, _line: usize) -> Result<(), Diagnostic> {
-        // measure q[i] -> c[i]; | measure q -> c;
-        let targets = self.parse_argument()?;
-        // Skip everything up to the semicolon (the classical target).
-        self.skip_to_semicolon();
-        for q in targets {
-            self.gates.push(Gate::Measure(q));
-        }
-        Ok(())
-    }
-
-    fn parse_barrier(&mut self, _line: usize) -> Result<(), Diagnostic> {
-        let mut qubits = Vec::new();
-        loop {
-            let mut arg = self.parse_argument()?;
-            qubits.append(&mut arg);
-            match self.next() {
-                Some(Token {
-                    kind: TokenKind::Comma,
-                    ..
-                }) => continue,
-                Some(Token {
-                    kind: TokenKind::Semicolon,
-                    ..
-                }) => break,
-                Some(t) => return Err(self.unexpected(&t, ", or ;")),
-                None => return Err(self.eof_diag()),
-            }
-        }
-        self.gates.push(Gate::Barrier(qubits));
-        Ok(())
-    }
-
-    fn parse_gate(&mut self, name: &str, line: usize, col: usize) -> Result<(), Diagnostic> {
-        // Optional parameter list.
-        let params = if matches!(
-            self.peek(),
-            Some(Token {
-                kind: TokenKind::LParen,
-                ..
-            })
-        ) {
+    fn statement(&mut self, token: Token<'s>) -> Result<(), Problem> {
+        let TokenKind::Ident(word) = token.kind else {
             self.next();
-            self.parse_params()?
-        } else {
-            Vec::new()
+            return match token.kind {
+                TokenKind::Semicolon => Ok(()),
+                _ => Err(Problem::unexpected(token, "statement")),
+            };
         };
+        match word {
+            // `if (c==0) gate ...;` drops the condition and keeps nothing
+            // (conditioned gates are rare in the benchmarks and do not
+            // change shuttle scheduling structure).
+            "OPENQASM" | "include" | "creg" | "if" => self.skip_to_semicolon(),
+            "gate" | "opaque" => self.skip_block_or_statement(),
+            "qreg" => {
+                self.next();
+                return self.qreg(token.offset);
+            }
+            "measure" => {
+                self.next();
+                let (start, len) = self.argument()?;
+                // Skip the classical target.
+                self.skip_to_semicolon();
+                let measures = (start..start + len).map(|q| Gate::Measure(QubitId::new(q)));
+                self.gates.extend(measures);
+            }
+            "barrier" => {
+                self.next();
+                let mut qubits = Vec::new(); // lint: allow (the barrier gate owns its qubit list)
+                loop {
+                    let (start, len) = self.argument()?;
+                    qubits.extend((start..start + len).map(QubitId::new));
+                    if !self.list_continues()? {
+                        break;
+                    }
+                }
+                self.gates.push(Gate::Barrier(qubits));
+            }
+            name => {
+                self.next();
+                return self.gate(name, token.offset);
+            }
+        }
+        Ok(())
+    }
+
+    /// After a list item: `,` continues the list, `;` ends the statement.
+    fn list_continues(&mut self) -> Result<bool, Problem> {
+        match self.next() {
+            Some(Token {
+                kind: TokenKind::Comma,
+                ..
+            }) => Ok(true),
+            Some(Token {
+                kind: TokenKind::Semicolon,
+                ..
+            }) => Ok(false),
+            Some(t) => Err(Problem::unexpected(t, ", or ;")),
+            None => Err(self.eof()),
+        }
+    }
+
+    /// Consumes a number token denoting a register size or qubit index.
+    fn index(&mut self) -> Result<usize, Problem> {
+        let token = self.next().ok_or_else(|| self.eof())?;
+        match token.kind {
+            TokenKind::Number(value) => index_value(value, token.offset),
+            _ => Err(Problem::unexpected(token, "non-negative integer")),
+        }
+    }
+
+    /// [`Scanner::delimited_literal`], run only when no token is peeked (the
+    /// scanner is then already past the bytes it would read).
+    fn fast_literal(&mut self, open: u8, close: u8) -> Option<(f64, usize)> {
+        if self.lookahead.is_some() {
+            return None;
+        }
+        let hit = self.scanner.delimited_literal(open, close);
+        if hit.is_some() {
+            self.after_semicolon = false;
+        }
+        hit
+    }
+
+    fn qreg(&mut self, keyword: usize) -> Result<(), Problem> {
+        let token = self.next().ok_or_else(|| self.eof())?;
+        let TokenKind::Ident(name) = token.kind else {
+            return Err(Problem::unexpected(token, "identifier"));
+        };
+        self.expect_kind(TokenKind::LBracket, "[")?;
+        let size = self.index()?;
+        self.expect_kind(TokenKind::RBracket, "]")?;
+        self.expect_kind(TokenKind::Semicolon, ";")?;
+        let requested = self.total_qubits.saturating_add(size);
+        let kind = if size == 0 {
+            DiagnosticKind::EmptyRegister {
+                name: name.to_string(),
+            }
+        } else if requested > self.limits.max_qubits {
+            DiagnosticKind::RegisterTooWide {
+                requested,
+                max_qubits: self.limits.max_qubits,
+            }
+        } else if self.qregs.iter().any(|r| r.0 == name) {
+            DiagnosticKind::DuplicateRegister {
+                name: name.to_string(),
+            }
+        } else {
+            self.qregs.push((name, self.total_qubits, size));
+            self.total_qubits = requested;
+            return Ok(());
+        };
+        Err(Problem {
+            span: Some((keyword, token.offset)),
+            kind,
+        })
+    }
+
+    fn gate(&mut self, name: &str, at: usize) -> Result<(), Problem> {
+        self.params.clear();
+        // A lone literal skips the expression parser unless even depth 0 is
+        // too deep.
+        let lone = match self.limits.max_expr_depth {
+            0 => None,
+            _ => self.fast_literal(b'(', b')'),
+        };
+        if let Some((value, _)) = lone {
+            self.params.push(value);
+        } else if let Some(Token {
+            kind: TokenKind::LParen,
+            ..
+        }) = self.peek()
+        {
+            self.next();
+            self.parse_params()?;
+        }
         // Finite literals can still combine into infinities or NaN (`1/0`,
         // `1e308+1e308`); reject them here so every parsed circuit carries
         // only finite angles and survives an exact `to_qasm` round trip.
-        if let Some(bad) = params.iter().copied().find(|p| !p.is_finite()) {
-            return Err(self.diag_at(DiagnosticKind::NonFiniteParameter { value: bad }, line, col));
+        if let Some(&value) = self.params.iter().find(|p| !p.is_finite()) {
+            return Err(Problem::at(
+                at,
+                DiagnosticKind::NonFiniteParameter { value },
+            ));
         }
         // Operands: comma-separated arguments, each `reg` or `reg[i]`.
-        let mut operands: Vec<Vec<QubitId>> = Vec::new();
+        self.operands.clear();
         loop {
-            operands.push(self.parse_argument()?);
-            match self.next() {
-                Some(Token {
-                    kind: TokenKind::Comma,
-                    ..
-                }) => continue,
-                Some(Token {
-                    kind: TokenKind::Semicolon,
-                    ..
-                }) => break,
-                Some(t) => return Err(self.unexpected(&t, ", or ;")),
-                None => return Err(self.eof_diag()),
+            let operand = self.argument()?;
+            self.operands.push(operand);
+            if !self.list_continues()? {
+                break;
             }
         }
-        // Broadcast over whole-register operands (all operands must then have
-        // the same length; single-qubit operands are repeated). Registers are
-        // never empty, so every operand list has at least one entry.
-        let broadcast = operands.iter().map(Vec::len).max().unwrap_or(1);
+        // Broadcast over whole-register operands (single-qubit operands are
+        // repeated). Registers are never empty, so every operand has at
+        // least one qubit.
+        let broadcast = self.operands.iter().map(|o| o.1).max().unwrap_or(1);
         for i in 0..broadcast {
-            let pick = |op: &Vec<QubitId>| -> QubitId {
-                if op.len() == 1 {
-                    op[0]
-                } else {
-                    op[i.min(op.len().saturating_sub(1))]
-                }
-            };
-            if name == "ccx" {
-                // Decompose Toffolis here so downstream schedulers only ever
-                // see one- and two-qubit gates.
-                let need = |idx: usize| -> Result<QubitId, Diagnostic> {
-                    operands.get(idx).map(&pick).ok_or_else(|| {
-                        self.diag_at(
-                            DiagnosticKind::Unexpected {
-                                found: "end of operands".to_string(),
-                                expected: "qubit operand",
-                            },
-                            line,
-                            col,
-                        )
-                    })
-                };
-                let (a, b, c) = (need(0)?, need(1)?, need(2)?);
-                self.gates.extend(toffoli_decomposition(a, b, c));
-            } else {
-                let gate = self.build_gate(name, &params, &operands, pick, line, col)?;
-                self.gates.push(gate);
-            }
+            push_gate(&mut self.gates, name, &self.params, &self.operands, i)
+                .map_err(|kind| Problem::at(at, kind))?;
         }
         Ok(())
     }
 
-    fn build_gate(
-        &self,
-        name: &str,
-        params: &[f64],
-        operands: &[Vec<QubitId>],
-        pick: impl Fn(&Vec<QubitId>) -> QubitId,
-        line: usize,
-        col: usize,
-    ) -> Result<Gate, Diagnostic> {
-        let op = |idx: usize| -> Result<QubitId, Diagnostic> {
-            operands.get(idx).map(&pick).ok_or_else(|| {
-                self.diag_at(
-                    DiagnosticKind::Unexpected {
-                        found: "end of operands".to_string(),
-                        expected: "qubit operand",
-                    },
-                    line,
-                    col,
-                )
-            })
-        };
-        let p = |idx: usize| params.get(idx).copied().unwrap_or(0.0);
-        let gate = match name {
-            "h" => Gate::H(op(0)?),
-            "x" => Gate::X(op(0)?),
-            "y" => Gate::Y(op(0)?),
-            "z" => Gate::Z(op(0)?),
-            "s" => Gate::S(op(0)?),
-            "sdg" => Gate::Sdg(op(0)?),
-            "t" => Gate::T(op(0)?),
-            "tdg" => Gate::Tdg(op(0)?),
-            "id" => Gate::Rz {
-                qubit: op(0)?,
-                theta: 0.0,
-            },
-            "rx" => Gate::Rx {
-                qubit: op(0)?,
-                theta: p(0),
-            },
-            "ry" => Gate::Ry {
-                qubit: op(0)?,
-                theta: p(0),
-            },
-            "rz" | "u1" | "p" => Gate::Rz {
-                qubit: op(0)?,
-                theta: p(0),
-            },
-            "u2" => Gate::U {
-                qubit: op(0)?,
-                theta: PI / 2.0,
-                phi: p(0),
-                lambda: p(1),
-            },
-            "u3" | "u" => Gate::U {
-                qubit: op(0)?,
-                theta: p(0),
-                phi: p(1),
-                lambda: p(2),
-            },
-            "cx" | "CX" => Gate::Cx(op(0)?, op(1)?),
-            "cz" => Gate::Cz(op(0)?, op(1)?),
-            "cp" | "cu1" => Gate::Cp {
-                control: op(0)?,
-                target: op(1)?,
-                theta: p(0),
-            },
-            "rzz" => Gate::Rzz {
-                a: op(0)?,
-                b: op(1)?,
-                theta: p(0),
-            },
-            "swap" => Gate::Swap(op(0)?, op(1)?),
-            "ms" | "rxx" => Gate::Ms(op(0)?, op(1)?),
-            other => {
-                return Err(self.diag_at(
-                    DiagnosticKind::UnsupportedGate {
-                        name: other.to_string(),
-                    },
-                    line,
-                    col,
-                ));
-            }
-        };
-        Ok(gate)
-    }
-
     /// Parses a comma-separated list of constant expressions terminated by
-    /// `)` (the opening `(` has already been consumed).
-    fn parse_params(&mut self) -> Result<Vec<f64>, Diagnostic> {
-        let mut params = Vec::new();
-        if matches!(
-            self.peek(),
-            Some(Token {
-                kind: TokenKind::RParen,
-                ..
-            })
-        ) {
+    /// `)` (the opening `(` has already been consumed) into `self.params`.
+    fn parse_params(&mut self) -> Result<(), Problem> {
+        if let Some(Token {
+            kind: TokenKind::RParen,
+            ..
+        }) = self.peek()
+        {
             self.next();
-            return Ok(params);
+            return Ok(());
         }
         loop {
-            params.push(self.parse_expr(0)?);
+            let value = self.parse_expr(0)?;
+            self.params.push(value);
             match self.next() {
                 Some(Token {
                     kind: TokenKind::RParen,
                     ..
-                }) => break,
+                }) => return Ok(()),
                 Some(Token {
                     kind: TokenKind::Comma,
                     ..
-                }) => continue,
-                Some(t) => return Err(self.unexpected(&t, ", or )")),
-                None => return Err(self.eof_diag()),
+                }) => {}
+                Some(t) => return Err(Problem::unexpected(t, ", or )")),
+                None => return Err(self.eof()),
             }
         }
-        Ok(params)
     }
 
     /// `expr := term (('+'|'-') term)*` with left-to-right association.
-    fn parse_expr(&mut self, depth: usize) -> Result<f64, Diagnostic> {
+    fn parse_expr(&mut self, depth: usize) -> Result<f64, Problem> {
         let mut value = self.parse_term(depth)?;
         while let Some(Token {
             kind: TokenKind::Op(op @ ('+' | '-')),
             ..
         }) = self.peek()
         {
-            let op = *op;
             self.next();
             let rhs = self.parse_term(depth)?;
             value = if op == '+' { value + rhs } else { value - rhs };
@@ -810,14 +744,13 @@ impl<'a> Parser<'a> {
     }
 
     /// `term := unary (('*'|'/') unary)*` with left-to-right association.
-    fn parse_term(&mut self, depth: usize) -> Result<f64, Diagnostic> {
+    fn parse_term(&mut self, depth: usize) -> Result<f64, Problem> {
         let mut value = self.parse_unary(depth)?;
         while let Some(Token {
             kind: TokenKind::Op(op @ ('*' | '/')),
             ..
         }) = self.peek()
         {
-            let op = *op;
             self.next();
             let rhs = self.parse_unary(depth)?;
             value = if op == '*' { value * rhs } else { value / rhs };
@@ -829,99 +762,165 @@ impl<'a> Parser<'a> {
     /// `depth` counts recursion (unary minus chains and parentheses) and is
     /// bounded by [`ParseLimits::max_expr_depth`] so adversarial nesting
     /// cannot overflow the stack.
-    fn parse_unary(&mut self, depth: usize) -> Result<f64, Diagnostic> {
-        let token = match self.next() {
-            Some(t) => t,
-            None => return Err(self.eof_diag()),
-        };
+    fn parse_unary(&mut self, depth: usize) -> Result<f64, Problem> {
+        let token = self.next().ok_or_else(|| self.eof())?;
         if depth >= self.limits.max_expr_depth {
-            return Err(self.diag_at(
-                DiagnosticKind::ExpressionTooDeep {
-                    max_depth: self.limits.max_expr_depth,
-                },
-                token.line,
-                token.col,
-            ));
+            let max_depth = self.limits.max_expr_depth;
+            let kind = DiagnosticKind::ExpressionTooDeep { max_depth };
+            return Err(Problem::at(token.offset, kind));
         }
         match token.kind {
             TokenKind::Op('-') => Ok(-self.parse_unary(depth + 1)?),
             TokenKind::Number(n) => Ok(n),
-            TokenKind::Ident(ref word) if word == "pi" => Ok(PI),
+            TokenKind::Ident("pi") => Ok(PI),
             TokenKind::LParen => {
                 let value = self.parse_expr(depth + 1)?;
                 self.expect_kind(TokenKind::RParen, ")")?;
                 Ok(value)
             }
-            _ => Err(self.unexpected(&token, "parameter expression")),
+            _ => Err(Problem::unexpected(token, "parameter expression")),
         }
     }
 
-    /// Parses `reg` or `reg[i]`, returning the referenced qubits.
-    fn parse_argument(&mut self) -> Result<Vec<QubitId>, Diagnostic> {
-        let (name, line, col) = match self.next() {
-            Some(Token {
-                kind: TokenKind::Ident(name),
-                line,
-                col,
-            }) => (name, line, col),
-            Some(t) => return Err(self.unexpected(&t, "register name")),
-            None => return Err(self.eof_diag()),
+    /// Parses `reg` or `reg[i]`.
+    fn argument(&mut self) -> Result<Operand, Problem> {
+        let token = self.next().ok_or_else(|| self.eof())?;
+        let TokenKind::Ident(name) = token.kind else {
+            return Err(Problem::unexpected(token, "register name"));
         };
-        let &(offset, size) = self.qregs.get(&name).ok_or_else(|| {
-            self.diag_at(
-                DiagnosticKind::UnknownRegister { name: name.clone() },
-                line,
-                col,
-            )
-        })?;
-        if matches!(
-            self.peek(),
-            Some(Token {
-                kind: TokenKind::LBracket,
-                ..
-            })
-        ) {
-            self.next();
-            let index = self.expect_index()?;
-            self.expect_kind(TokenKind::RBracket, "]")?;
-            if index >= size {
-                return Err(self.diag_at(
-                    DiagnosticKind::IndexOutOfRange { name, index, size },
-                    line,
-                    col,
-                ));
+        let Some(&(_, offset, size)) = self.qregs.iter().find(|r| r.0 == name) else {
+            let name = name.to_string();
+            let kind = DiagnosticKind::UnknownRegister { name };
+            return Err(Problem::at(token.offset, kind));
+        };
+        let index = match self.fast_literal(b'[', b']') {
+            Some((value, at)) => index_value(value, at)?,
+            None => {
+                let Some(Token {
+                    kind: TokenKind::LBracket,
+                    ..
+                }) = self.peek()
+                else {
+                    return Ok((offset, size));
+                };
+                self.next();
+                let index = self.index()?;
+                self.expect_kind(TokenKind::RBracket, "]")?;
+                index
             }
-            Ok(vec![QubitId::new(offset + index)])
-        } else {
-            Ok((0..size).map(|i| QubitId::new(offset + i)).collect())
+        };
+        if index >= size {
+            let name = name.to_string();
+            let kind = DiagnosticKind::IndexOutOfRange { name, index, size };
+            return Err(Problem::at(token.offset, kind));
         }
+        Ok((offset + index, 1))
     }
+}
 
-    fn expect_ident(&mut self) -> Result<(String, usize), Diagnostic> {
-        match self.next() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                col,
-                ..
-            }) => Ok((s, col)),
-            Some(t) => Err(self.unexpected(&t, "identifier")),
-            None => Err(self.eof_diag()),
-        }
+/// A register size or qubit index literal as a `usize`, if it denotes a
+/// non-negative integer. Values beyond `usize` saturate; callers apply their
+/// own range checks and limit diagnostics.
+fn index_value(value: f64, offset: usize) -> Result<usize, Problem> {
+    if value.is_finite() && value.fract() == 0.0 && value >= 0.0 {
+        // `as` saturates at usize::MAX for values beyond the type.
+        Ok(value as usize)
+    } else {
+        Err(Problem::at(
+            offset,
+            DiagnosticKind::NonIntegerLiteral { value },
+        ))
     }
+}
 
-    fn expect_kind(&mut self, kind: TokenKind, expected: &'static str) -> Result<(), Diagnostic> {
-        match self.next() {
-            Some(t) if t.kind == kind => Ok(()),
-            Some(t) => Err(self.unexpected(&t, expected)),
-            None => Err(self.eof_diag()),
+/// Appends gate `name` at broadcast position `i` of `operands`.
+fn push_gate(
+    gates: &mut Vec<Gate>,
+    name: &str,
+    params: &[f64],
+    operands: &[Operand],
+    i: usize,
+) -> Result<(), DiagnosticKind> {
+    let op = |idx: usize| match operands.get(idx) {
+        Some(&(start, len)) => Ok(QubitId::new(start + i.min(len.saturating_sub(1)))),
+        None => Err(DiagnosticKind::Unexpected {
+            found: "end of operands".to_string(),
+            expected: "qubit operand",
+        }),
+    };
+    let p = |idx: usize| params.get(idx).copied().unwrap_or(0.0);
+    let gate = match name {
+        // Decompose Toffolis here so downstream schedulers only ever see
+        // one- and two-qubit gates.
+        "ccx" => {
+            let (a, b, c) = (op(0)?, op(1)?, op(2)?);
+            gates.extend(toffoli_decomposition(a, b, c));
+            return Ok(());
         }
-    }
+        "h" => Gate::H(op(0)?),
+        "x" => Gate::X(op(0)?),
+        "y" => Gate::Y(op(0)?),
+        "z" => Gate::Z(op(0)?),
+        "s" => Gate::S(op(0)?),
+        "sdg" => Gate::Sdg(op(0)?),
+        "t" => Gate::T(op(0)?),
+        "tdg" => Gate::Tdg(op(0)?),
+        "id" => Gate::Rz {
+            qubit: op(0)?,
+            theta: 0.0,
+        },
+        "rx" => Gate::Rx {
+            qubit: op(0)?,
+            theta: p(0),
+        },
+        "ry" => Gate::Ry {
+            qubit: op(0)?,
+            theta: p(0),
+        },
+        "rz" | "u1" | "p" => Gate::Rz {
+            qubit: op(0)?,
+            theta: p(0),
+        },
+        "u2" => Gate::U {
+            qubit: op(0)?,
+            theta: PI / 2.0,
+            phi: p(0),
+            lambda: p(1),
+        },
+        "u3" | "u" => Gate::U {
+            qubit: op(0)?,
+            theta: p(0),
+            phi: p(1),
+            lambda: p(2),
+        },
+        "cx" | "CX" => Gate::Cx(op(0)?, op(1)?),
+        "cz" => Gate::Cz(op(0)?, op(1)?),
+        "cp" | "cu1" => Gate::Cp {
+            control: op(0)?,
+            target: op(1)?,
+            theta: p(0),
+        },
+        "rzz" => Gate::Rzz {
+            a: op(0)?,
+            b: op(1)?,
+            theta: p(0),
+        },
+        "swap" => Gate::Swap(op(0)?, op(1)?),
+        "ms" | "rxx" => Gate::Ms(op(0)?, op(1)?),
+        other => {
+            return Err(DiagnosticKind::UnsupportedGate {
+                name: other.to_string(),
+            })
+        }
+    };
+    gates.push(gate);
+    Ok(())
 }
 
 /// Standard six-CNOT Toffoli decomposition (same network as
 /// [`Circuit::ccx`](crate::Circuit::ccx)).
-fn toffoli_decomposition(a: QubitId, b: QubitId, c: QubitId) -> Vec<Gate> {
-    vec![
+fn toffoli_decomposition(a: QubitId, b: QubitId, c: QubitId) -> [Gate; 15] {
+    [
         Gate::H(c),
         Gate::Cx(b, c),
         Gate::Tdg(c),
@@ -1279,5 +1278,89 @@ mod tests {
         ] {
             let _ = parse(src);
         }
+    }
+
+    #[test]
+    fn lexer_diagnostics_respect_the_diagnostic_cap() {
+        let limits = ParseLimits {
+            max_diagnostics: 8,
+            ..ParseLimits::default()
+        };
+        let src = format!("{HEADER}qreg q[2];\n{}", "@\n".repeat(20));
+        let err = parse_with_limits(&src, &limits).unwrap_err();
+        assert_eq!(err.diagnostics().len(), 8);
+        let lines: Vec<usize> = err.diagnostics().iter().map(|d| d.line).collect();
+        assert_eq!(lines, (4..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn capped_diagnostics_are_the_first_in_source_order() {
+        let mut src = String::from("OPENQASM 2.0;\nqreg q[2];\n");
+        for _ in 0..100 {
+            src.push_str("h r[0];\n");
+        }
+        src.push_str("@\n");
+        let err = parse(&src).unwrap_err();
+        let lines: Vec<usize> = err.diagnostics().iter().map(|d| d.line).collect();
+        assert_eq!(lines, (3..67).collect::<Vec<_>>());
+        assert!(err
+            .diagnostics()
+            .iter()
+            .all(|d| matches!(d.kind, DiagnosticKind::UnknownRegister { .. })));
+    }
+
+    #[test]
+    fn statement_level_problems_sort_before_lexical_ones_inside_them() {
+        let src = format!("{HEADER}qreg q[1];\nfoo(1.2.3) q[0];\n");
+        let err = parse(&src).unwrap_err();
+        let kinds: Vec<&DiagnosticKind> = err.diagnostics().iter().map(|d| &d.kind).collect();
+        assert!(
+            matches!(kinds[0], DiagnosticKind::UnsupportedGate { .. }),
+            "{err}"
+        );
+        assert!(
+            matches!(kinds[1], DiagnosticKind::MalformedNumber { .. }),
+            "{err}"
+        );
+        let limits = ParseLimits {
+            max_diagnostics: 1,
+            ..ParseLimits::default()
+        };
+        let src = format!("{HEADER}qreg q[1];\nfoo(@) q[0];\n");
+        let err = parse_with_limits(&src, &limits).unwrap_err();
+        assert!(
+            matches!(err.first().kind, DiagnosticKind::UnsupportedGate { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_diagnostic_cap_still_reports_one_problem() {
+        let limits = ParseLimits {
+            max_diagnostics: 0,
+            ..ParseLimits::default()
+        };
+        let err = parse_with_limits("h q[0];", &limits).unwrap_err();
+        assert_eq!(err.diagnostics().len(), 1);
+    }
+
+    #[test]
+    fn qreg_diagnostics_cite_the_keyword_line_and_the_name_column() {
+        let err = parse("qreg\n   q[0];\n").unwrap_err();
+        let diag = err.first();
+        assert_eq!(
+            diag.kind,
+            DiagnosticKind::EmptyRegister { name: "q".into() }
+        );
+        assert_eq!((diag.line, diag.col, diag.snippet.as_str()), (1, 4, "qreg"));
+    }
+
+    #[test]
+    fn positions_count_characters_not_bytes() {
+        let err = parse("qreg q[1];\n// é\n\u{e9}\u{e9} h r[0];\n").unwrap_err();
+        let cited: Vec<(usize, usize)> =
+            err.diagnostics().iter().map(|d| (d.line, d.col)).collect();
+        assert_eq!(cited, [(3, 1), (3, 2), (3, 6)]);
+        assert_eq!(err.first().snippet, "\u{e9}\u{e9} h r[0];");
     }
 }
