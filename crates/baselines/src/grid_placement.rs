@@ -5,7 +5,7 @@
 //! is an `O(1)` array read — the baselines pay the same (lack of) bookkeeping
 //! cost as MUSS-TI, keeping the compile-time comparison apples-to-apples.
 
-use eml_qccd::{OpSink, QccdGridDevice, ScheduledOp, TrapId};
+use eml_qccd::{MovedQubits, OpSink, QccdGridDevice, ScheduledOp, TrapId};
 use ion_circuit::QubitId;
 
 /// Placement state for the grid-based baseline compilers: which trap holds
@@ -18,6 +18,10 @@ pub struct GridPlacement {
     chains: Vec<Vec<QubitId>>,
     /// `last_use[q]`, grown on demand (0 if never used).
     last_use: Vec<u64>,
+    /// Qubits whose trap changed since the last
+    /// [`GridPlacement::drain_moved`] (the grid counterpart of
+    /// `muss_ti::PlacementState`'s moved-qubit log).
+    moved: MovedQubits,
 }
 
 impl GridPlacement {
@@ -27,6 +31,7 @@ impl GridPlacement {
             trap_of: Vec::new(),
             chains: vec![Vec::new(); device.num_traps()],
             last_use: Vec::new(),
+            moved: MovedQubits::default(),
         }
     }
 
@@ -49,6 +54,7 @@ impl GridPlacement {
             chain.clear();
         }
         self.last_use.fill(0);
+        self.moved.clear();
     }
 
     /// Re-initialises the state from an explicit assignment, reusing the
@@ -98,6 +104,14 @@ impl GridPlacement {
         );
         self.trap_of[qubit.index()] = Some(trap);
         self.chains[trap.index()].push(qubit);
+        self.moved.record(qubit);
+    }
+
+    /// Hands every qubit whose trap changed since the previous drain (or
+    /// since [`GridPlacement::clear`]) to `f`, once each, and empties the
+    /// log.
+    pub fn drain_moved(&mut self, f: impl FnMut(QubitId)) {
+        self.moved.drain(f);
     }
 
     /// The trap currently holding `qubit` (`O(1)`).
@@ -212,6 +226,7 @@ impl GridPlacement {
 
         self.chains[destination.index()].push(qubit);
         self.trap_of[qubit.index()] = Some(destination);
+        self.moved.record(qubit);
     }
 
     /// The nearest trap (by hop distance from `near`) that still has free
@@ -306,6 +321,20 @@ mod tests {
         assert_ne!(found, TrapId(0));
         assert_ne!(found, TrapId(1));
         assert_eq!(d.hop_distance(TrapId(1), found), 1);
+    }
+
+    #[test]
+    fn placements_and_transports_are_logged_until_drained() {
+        let d = device();
+        let mut s = GridPlacement::from_mapping(&d, &[(q(0), TrapId(0)), (q(1), TrapId(1))]);
+        let mut moved = Vec::new();
+        s.drain_moved(|qubit| moved.push(qubit));
+        assert_eq!(moved, [q(0), q(1)]);
+        let _ = s.transport(&d, q(1), TrapId(1)); // already there: no move
+        let _ = s.transport(&d, q(0), TrapId(5));
+        moved.clear();
+        s.drain_moved(|qubit| moved.push(qubit));
+        assert_eq!(moved, [q(0)]);
     }
 
     #[test]

@@ -45,13 +45,14 @@ pub struct GridContext {
     state: GridPlacement,
     ops: Vec<ScheduledOp>,
     exec: ExecutorScratch,
-    /// Pooled executable-gates buffer for the scheduling loop (the borrowed
-    /// front-layer slice must be copied out before execution mutates the
-    /// DAG) — mirrors MUSS-TI's allocation-free loop scratch.
+    /// Pooled snapshot of the executable front gates of one scheduling step
+    /// (executing them mutates the DAG) — mirrors MUSS-TI's allocation-free
+    /// loop scratch.
     executable: Vec<DagNodeId>,
-    /// Pooled (ignored) newly-ready buffer for
-    /// [`DependencyDag::mark_executed_into`].
-    newly_ready: Vec<DagNodeId>,
+    /// Pooled candidate buffer: the front gates whose executability may
+    /// have changed since the previous scan (newly ready, or an operand
+    /// moved).
+    candidates: Vec<DagNodeId>,
 }
 
 impl GridContext {
@@ -62,7 +63,7 @@ impl GridContext {
             ops: Vec::new(),
             exec: ExecutorScratch::new(),
             executable: Vec::new(),
-            newly_ready: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 }
@@ -73,7 +74,7 @@ impl ContextScratch for GridContext {
         self.ops.clear();
         self.exec.clear();
         self.executable.clear();
-        self.newly_ready.clear();
+        self.candidates.clear();
     }
 }
 
@@ -128,7 +129,10 @@ pub(crate) fn schedule_on_grid_in(
     initial_mapping: &[(QubitId, TrapId)],
 ) -> Result<(), CompileError> {
     cx.ops.clear();
+    // Placing every qubit logs it as moved, so the first scan examines the
+    // ready gate of every placed qubit: the whole executable front.
     cx.state.reset_from_mapping(device, initial_mapping);
+    cx.candidates.clear();
     let mut scheduler = GridScheduler {
         device,
         policy,
@@ -136,7 +140,7 @@ pub(crate) fn schedule_on_grid_in(
         dag: DependencyDag::from_circuit(circuit),
         ops: &mut cx.ops,
         executable: &mut cx.executable,
-        newly_ready: &mut cx.newly_ready,
+        candidates: &mut cx.candidates,
         clock: 0,
         processing_trap: processing_trap(device),
     };
@@ -187,30 +191,21 @@ struct GridScheduler<'a> {
     dag: DependencyDag,
     ops: &'a mut Vec<ScheduledOp>,
     executable: &'a mut Vec<DagNodeId>,
-    newly_ready: &'a mut Vec<DagNodeId>,
+    /// `mark_executed_into` appends newly-ready gates here directly.
+    candidates: &'a mut Vec<DagNodeId>,
     clock: u64,
+    /// Fixed for the whole pass, so executability reads nothing but the two
+    /// operands' traps — what makes event-driven candidate collection exact.
     processing_trap: TrapId,
 }
 
 impl GridScheduler<'_> {
     fn run(&mut self) -> Result<(), CompileError> {
         while !self.dag.all_executed() {
-            // Copy the executable front-layer subset into the pooled buffer
-            // first: the borrowed front slice cannot outlive the execution
-            // that mutates the DAG. The buffer is taken out of `self` only
-            // for the fill (the filter closure borrows `self`) and executed
-            // by index so `?` propagates normally; allocation-free in steady
+            // Snapshot the executable front gates, then execute them by
+            // index so `?` propagates normally; allocation-free in steady
             // state.
-            let mut executable = std::mem::take(self.executable);
-            executable.clear();
-            executable.extend(
-                self.dag
-                    .front()
-                    .iter()
-                    .copied()
-                    .filter(|&n| self.is_executable(n)),
-            );
-            *self.executable = executable;
+            self.collect_executable();
             if !self.executable.is_empty() {
                 for i in 0..self.executable.len() {
                     let node = self.executable[i];
@@ -226,6 +221,43 @@ impl GridScheduler<'_> {
             self.execute_gate(node)?;
         }
         Ok(())
+    }
+
+    /// Fills the `executable` snapshot with the executable front gates in
+    /// program order, evaluating only the gates that became ready plus the
+    /// ready gate of every qubit that moved since the previous scan. Exact
+    /// for the same reason as MUSS-TI's loop: every gate found executable
+    /// is executed before the next scan, and a verdict reads only its
+    /// operands' traps (`processing_trap` is fixed per pass).
+    fn collect_executable(&mut self) {
+        let dag = &self.dag;
+        let candidates = &mut *self.candidates;
+        self.state.drain_moved(|qubit| {
+            if let Some(node) = dag.ready_on(qubit) {
+                candidates.push(node);
+            }
+        });
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut executable = std::mem::take(self.executable);
+        executable.clear();
+        executable.extend(
+            self.candidates
+                .iter()
+                .copied()
+                .filter(|&n| self.is_executable(n)),
+        );
+        *self.executable = executable;
+        self.candidates.clear();
+        debug_assert!(
+            self.executable.iter().copied().eq(self
+                .dag
+                .front()
+                .iter()
+                .copied()
+                .filter(|&n| self.is_executable(n))),
+            "candidate-derived executable set diverged from a full front scan"
+        );
     }
 
     fn trap_of(&self, q: QubitId) -> Result<TrapId, CompileError> {
@@ -271,8 +303,7 @@ impl GridScheduler<'_> {
         self.clock += 1;
         self.state.touch(a, self.clock);
         self.state.touch(b, self.clock);
-        self.newly_ready.clear();
-        self.dag.mark_executed_into(node, self.newly_ready);
+        self.dag.mark_executed_into(node, self.candidates);
         Ok(())
     }
 

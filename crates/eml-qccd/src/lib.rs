@@ -59,6 +59,7 @@ mod executor;
 mod fidelity;
 mod grid;
 mod metrics;
+mod moved;
 mod ops;
 pub mod pipeline;
 mod timing;
@@ -73,6 +74,7 @@ pub use executor::{ExecutorScratch, ScheduleExecutor};
 pub use fidelity::{FidelityModel, LogFidelity};
 pub use grid::{GridConfig, QccdGridDevice, TrapId};
 pub use metrics::ExecutionMetrics;
+pub use moved::MovedQubits;
 pub use ops::{OpCounter, OpSink, ResourceId, ScheduledOp};
 pub use pipeline::{
     compile_batch, compile_batch_with_threads, compile_batch_with_threads_checked, compile_checked,

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{compile_batch_with_threads, Compiler, DeviceConfig, StagedCompiler};
+use eml_qccd::{compile_batch_with_threads, CompileError, Compiler, DeviceConfig, StagedCompiler};
 use ion_circuit::{generators, Circuit};
 use muss_ti::{MussTiCompiler, MussTiOptions, PhaseTimings};
 use serde::{Deserialize, Serialize};
@@ -116,8 +116,10 @@ pub const BATCH_THREAD_COUNTS: [usize; 2] = [2, 8];
 
 /// The benchmark workload set: `qft(48)` (the acceptance target), a
 /// supremacy-class circuit, three structurally distinct mid-size
-/// applications, and two large stress circuits (`qft(96)` and a dense random
-/// 128-qubit program) that track *scaling*, not just the qft(48) spot value.
+/// applications, and three large stress circuits (`qft(96)` and dense random
+/// 128- and 1024-qubit programs) that track *scaling*, not just the qft(48)
+/// spot value. `RAN_1024` is where a per-step cost that grows with the
+/// device width (such as rescanning the whole front layer) shows first.
 pub fn workloads() -> Vec<Circuit> {
     vec![
         generators::qft(48),
@@ -127,6 +129,7 @@ pub fn workloads() -> Vec<Circuit> {
         generators::bv(128),
         generators::qft(96),
         generators::random_circuit(128, 2000, 25),
+        generators::random_circuit(1024, 8192, 25),
     ]
 }
 
@@ -207,13 +210,19 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
             let mut samples_ms = Vec::with_capacity(iterations);
             for _ in 0..iterations {
                 let start = Instant::now();
-                let program = compiler
-                    .compile_in(&mut ctx, circuit)
-                    .unwrap_or_else(|e| panic!("{} on {}: {e}", compiler.name(), circuit.name()));
+                let program = match compiler.compile_in(&mut ctx, circuit) {
+                    Ok(program) => program,
+                    // The grid baselines top out below the widest stress
+                    // workload (RAN_1024); that row is MUSS-TI only.
+                    Err(CompileError::DeviceTooSmall { .. }) => break,
+                    Err(e) => panic!("{} on {}: {e}", compiler.name(), circuit.name()),
+                };
                 samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 std::hint::black_box(program);
             }
-            rows.push(finish_row(circuit, compiler.name(), &samples_ms, None));
+            if !samples_ms.is_empty() {
+                rows.push(finish_row(circuit, compiler.name(), &samples_ms, None));
+            }
         }
     }
     let batch = measure_batch_throughput(circuits, iterations);
@@ -377,10 +386,11 @@ impl BenchReport {
 
 /// The (circuit, compiler) pairs the CI bench-delta gate watches: the
 /// long-standing qft(48) acceptance spot value, the qft(96) placement-heavy
-/// scaling workload the PR 9 hot-path work targets, and the dense random
-/// 128-qubit stress workload the incremental SWAP-insertion table optimises
-/// (PR 5) — a regression in any of them fails CI.
-const GATE_CIRCUITS: [&str; 3] = ["QFT_48", "QFT_96", "RAN_128"];
+/// scaling workload, the dense random 128-qubit stress workload the
+/// incremental SWAP-insertion table optimises, and the 1024-qubit random
+/// workload where a per-step cost growing with the device width shows first
+/// — a regression in any of them fails CI.
+const GATE_CIRCUITS: [&str; 4] = ["QFT_48", "QFT_96", "RAN_128", "RAN_1024"];
 const GATE_COMPILER: &str = "MUSS-TI";
 
 impl BenchReport {
@@ -399,8 +409,8 @@ impl BenchReport {
         self.gate_metric_for(GATE_CIRCUITS[0])
     }
 
-    /// Bench-delta smoke gate: compares this run's MUSS-TI qft(48), qft(96)
-    /// and ran(128) means against the committed baseline report and fails
+    /// Bench-delta smoke gate: compares this run's MUSS-TI qft(48), qft(96),
+    /// ran(128) and ran(1024) means against the committed baseline report and fails
     /// when any of them regressed by more than `max_ratio`× (the CI
     /// threshold is 2×, loose enough for shared-runner noise, tight enough
     /// to catch a real hot-path regression).
@@ -640,6 +650,7 @@ mod tests {
                 gated_row("QFT_48", "MUSS-TI", qft_ms),
                 gated_row("QFT_96", "MUSS-TI", qft_ms),
                 gated_row("RAN_128", "MUSS-TI", ran_ms),
+                gated_row("RAN_1024", "MUSS-TI", ran_ms),
             ],
             batch: vec![BatchThroughput {
                 circuits: 1,
@@ -700,6 +711,18 @@ mod tests {
             .check_against_baseline(&stripped.join("\n"), 2.0)
             .unwrap_err();
         assert!(err.contains("baseline report has no"), "{err}");
+    }
+
+    #[test]
+    fn baseline_check_gates_the_ran_1024_width_workload_too() {
+        // The widest workload is gated on its own: a per-step cost that
+        // grows with the device width regresses it long before RAN_128.
+        let mut report = gated_report(1.0, 1.0);
+        let baseline = report.to_json();
+        assert!(report.check_against_baseline(&baseline, 2.0).is_ok());
+        report.rows[4].wall_ms_mean = 2.1;
+        let err = report.check_against_baseline(&baseline, 2.0).unwrap_err();
+        assert!(err.contains("RAN_1024"), "{err}");
     }
 
     #[test]

@@ -388,6 +388,14 @@ impl<'a> Parser<'a> {
                 None => return Err(self.eof_diag()),
             }
         }
+        // OpenQASM 2 requires a gate's qubit arguments to be distinct (each
+        // operand on its own lists distinct qubits, so any duplicate in the
+        // union is shared by two operands).
+        let mut all: Vec<QubitId> = operands.iter().flatten().copied().collect();
+        all.sort_unstable();
+        if all.windows(2).any(|w| w[0] == w[1]) {
+            return Err(self.diag_at(DiagnosticKind::RepeatedOperand, line, col));
+        }
         // Broadcast over whole-register operands (all operands must then have
         // the same length; single-qubit operands are repeated). Registers are
         // never empty, so every operand list has at least one entry.

@@ -9,11 +9,16 @@
 //!
 //! * [`front`](DependencyDag::front) — `O(1)`: a borrowed slice of the
 //!   maintained, program-ordered ready list; no allocation, no scan.
+//! * [`ready_on`](DependencyDag::ready_on) — `O(1)`: the ready gate acting
+//!   on a qubit, from a qubit-indexed view of the ready list. With it a
+//!   scheduler re-examines only the front gates whose operands moved instead
+//!   of rescanning the whole front layer every step.
 //! * [`mark_executed_into`](DependencyDag::mark_executed_into) —
 //!   `O(out-degree + |front|)` worst case (ordered insertion into the ready
 //!   list): retiring a gate touches only its direct successors and appends
 //!   newly-ready nodes to a caller-supplied buffer, so the scheduling loop
-//!   allocates nothing in steady state.
+//!   allocates nothing in steady state. `ready_on` is updated in `O(1)` per
+//!   retired or newly-ready gate.
 //! * [`lookahead_layers`](DependencyDag::lookahead_layers) /
 //!   [`next_use_depth`](DependencyDag::next_use_depth) /
 //!   [`count_window_partners`](DependencyDag::count_window_partners) /
@@ -578,6 +583,11 @@ pub struct DependencyDag {
     /// program order). A plain sorted `Vec` so [`front`](DependencyDag::front)
     /// is a borrowed slice and insert/remove never allocate in steady state.
     ready: Vec<DagNodeId>,
+    /// `ready_on[q]` is the ready node acting on qubit `q`, if any: the
+    /// qubit-indexed view of `ready`. Two ready gates never share a qubit
+    /// (the later one would depend on the earlier), so one slot per qubit
+    /// suffices; maintained in `O(1)` per change alongside `ready`.
+    ready_on: Vec<Option<DagNodeId>>,
     /// Pooled per-qubit last-user scratch for in-place edge rebuilds
     /// (`usize::MAX` = no user yet).
     build_scratch: Vec<usize>,
@@ -613,6 +623,7 @@ impl DependencyDag {
             remaining: n,
             num_qubits: circuit.num_qubits(),
             ready: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
+            ready_on: vec![None; circuit.num_qubits()], // lint: allow (one-time construction, not the scheduling loop)
             build_scratch: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
             window,
             tracker: RefCell::new(WindowDeltaTracker::new()),
@@ -678,6 +689,10 @@ impl DependencyDag {
                 .filter(|&i| unexecuted_preds[i] == 0)
                 .map(DagNodeId),
         );
+        self.ready_on.fill(None);
+        for i in 0..self.ready.len() {
+            self.set_ready_on(self.ready[i]);
+        }
         let window = self.window.get_mut();
         window.valid_k = None;
         window.dirty = false;
@@ -784,20 +799,38 @@ impl DependencyDag {
         self.ready.first().copied()
     }
 
+    /// The ready (front-layer) node acting on `qubit`, or `None` if no ready
+    /// gate touches it (or the qubit is outside the register).
+    ///
+    /// `O(1)`: a read of the maintained qubit-indexed view of the ready list.
+    /// At most one ready node can act on a qubit — two front-layer gates
+    /// never share one (the later would depend on the earlier). Schedulers
+    /// use this to re-examine only the front gates whose operands moved.
+    pub fn ready_on(&self, qubit: QubitId) -> Option<DagNodeId> {
+        self.ready_on.get(qubit.index()).copied().flatten()
+    }
+
     /// The ready (front-layer) node whose gate acts on exactly the qubit set
     /// `{a, b}`, in either operand order, or `None` if no ready gate touches
     /// that pair.
     ///
-    /// `O(|front|)`. At most one ready node can match: two front-layer gates
-    /// never share a qubit (the later one would depend on the earlier). This
-    /// is the replay primitive of the translation-validation analyzer
-    /// (`crates/verify`), which re-executes a scheduled op stream against the
-    /// source circuit's dependency order.
+    /// `O(1)` via [`ready_on`](DependencyDag::ready_on). This is the replay
+    /// primitive of the translation-validation analyzer (`crates/verify`),
+    /// which re-executes a scheduled op stream against the source circuit's
+    /// dependency order.
     pub fn ready_node_on(&self, a: QubitId, b: QubitId) -> Option<DagNodeId> {
-        self.ready.iter().copied().find(|&node| {
+        self.ready_on(a).filter(|&node| {
             let (x, y) = self.operands(node);
             (x == a && y == b) || (x == b && y == a)
         })
+    }
+
+    /// Points both operands' [`ready_on`](DependencyDag::ready_on) slots at
+    /// `node` (which just became ready).
+    fn set_ready_on(&mut self, node: DagNodeId) {
+        let (a, b) = self.operands(node);
+        self.ready_on[a.index()] = Some(node);
+        self.ready_on[b.index()] = Some(node);
     }
 
     /// Marks a node as executed, unblocking its successors: the successors
@@ -825,11 +858,16 @@ impl DependencyDag {
             .binary_search(&node)
             .expect("a zero-predecessor unexecuted node is in the ready list");
         self.ready.remove(pos);
-        for &succ in &self.successors[node.0] {
+        let (a, b) = self.operands(node);
+        self.ready_on[a.index()] = None;
+        self.ready_on[b.index()] = None;
+        for i in 0..self.successors[node.0].len() {
+            let succ = self.successors[node.0][i];
             self.unexecuted_preds[succ.0] -= 1;
             if self.unexecuted_preds[succ.0] == 0 && !self.executed[succ.0] {
                 let pos = self.ready.partition_point(|&r| r < succ);
                 self.ready.insert(pos, succ);
+                self.set_ready_on(succ);
                 newly_ready.push(succ);
             }
         }
@@ -1278,6 +1316,16 @@ impl NaiveDag {
             .filter(|&i| !self.executed[i] && self.unexecuted_preds[i] == 0)
             .map(DagNodeId)
             .collect()
+    }
+
+    /// The front-layer gate acting on `qubit`, by full scan (`O(n)` on
+    /// purpose): the specification of [`DependencyDag::ready_on`].
+    pub fn ready_on(&self, qubit: QubitId) -> Option<DagNodeId> {
+        let front = self.front_layer(); // lint: allow (naive reference)
+        front.into_iter().find(|node| {
+            let (a, b) = self.gates[node.0].two_qubit_pair().expect("two-qubit gate");
+            a == qubit || b == qubit
+        })
     }
 
     /// Retires a gate (no incremental bookkeeping beyond the counters).

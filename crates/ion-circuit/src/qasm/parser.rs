@@ -86,6 +86,10 @@ pub enum DiagnosticKind {
         /// Declared register size.
         size: usize,
     },
+    /// Two arguments of one gate name the same qubit (`cx q[3],q[3];`, or a
+    /// qubit together with its whole register). OpenQASM 2 requires a gate's
+    /// qubit arguments to be distinct.
+    RepeatedOperand,
     /// No quantum register was declared before the first gate.
     NoQuantumRegister,
     /// A `qreg` declaration with zero qubits.
@@ -154,6 +158,9 @@ impl fmt::Display for DiagnosticKind {
                 f,
                 "index {index} out of range for register '{name}' of size {size}"
             ),
+            DiagnosticKind::RepeatedOperand => {
+                write!(f, "gate arguments must be distinct qubits")
+            }
             DiagnosticKind::NoQuantumRegister => write!(f, "no quantum register declared"),
             DiagnosticKind::EmptyRegister { name } => {
                 write!(f, "register '{name}' must have at least one qubit")
@@ -688,6 +695,19 @@ impl<'s, 'l> Parser<'s, 'l> {
                 break;
             }
         }
+        // Arguments must be distinct qubits at every broadcast position.
+        // Registers are disjoint ranges, so two operands name a common qubit
+        // somewhere exactly when their ranges intersect.
+        let ops = &self.operands;
+        let overlaps = |j: usize| {
+            let (start, len) = ops[j];
+            ops[..j]
+                .iter()
+                .any(|&(s, l)| s < start + len && start < s + l)
+        };
+        if (1..ops.len()).any(overlaps) {
+            return Err(Problem::at(at, DiagnosticKind::RepeatedOperand));
+        }
         // Broadcast over whole-register operands (single-qubit operands are
         // repeated). Registers are never empty, so every operand has at
         // least one qubit.
@@ -957,6 +977,28 @@ mod tests {
         assert_eq!(circuit.num_qubits(), 4);
         assert_eq!(circuit.two_qubit_gate_count(), 2);
         assert!(circuit.validate().is_ok());
+    }
+
+    #[test]
+    fn rejects_repeated_gate_operands() {
+        for body in [
+            "cx q[3],q[3];",
+            "swap q[1], q[1];",
+            "ccx q[0],q[1],q[0];",
+            "cx q[2], q;",
+            "cx q, q;",
+            "rzz(0.5) q[0], q[0];",
+        ] {
+            let src = format!("{HEADER}qreg q[4];\nqreg r[4];\n{body}\n");
+            let err = parse(&src).unwrap_err();
+            let first = err.first();
+            assert_eq!(first.kind, DiagnosticKind::RepeatedOperand, "{body}");
+            assert_eq!((first.line, first.col), (5, 1), "{body}");
+        }
+        // Distinct qubits, including a qubit broadcast against another
+        // register, stay accepted.
+        let src = format!("{HEADER}qreg q[4];\nqreg r[4];\ncx q[2], r;\ncx q, r;\n");
+        assert_eq!(parse(&src).unwrap().two_qubit_gate_count(), 8);
     }
 
     #[test]

@@ -60,6 +60,7 @@ fn assert_equivalent_drain(circuit: &Circuit, salt: u64) {
             "front layer diverged at step {step} of {}",
             circuit.name()
         );
+        assert_ready_on_matches(&dag, &naive, circuit, step);
         for &k in &ks {
             assert_eq!(
                 dag.lookahead_layers(k),
@@ -116,6 +117,20 @@ fn assert_equivalent_drain(circuit: &Circuit, salt: u64) {
     assert!(naive.all_executed());
 }
 
+/// The qubit-indexed ready view must name, for every qubit, exactly the
+/// front-layer gate the naive full scan finds on it.
+fn assert_ready_on_matches(dag: &DependencyDag, naive: &NaiveDag, circuit: &Circuit, step: usize) {
+    for q in 0..circuit.num_qubits() {
+        let qubit = QubitId::new(q);
+        assert_eq!(
+            dag.ready_on(qubit),
+            naive.ready_on(qubit),
+            "ready_on({q}) diverged at step {step} of {}",
+            circuit.name()
+        );
+    }
+}
+
 #[test]
 fn incremental_dag_matches_naive_reference_fcfs() {
     for circuit in suite() {
@@ -158,8 +173,11 @@ fn reset_reversed_matches_naive_reference_of_the_reversed_circuit() {
         }
         dag.reset_reversed();
         let mut naive = NaiveDag::from_circuit(&circuit.reversed());
+        let mut step = 0;
         while !dag.all_executed() {
             assert_eq!(dag.front_layer(), naive.front_layer(), "{}", circuit.name());
+            assert_ready_on_matches(&dag, &naive, &circuit, step);
+            step += 1;
             assert_eq!(
                 dag.lookahead_layers(8),
                 naive.lookahead_layers(8),
@@ -183,6 +201,8 @@ fn reset_reversed_matches_naive_reference_of_the_reversed_circuit() {
                 "{}",
                 circuit.name()
             );
+            assert_ready_on_matches(&dag, &forward, &circuit, step);
+            step += 1;
             let node = dag.front_gate().expect("non-empty DAG has a ready gate");
             dag.mark_executed(node);
             forward.mark_executed(node);

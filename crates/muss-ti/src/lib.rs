@@ -108,6 +108,8 @@ pub mod test_support {
         pub inserted_swaps: usize,
         /// Final logical clock (LRU timebase) of the pass.
         pub final_clock: u64,
+        /// Front-gate executability verdicts the scheduling loop evaluated.
+        pub exec_checks: u64,
         /// Final qubit → zone assignment (the chosen routes' outcome).
         pub final_mapping: Vec<(QubitId, ZoneId)>,
         /// Final per-qubit LRU timestamps, qubit-indexed.
@@ -138,6 +140,7 @@ pub mod test_support {
             shuttles: stats.shuttles,
             inserted_swaps: stats.inserted_swaps,
             final_clock: stats.final_clock,
+            exec_checks: stats.exec_checks,
             final_mapping: cx.state.mapping(),
             last_use: (0..circuit.num_qubits())
                 .map(|q| cx.state.last_use(QubitId::new(q)))

@@ -10,7 +10,7 @@
 
 // lint: hot-path
 
-use eml_qccd::{EmlQccdDevice, ModuleId, OpSink, ScheduledOp, ZoneId, ZoneLevel};
+use eml_qccd::{EmlQccdDevice, ModuleId, MovedQubits, OpSink, ScheduledOp, ZoneId, ZoneLevel};
 use ion_circuit::QubitId;
 
 /// The compiler's view of the device at a point in the schedule: which zone
@@ -33,13 +33,11 @@ pub struct PlacementState {
     last_use: Vec<u64>,
     /// Ion count per module, indexed by [`ModuleId`].
     module_count: Vec<usize>,
-    /// `move_epoch[q]` counts placements of qubit `q` (initial placement,
-    /// shuttles, logical swaps) since the last [`PlacementState::clear`]; 0
-    /// means "never placed". The scheduler's executability cache keys on the
-    /// operands' epochs: a cached verdict is exact for as long as neither
-    /// operand has moved, because executability reads nothing but the two
-    /// operand zones (and static device topology).
-    move_epoch: Vec<u32>,
+    /// Qubits whose zone changed (initial placement, shuttles, logical
+    /// swaps) since the last [`PlacementState::drain_moved`]. The scheduler
+    /// re-examines only the front gates on these qubits: executability reads
+    /// nothing but the two operand zones (and static device topology).
+    moved: MovedQubits,
 }
 
 impl PlacementState {
@@ -50,7 +48,7 @@ impl PlacementState {
             chains: vec![Vec::new(); device.num_zones()], // lint: allow (pooled-buffer setup, grown once and recycled)
             last_use: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             module_count: vec![0; device.num_modules()], // lint: allow (pooled-buffer setup, grown once and recycled)
-            move_epoch: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
+            moved: MovedQubits::default(),
         }
     }
 
@@ -74,7 +72,7 @@ impl PlacementState {
         }
         self.last_use.fill(0);
         self.module_count.fill(0);
-        self.move_epoch.fill(0);
+        self.moved.clear();
     }
 
     /// Re-initialises the state from an explicit qubit → zone assignment,
@@ -102,7 +100,6 @@ impl PlacementState {
         if self.qubit_zone.len() < max_qubit {
             self.qubit_zone.resize(max_qubit, None);
             self.last_use.resize(max_qubit, 0);
-            self.move_epoch.resize(max_qubit, 0);
         }
         for &(q, z) in mapping {
             assert!(
@@ -118,7 +115,6 @@ impl PlacementState {
         if qubit.index() >= self.qubit_zone.len() {
             self.qubit_zone.resize(qubit.index() + 1, None);
             self.last_use.resize(qubit.index() + 1, 0);
-            self.move_epoch.resize(qubit.index() + 1, 0);
         }
     }
 
@@ -132,15 +128,16 @@ impl PlacementState {
         self.qubit_zone[qubit.index()] = Some(zone);
         self.chains[zone.index()].push(qubit);
         self.module_count[device.zone(zone).module.index()] += 1;
-        self.move_epoch[qubit.index()] += 1;
+        self.moved.record(qubit);
     }
 
-    /// Number of times `qubit` has been (re)placed since the last
-    /// [`PlacementState::clear`]; 0 if it was never placed (`O(1)`). Any
-    /// change of [`PlacementState::zone_of`]'s answer for a qubit bumps this,
-    /// which is what makes it a sound cache key for per-gate executability.
-    pub fn move_epoch(&self, qubit: QubitId) -> u32 {
-        self.move_epoch.get(qubit.index()).copied().unwrap_or(0)
+    /// Hands every qubit whose zone changed since the previous drain (or
+    /// since [`PlacementState::clear`]) to `f`, once each, and empties the
+    /// log. Any change of [`PlacementState::zone_of`]'s answer for a qubit
+    /// is recorded, which is what lets the scheduler skip re-checking front
+    /// gates whose operands stayed put.
+    pub fn drain_moved(&mut self, f: impl FnMut(QubitId)) {
+        self.moved.drain(f);
     }
 
     /// The zone currently holding `qubit`, if it has been placed (`O(1)`).
@@ -284,7 +281,7 @@ impl PlacementState {
 
         self.chains[to.index()].push(qubit);
         self.qubit_zone[qubit.index()] = Some(to);
-        self.move_epoch[qubit.index()] += 1;
+        self.moved.record(qubit);
     }
 
     /// Logically exchanges two ions that sit in different modules (the effect
@@ -316,8 +313,8 @@ impl PlacementState {
         self.chains[zb.index()][ib] = a;
         self.qubit_zone[a.index()] = Some(zb);
         self.qubit_zone[b.index()] = Some(za);
-        self.move_epoch[a.index()] += 1;
-        self.move_epoch[b.index()] += 1;
+        self.moved.record(a);
+        self.moved.record(b);
     }
 
     /// The final qubit → zone assignment (used by the SABRE two-fold pass).
@@ -483,6 +480,32 @@ mod tests {
         s.touch(q(64), 2);
         assert_eq!(s.lru_victim(zone, &[q(0)]), Some(q(64)));
         assert_eq!(s.lru_victim(zone, &[q(64)]), Some(q(0)));
+    }
+
+    #[test]
+    fn every_zone_change_is_logged_once_until_drained() {
+        let d = device();
+        let zones = d.zones_in_module(ModuleId(0));
+        let m1_optical = d.zones_in_module(ModuleId(1))[0].id;
+        let mut s = PlacementState::from_mapping(
+            &d,
+            &[(q(0), zones[2].id), (q(1), zones[0].id), (q(2), m1_optical)],
+        );
+        let drained = |s: &mut PlacementState| {
+            let mut moved = Vec::new();
+            s.drain_moved(|qubit| moved.push(qubit));
+            moved
+        };
+        assert_eq!(drained(&mut s), [q(0), q(1), q(2)], "initial placement");
+        assert!(drained(&mut s).is_empty());
+        let mut ops = Vec::new();
+        s.shuttle_into(&d, q(0), zones[1].id, &mut ops);
+        s.shuttle_into(&d, q(0), zones[0].id, &mut ops);
+        s.shuttle_into(&d, q(1), zones[0].id, &mut ops); // same zone: no move
+        s.touch(q(1), 3);
+        assert_eq!(drained(&mut s), [q(0)]);
+        s.swap_logical(q(1), q(2));
+        assert_eq!(drained(&mut s), [q(1), q(2)]);
     }
 
     #[test]

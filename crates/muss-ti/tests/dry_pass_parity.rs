@@ -1,6 +1,7 @@
 //! Dry-pass parity: a `ScheduleMode::CostOnly` pass must make exactly the
 //! decisions a full pass makes — identical shuttle counts, identical final
-//! clocks/LRU timestamps and identical chosen routes (final placement) — it
+//! clocks/LRU timestamps, identical scheduling-loop work (executability
+//! checks) and identical chosen routes (final placement) — it
 //! merely skips materialising the op stream. This is the invariant that lets
 //! the SABRE forward/backward/probe dry passes run cost-only without
 //! perturbing the compile result (the op streams themselves stay pinned by
@@ -33,6 +34,10 @@ fn assert_parity(probe_full: &PassProbe, probe_cost: &PassProbe, label: &str) {
     assert_eq!(
         probe_cost.final_clock, probe_full.final_clock,
         "{label}: final clocks diverged"
+    );
+    assert_eq!(
+        probe_cost.exec_checks, probe_full.exec_checks,
+        "{label}: executability-check counts diverged"
     );
     assert_eq!(
         probe_cost.final_mapping, probe_full.final_mapping,
