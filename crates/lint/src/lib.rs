@@ -11,8 +11,9 @@
 //!   may not use panicking idioms outside tests — `qasm::parse` and
 //!   `verify::ScheduleVerifier` promise to *never* panic, and this pass makes
 //!   that promise machine-checked at the source level.
-//! * **sync-justification** — the concurrency contract (PR 9's speculative
-//!   driver): in files annotated `lint: concurrency`, every atomic-ordering
+//! * **sync-justification** — the concurrency contract (the batch
+//!   compiler's work-claiming atomics): in files annotated
+//!   `lint: concurrency`, every atomic-ordering
 //!   use and every condvar wait/notify site must carry a `// sync:` comment
 //!   (same or preceding line) explaining its role in the protocol, so the
 //!   load-bearing invariants live next to the code that bears them.

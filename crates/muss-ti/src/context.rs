@@ -24,14 +24,6 @@ use crate::scheduler::SchedulerScratch;
 #[derive(Debug)]
 pub struct MussTiContext {
     pub(crate) sched: SchedulerScratch,
-    /// Scratch for the worker thread's speculative final-from-trivial pass in
-    /// the overlapped SABRE compile (see `compile_with_phases_in`). Pooled
-    /// here so the overlap stays allocation-free in steady state; the winning
-    /// scratch is swapped into `sched` after the join, so lowering always
-    /// reads `sched` regardless of which pass won.
-    pub(crate) sched2: SchedulerScratch,
-    /// Scratch for the worker's speculative final-from-candidate pass.
-    pub(crate) sched3: SchedulerScratch,
     pub(crate) exec: ExecutorScratch,
 }
 
@@ -40,8 +32,6 @@ impl MussTiContext {
     pub fn new(device: &EmlQccdDevice) -> Self {
         MussTiContext {
             sched: SchedulerScratch::new(device),
-            sched2: SchedulerScratch::new(device),
-            sched3: SchedulerScratch::new(device),
             exec: ExecutorScratch::new(),
         }
     }
@@ -50,8 +40,6 @@ impl MussTiContext {
 impl ContextScratch for MussTiContext {
     fn reset(&mut self) {
         self.sched.clear();
-        self.sched2.clear();
-        self.sched3.clear();
         self.exec.clear();
     }
 }

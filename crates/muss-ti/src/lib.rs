@@ -66,7 +66,6 @@
 mod alloc_check;
 mod compiler;
 mod context;
-mod handoff;
 mod mapping;
 mod naive_placement;
 mod options;

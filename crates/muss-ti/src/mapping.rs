@@ -137,37 +137,16 @@ pub(crate) fn initial_mapping_in(
         InitialMappingStrategy::Trivial => Ok((trivial, false)),
         InitialMappingStrategy::Sabre => {
             let dag = dag.get_or_insert_with(|| DependencyDag::from_circuit(circuit));
-            let (candidate, outcome) = sabre_dry_chain(device, options, dag, &trivial, cx, |_| {})?;
-            let mapping = if outcome.chosen_is_candidate {
-                candidate
-            } else {
-                trivial
-            };
-            Ok((mapping, outcome.probe_skipped))
+            sabre_dry_chain(device, options, dag, trivial, cx)
         }
     }
 }
 
-/// How the SABRE two-fold search concluded (diagnostics for the bench's
-/// per-phase counters ride along with the decision).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DryChainOutcome {
-    /// `true` → the backward pass's final mapping (the candidate) won;
-    /// `false` → the trivial mapping is kept.
-    pub chosen_is_candidate: bool,
-    /// `true` when the forward and backward passes converged back onto the
-    /// trivial mapping and the probe pass was skipped as provably redundant.
-    pub probe_skipped: bool,
-}
-
-/// The SABRE forward → backward → probe chain (Section 3.4), shared by the
-/// sequential [`initial_mapping_in`] path and the overlapped driver in
-/// `compiler.rs`. Returns the candidate mapping plus the decision; the caller
-/// owns `trivial` and picks by [`DryChainOutcome::chosen_is_candidate`].
-///
-/// `on_candidate` fires as soon as the backward pass's final mapping is known
-/// — before the probe runs — so the overlapped driver can hand the candidate
-/// to its speculative final-pass worker while the probe is still in flight.
+/// The SABRE forward → backward → probe chain (Section 3.4). Returns the
+/// chosen initial mapping — the backward pass's final mapping (the
+/// candidate) if the probe pass from it needs no more shuttles than the
+/// forward pass from `trivial`, else `trivial` — plus whether the probe
+/// early-exit fired.
 ///
 /// **Probe early-exit**: when the backward pass lands exactly back on the
 /// trivial mapping, the probe would replay the forward pass move for move —
@@ -178,19 +157,18 @@ pub(crate) struct DryChainOutcome {
 /// redundant third dry pass (the DAG is still restored to its forward
 /// orientation first). Decision-identical to running the probe, pinned by the
 /// op-fingerprint suite.
-pub(crate) fn sabre_dry_chain(
+fn sabre_dry_chain(
     device: &EmlQccdDevice,
     options: &MussTiOptions,
     dag: &mut DependencyDag,
-    trivial: &[(QubitId, ZoneId)],
+    trivial: Vec<(QubitId, ZoneId)>,
     cx: &mut SchedulerScratch,
-    mut on_candidate: impl FnMut(&[(QubitId, ZoneId)]),
-) -> Result<(Vec<(QubitId, ZoneId)>, DryChainOutcome), CompileError> {
+) -> Result<(Vec<(QubitId, ZoneId)>, bool), CompileError> {
     let dry_options = MussTiOptions {
         enable_swap_insertion: false,
         ..*options
     };
-    let forward = schedule_cost_only(device, &dry_options, dag, trivial, cx)?;
+    let forward = schedule_cost_only(device, &dry_options, dag, &trivial, cx)?;
     let forward_mapping = cx.state.mapping();
     // Backward pass over the reversed circuit: flip the forward DAG's
     // edges in place instead of cloning the circuit and building a
@@ -199,28 +177,20 @@ pub(crate) fn sabre_dry_chain(
     schedule_cost_only(device, &dry_options, dag, &forward_mapping, cx)?;
     let candidate = cx.state.mapping();
     dag.reset_reversed();
-    on_candidate(&candidate);
     if candidate == trivial {
-        return Ok((
-            candidate,
-            DryChainOutcome {
-                chosen_is_candidate: true,
-                probe_skipped: true,
-            },
-        ));
+        return Ok((candidate, true));
     }
     // Keep whichever starting placement needs the least transport: the
     // two-fold search can occasionally end in a worse placement for
     // highly symmetric circuits, and the pre-loading idea only pays
     // off when it actually reduces movement.
     let probe = schedule_cost_only(device, &dry_options, dag, &candidate, cx)?;
-    Ok((
-        candidate,
-        DryChainOutcome {
-            chosen_is_candidate: probe.shuttles <= forward.shuttles,
-            probe_skipped: false,
-        },
-    ))
+    let chosen = if probe.shuttles <= forward.shuttles {
+        candidate
+    } else {
+        trivial
+    };
+    Ok((chosen, false))
 }
 
 /// One-shot wrapper over [`initial_mapping_in`] with fresh scratch (tests and

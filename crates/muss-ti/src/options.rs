@@ -32,7 +32,6 @@ pub enum InitialMappingStrategy {
 /// let full = MussTiOptions::default();
 /// assert_eq!(full.lookahead_k, 8);
 /// assert_eq!(full.swap_threshold, 4);
-/// assert_eq!(full.parallel_sabre_threshold, 512);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MussTiOptions {
@@ -47,14 +46,12 @@ pub struct MussTiOptions {
     /// remote module required before a SWAP is inserted (paper default 4; a
     /// SWAP costs three MS gates so `T < 3` is never profitable).
     pub swap_threshold: usize,
-    /// Minimum two-qubit gate count before a SABRE compile overlaps its
-    /// speculative final scheduling passes with the dry-pass chain on a
-    /// second worker thread (see `MussTiCompiler::compile_with_phases_in`).
-    /// Below the threshold the compile stays single-threaded — for small
-    /// circuits the thread spawn costs more than the overlap saves. The
-    /// overlap is decision-preserving, so this knob trades wall clock only;
-    /// op streams are bit-identical at any value. `usize::MAX` disables the
-    /// overlap entirely, `0` forces it (used by the parity suite).
+    /// Unread: every compile runs its scheduling passes sequentially on the
+    /// calling thread, whatever this holds. The field survives only because
+    /// the layered benchmark (`perfbench/`) still prints it; it is to be
+    /// deleted together with that banner line in the benchmark owner's next
+    /// change. The default `usize::MAX` says that no request runs
+    /// overlapped passes.
     pub parallel_sabre_threshold: usize,
 }
 
@@ -65,7 +62,7 @@ impl Default for MussTiOptions {
             enable_swap_insertion: true,
             lookahead_k: 8,
             swap_threshold: 4,
-            parallel_sabre_threshold: 512,
+            parallel_sabre_threshold: usize::MAX,
         }
     }
 }
@@ -114,13 +111,6 @@ impl MussTiOptions {
         self.swap_threshold = t;
         self
     }
-
-    /// Sets the gate-count threshold for the overlapped (two-worker) SABRE
-    /// compile path; `usize::MAX` keeps every compile single-threaded.
-    pub fn with_parallel_sabre_threshold(mut self, gates: usize) -> Self {
-        self.parallel_sabre_threshold = gates;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +124,7 @@ mod tests {
         assert!(o.enable_swap_insertion);
         assert_eq!(o.lookahead_k, 8);
         assert_eq!(o.swap_threshold, 4);
-        assert_eq!(o.parallel_sabre_threshold, 512);
+        assert_eq!(o.parallel_sabre_threshold, usize::MAX);
     }
 
     #[test]

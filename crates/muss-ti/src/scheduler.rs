@@ -27,9 +27,7 @@
 //! every step against a full front scan.
 
 // lint: hot-path
-// lint: concurrency
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 #[cfg(test)]
@@ -152,42 +150,6 @@ pub(crate) fn schedule_in(
     initial_mapping: &[(QubitId, ZoneId)],
     cx: &mut SchedulerScratch,
 ) -> Result<ScheduleStats, CompileError> {
-    let stats = schedule_full(device, options, dag, initial_mapping, cx, None)?
-        .expect("a pass without an abort flag always runs to completion");
-    Ok(stats)
-}
-
-/// [`schedule_in`] with a cooperative cancellation flag, for the speculative
-/// final pass the overlapped SABRE driver runs on a worker thread: the flag
-/// is checked once per scheduling-loop iteration and a raised flag makes the
-/// pass return `Ok(None)` (aborted — `cx` holds partial, unusable state).
-/// `Ok(Some(stats))` is bit-identical to a plain [`schedule_in`] run: the
-/// flag check reads no scheduling state and the loop body is unchanged.
-///
-/// # Errors
-///
-/// Same conditions as [`schedule_in`].
-pub(crate) fn schedule_in_abortable(
-    device: &EmlQccdDevice,
-    options: &MussTiOptions,
-    dag: &mut DependencyDag,
-    initial_mapping: &[(QubitId, ZoneId)],
-    cx: &mut SchedulerScratch,
-    abort: &AtomicBool,
-) -> Result<Option<ScheduleStats>, CompileError> {
-    schedule_full(device, options, dag, initial_mapping, cx, Some(abort))
-}
-
-/// The full-mode pass behind [`schedule_in`] and
-/// [`schedule_in_abortable`]: the op stream lands in `cx.ops`.
-fn schedule_full(
-    device: &EmlQccdDevice,
-    options: &MussTiOptions,
-    dag: &mut DependencyDag,
-    initial_mapping: &[(QubitId, ZoneId)],
-    cx: &mut SchedulerScratch,
-    abort: Option<&AtomicBool>,
-) -> Result<Option<ScheduleStats>, CompileError> {
     cx.ops.clear();
     let SchedulerScratch {
         state,
@@ -202,11 +164,11 @@ fn schedule_full(
         executable,
         candidates,
     };
-    let outcome = run_pass(device, options, dag, initial_mapping, buffers, abort, ops)?;
-    Ok(outcome.map(|stats| ScheduleStats {
+    let stats = run_pass(device, options, dag, initial_mapping, buffers, ops)?;
+    Ok(ScheduleStats {
         shuttles: cx.ops.iter().filter(|o| o.is_shuttle()).count(),
         ..stats
-    }))
+    })
 }
 
 /// [`schedule_in`] in [`ScheduleMode::CostOnly`]: runs the identical loop —
@@ -239,16 +201,7 @@ pub(crate) fn schedule_cost_only(
         executable,
         candidates,
     };
-    let stats = run_pass(
-        device,
-        options,
-        dag,
-        initial_mapping,
-        buffers,
-        None,
-        &mut counter,
-    )?
-    .expect("a pass without an abort flag always runs to completion");
+    let stats = run_pass(device, options, dag, initial_mapping, buffers, &mut counter)?;
     Ok(ScheduleStats {
         shuttles: counter.shuttles,
         ..stats
@@ -285,18 +238,15 @@ struct LoopBuffers<'a> {
 
 /// The shared pass body behind both modes: resets the placement state,
 /// drives the scheduling loop into `sink` and returns its stats (with
-/// `shuttles` left for the caller, which knows its sink), or `None` if the
-/// optional cancellation flag was raised mid-pass (speculative worker passes
-/// only).
+/// `shuttles` left for the caller, which knows its sink).
 fn run_pass<S: OpSink>(
     device: &EmlQccdDevice,
     options: &MussTiOptions,
     dag: &mut DependencyDag,
     initial_mapping: &[(QubitId, ZoneId)],
     buffers: LoopBuffers<'_>,
-    abort: Option<&AtomicBool>,
     sink: &mut S,
-) -> Result<Option<ScheduleStats>, CompileError> {
+) -> Result<ScheduleStats, CompileError> {
     let LoopBuffers {
         state,
         weights,
@@ -329,22 +279,19 @@ fn run_pass<S: OpSink>(
         weights,
         executable,
         candidates,
-        abort,
         clock: 0,
         inserted_swaps: 0,
         exec_checks: 0,
         swap_insertion_time: Duration::ZERO,
     };
-    if !scheduler.run()? {
-        return Ok(None);
-    }
-    Ok(Some(ScheduleStats {
+    scheduler.run()?;
+    Ok(ScheduleStats {
         shuttles: 0,
         inserted_swaps: scheduler.inserted_swaps,
         final_clock: scheduler.clock,
         exec_checks: scheduler.exec_checks,
         swap_insertion_time: scheduler.swap_insertion_time,
-    }))
+    })
 }
 
 /// One-shot wrapper over [`schedule_in`]: builds the DAG and scratch, runs
@@ -379,9 +326,6 @@ struct Scheduler<'a, S: OpSink> {
     /// Pooled candidate buffer (see [`SchedulerScratch::candidates`]):
     /// `mark_executed_into` appends newly-ready gates here directly.
     candidates: &'a mut Vec<DagNodeId>,
-    /// Cooperative cancellation flag for speculative worker passes (`None`
-    /// on every pass whose result is unconditionally consumed).
-    abort: Option<&'a AtomicBool>,
     /// Logical time: increments once per executed gate; drives LRU decisions.
     clock: u64,
     inserted_swaps: usize,
@@ -392,18 +336,8 @@ struct Scheduler<'a, S: OpSink> {
 }
 
 impl<S: OpSink> Scheduler<'_, S> {
-    /// Returns `Ok(true)` on completion, `Ok(false)` if the abort flag was
-    /// raised (the only early exit; scheduling state is then half-built).
-    fn run(&mut self) -> Result<bool, CompileError> {
+    fn run(&mut self) -> Result<(), CompileError> {
         while !self.dag.all_executed() {
-            if let Some(abort) = self.abort {
-                // sync: Relaxed suffices — the flag is a pure go/stop signal
-                // and the thread-scope join provides the synchronising edge
-                // for any state the aborted pass leaves behind.
-                if abort.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-            }
             debug_assert!(
                 !self.dag.front().is_empty(),
                 "a non-empty DAG always has a front layer"
@@ -433,7 +367,7 @@ impl<S: OpSink> Scheduler<'_, S> {
             );
             self.execute_gate(node)?;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Fills the `executable` snapshot with the executable front gates, in
