@@ -378,9 +378,10 @@ impl GridScheduler<'_> {
     /// Number of gates in the next few DAG layers that pair `q` with an ion
     /// currently stored in `trap`.
     ///
-    /// Served from the DAG's cached look-ahead window (the same incremental
-    /// API MUSS-TI uses, keeping the baseline comparison apples-to-apples):
-    /// `O(gates-on-q-in-window)` per call instead of a fresh BFS.
+    /// Served by the DAG's on-demand look-ahead probe (the same API MUSS-TI
+    /// uses, keeping the baseline comparison apples-to-apples): a walk over
+    /// `q`'s own next gates, `O(gates-on-q-in-window)` per call instead of a
+    /// fresh BFS.
     fn trap_affinity(&self, q: QubitId, trap: TrapId) -> usize {
         let state = &*self.state;
         self.dag
@@ -512,9 +513,9 @@ pub(crate) fn compile_on_grid_in(
         scheduling_ms,
         swap_insertion_ms: 0.0,
         lowering_ms: lowering_start.elapsed().as_secs_f64() * 1e3,
-        // Hot-path counters are MUSS-TI specific; the baselines have no
-        // look-ahead window or SABRE probe.
-        window_refreshes: 0,
+        // Hot-path counters are reported for MUSS-TI only (the baselines run
+        // no SABRE probe passes to report on).
+        window_probe_visits: 0,
         probe_skips: 0,
     };
     let initial_placement = mapping.iter().map(|&(q, t)| (q, t.index())).collect();

@@ -111,11 +111,11 @@ pub struct StageTimings {
     pub swap_insertion_ms: f64,
     /// Op-stream assembly plus metrics evaluation by the executor.
     pub lowering_ms: f64,
-    /// Look-ahead window refreshes (layered BFS runs or armed-tracker
-    /// rebases) across every scheduling pass of the compile — the hot-path
-    /// counter the bench tracks per PR so window-maintenance cost stays
+    /// Nodes whose look-ahead depth the on-demand window probe computed
+    /// across every scheduling pass of the compile — the deterministic
+    /// hot-path counter the bench tracks per PR so look-ahead cost stays
     /// visible. Not a time: excluded from [`total_ms`](Self::total_ms).
-    pub window_refreshes: u64,
+    pub window_probe_visits: u64,
     /// SABRE probe dry passes skipped by the convergence early-exit
     /// (0 or 1 per compile). Not a time: excluded from
     /// [`total_ms`](Self::total_ms).
@@ -875,7 +875,7 @@ mod tests {
             scheduling_ms: 2.0,
             swap_insertion_ms: 0.5,
             lowering_ms: 0.25,
-            window_refreshes: 97,
+            window_probe_visits: 97,
             probe_skips: 1,
         };
         assert!((t.total_ms() - 3.75).abs() < 1e-12);

@@ -10,10 +10,10 @@
 //! `--smoke` runs a single iteration per (circuit, compiler) pair — the CI
 //! configuration; the default is 3 iterations. `--check-against` reads a
 //! committed baseline report *before* running (the out path may overwrite
-//! it) and exits non-zero if MUSS-TI's qft(48), qft(96), ran(128) **or**
-//! ran(1024) `wall_ms_mean` regressed by more than `--max-regression`
-//! (default 2.0×) — the CI bench-delta gate over the acceptance spot value
-//! and the scaling/stress workloads.
+//! it) and exits non-zero if MUSS-TI's qft(48), qft(96), ran(128),
+//! ran(1024) **or** ran(4096) `wall_ms_mean` regressed by more than
+//! `--max-regression` (default 2.0×) — the CI bench-delta gate over the
+//! acceptance spot value and the scaling/stress workloads.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

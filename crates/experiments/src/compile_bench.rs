@@ -38,7 +38,7 @@ fn accumulate(acc: &mut PhaseTimings, phases: &PhaseTimings) {
     acc.scheduling_ms += phases.scheduling_ms;
     acc.swap_insertion_ms += phases.swap_insertion_ms;
     acc.lowering_ms += phases.lowering_ms;
-    acc.window_refreshes += phases.window_refreshes;
+    acc.window_probe_visits += phases.window_probe_visits;
     acc.probe_skips += phases.probe_skips;
 }
 
@@ -50,7 +50,7 @@ fn averaged(mut sum: PhaseTimings, iterations: usize) -> PhaseTimings {
     sum.scheduling_ms /= n;
     sum.swap_insertion_ms /= n;
     sum.lowering_ms /= n;
-    sum.window_refreshes /= iterations as u64;
+    sum.window_probe_visits /= iterations as u64;
     sum.probe_skips /= iterations as u64;
     sum
 }
@@ -116,10 +116,12 @@ pub const BATCH_THREAD_COUNTS: [usize; 2] = [2, 8];
 
 /// The benchmark workload set: `qft(48)` (the acceptance target), a
 /// supremacy-class circuit, three structurally distinct mid-size
-/// applications, and three large stress circuits (`qft(96)` and dense random
-/// 128- and 1024-qubit programs) that track *scaling*, not just the qft(48)
-/// spot value. `RAN_1024` is where a per-step cost that grows with the
-/// device width (such as rescanning the whole front layer) shows first.
+/// applications, and four large stress circuits (`qft(96)` and dense random
+/// 128-, 1024- and 4096-qubit programs) that track *scaling*, not just the
+/// qft(48) spot value. `RAN_1024` is where a per-step cost that grows with
+/// the device width (such as rescanning the whole front layer) shows first;
+/// `RAN_4096`, at the validation-limit width, is where an `O(window)` term
+/// (such as rebuilding the look-ahead window per retired gate) dominates.
 pub fn workloads() -> Vec<Circuit> {
     vec![
         generators::qft(48),
@@ -130,6 +132,7 @@ pub fn workloads() -> Vec<Circuit> {
         generators::qft(96),
         generators::random_circuit(128, 2000, 25),
         generators::random_circuit(1024, 8192, 25),
+        generators::random_circuit(4096, 32768, 25),
     ]
 }
 
@@ -213,7 +216,8 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
                 let program = match compiler.compile_in(&mut ctx, circuit) {
                     Ok(program) => program,
                     // The grid baselines top out below the widest stress
-                    // workload (RAN_1024); that row is MUSS-TI only.
+                    // workloads (RAN_1024, RAN_4096); those rows are
+                    // MUSS-TI only.
                     Err(CompileError::DeviceTooSmall { .. }) => break,
                     Err(e) => panic!("{} on {}: {e}", compiler.name(), circuit.name()),
                 };
@@ -279,9 +283,9 @@ impl BenchReport {
                 .phases
                 .map(|p| {
                     format!(
-                        ", \"phases\": {{\"placement_ms\": {:.3}, \"scheduling_ms\": {:.3}, \"swap_insertion_ms\": {:.3}, \"lowering_ms\": {:.3}, \"window_refreshes\": {}, \"probe_skips\": {}}}",
+                        ", \"phases\": {{\"placement_ms\": {:.3}, \"scheduling_ms\": {:.3}, \"swap_insertion_ms\": {:.3}, \"lowering_ms\": {:.3}, \"window_probe_visits\": {}, \"probe_skips\": {}}}",
                         p.placement_ms, p.scheduling_ms, p.swap_insertion_ms, p.lowering_ms,
-                        p.window_refreshes, p.probe_skips,
+                        p.window_probe_visits, p.probe_skips,
                     )
                 })
                 .unwrap_or_default();
@@ -351,7 +355,7 @@ impl BenchReport {
                 "Scheduling",
                 "SWAP insertion",
                 "Lowering",
-                "Win refreshes",
+                "Probe visits",
                 "Probe skips",
             ],
         );
@@ -363,7 +367,7 @@ impl BenchReport {
                 format!("{:.3}", p.scheduling_ms),
                 format!("{:.3}", p.swap_insertion_ms),
                 format!("{:.3}", p.lowering_ms),
-                p.window_refreshes.to_string(),
+                p.window_probe_visits.to_string(),
                 p.probe_skips.to_string(),
             ]);
         }
@@ -383,10 +387,11 @@ impl BenchReport {
 /// The (circuit, compiler) pairs the CI bench-delta gate watches: the
 /// long-standing qft(48) acceptance spot value, the qft(96) placement-heavy
 /// scaling workload, the dense random 128-qubit stress workload the
-/// incremental SWAP-insertion table optimises, and the 1024-qubit random
-/// workload where a per-step cost growing with the device width shows first
+/// incremental SWAP-insertion table optimises, the 1024-qubit random
+/// workload where a per-step cost growing with the device width shows first,
+/// and the 4096-qubit one where an `O(window)` look-ahead term would dominate
 /// — a regression in any of them fails CI.
-const GATE_CIRCUITS: [&str; 4] = ["QFT_48", "QFT_96", "RAN_128", "RAN_1024"];
+const GATE_CIRCUITS: [&str; 5] = ["QFT_48", "QFT_96", "RAN_128", "RAN_1024", "RAN_4096"];
 const GATE_COMPILER: &str = "MUSS-TI";
 
 impl BenchReport {
@@ -406,10 +411,10 @@ impl BenchReport {
     }
 
     /// Bench-delta smoke gate: compares this run's MUSS-TI qft(48), qft(96),
-    /// ran(128) and ran(1024) means against the committed baseline report and fails
-    /// when any of them regressed by more than `max_ratio`× (the CI
-    /// threshold is 2×, loose enough for shared-runner noise, tight enough
-    /// to catch a real hot-path regression).
+    /// ran(128), ran(1024) and ran(4096) means against the committed baseline
+    /// report and fails when any of them regressed by more than `max_ratio`×
+    /// (the CI threshold is 2×, loose enough for shared-runner noise, tight
+    /// enough to catch a real hot-path regression).
     ///
     /// # Errors
     ///
@@ -553,7 +558,7 @@ mod tests {
         assert_eq!(json.matches("\"phases\"").count(), 1);
         assert!(json.contains("\"placement_ms\""));
         assert!(json.contains("\"swap_insertion_ms\""));
-        assert!(json.contains("\"window_refreshes\""));
+        assert!(json.contains("\"window_probe_visits\""));
         assert!(json.contains("\"probe_skips\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -562,47 +567,52 @@ mod tests {
     fn hot_path_counters_survive_averaging() {
         // qft(48)'s two-fold search converges back onto the trivial mapping,
         // so the probe early-exit must fire on every iteration (mean exactly
-        // 1), and its cross-module traffic makes the swap-inserting final
-        // pass consult (and refresh) the look-ahead window; both counters are
-        // deterministic across iterations, so the means are exact.
+        // 1), and its shuttle-heavy passes break LRU and zone ties through
+        // the look-ahead probe. Both counters are deterministic per compile,
+        // so the three-iteration means equal the single-compile values.
         let circuits = vec![generators::qft(48)];
-        let report = run_with(&circuits, 3);
-        let row = report
-            .rows
-            .iter()
-            .find(|r| r.compiler == "MUSS-TI")
-            .expect("MUSS-TI row");
-        let phases = row.phases.expect("MUSS-TI rows report phases");
-        assert_eq!(phases.probe_skips, 1, "probe early-exit fires on qft(12)");
+        let counters = |iterations: usize| {
+            let report = run_with(&circuits, iterations);
+            let row = report
+                .rows
+                .iter()
+                .find(|r| r.compiler == "MUSS-TI")
+                .expect("MUSS-TI row");
+            let phases = row.phases.expect("MUSS-TI rows report phases");
+            (phases.probe_skips, phases.window_probe_visits)
+        };
+        let (skips, visits) = counters(3);
+        assert_eq!(skips, 1, "probe early-exit fires on qft(48)");
         assert!(
-            phases.window_refreshes > 0,
-            "swap-inserting final pass refreshes the look-ahead window"
+            visits > 0,
+            "qft(48)'s tie-breaks probe the look-ahead window"
         );
+        assert_eq!((skips, visits), counters(1), "means are exact");
     }
 
     #[test]
-    fn window_refreshes_is_a_per_compile_delta_not_a_cumulative_counter() {
-        // `DependencyDag::window_refreshes()` is cumulative per DAG, so the
-        // phases block only stays meaningful if every compile reports its own
-        // passes (dry chain + final pass). If a count ever leaked across
+    fn window_probe_visits_is_a_per_compile_delta_not_a_cumulative_counter() {
+        // `DependencyDag::window_probe_visits()` is cumulative per DAG, so
+        // the phases block only stays meaningful if every compile reports its
+        // own passes (dry chain + final pass). If a count ever leaked across
         // compiles, the warm-session mean over three iterations would exceed
         // the single-compile value.
         let circuits = vec![generators::qft(48)];
-        let refreshes = |report: &BenchReport| {
+        let visits = |report: &BenchReport| {
             report
                 .rows
                 .iter()
                 .find(|r| r.compiler == "MUSS-TI")
                 .and_then(|r| r.phases)
                 .expect("MUSS-TI row reports phases")
-                .window_refreshes
+                .window_probe_visits
         };
-        let one = refreshes(&run_with(&circuits, 1));
-        let three = refreshes(&run_with(&circuits, 3));
-        assert!(one > 0, "qft(48) refreshes the look-ahead window");
+        let one = visits(&run_with(&circuits, 1));
+        let three = visits(&run_with(&circuits, 3));
+        assert!(one > 0, "qft(48) probes the look-ahead window");
         assert_eq!(
             one, three,
-            "per-compile refresh count must not grow across warm iterations"
+            "per-compile probe visits must not grow across warm iterations"
         );
     }
 
@@ -646,6 +656,7 @@ mod tests {
                 gated_row("QFT_96", "MUSS-TI", qft_ms),
                 gated_row("RAN_128", "MUSS-TI", ran_ms),
                 gated_row("RAN_1024", "MUSS-TI", ran_ms),
+                gated_row("RAN_4096", "MUSS-TI", ran_ms),
             ],
             batch: vec![BatchThroughput {
                 circuits: 1,
@@ -718,6 +729,18 @@ mod tests {
         report.rows[4].wall_ms_mean = 2.1;
         let err = report.check_against_baseline(&baseline, 2.0).unwrap_err();
         assert!(err.contains("RAN_1024"), "{err}");
+    }
+
+    #[test]
+    fn baseline_check_gates_the_ran_4096_validation_limit_workload_too() {
+        // The validation-limit width is gated on its own: an O(window)
+        // look-ahead term regresses it long before the narrower rows.
+        let mut report = gated_report(1.0, 1.0);
+        let baseline = report.to_json();
+        assert!(report.check_against_baseline(&baseline, 2.0).is_ok());
+        report.rows[5].wall_ms_mean = 2.1;
+        let err = report.check_against_baseline(&baseline, 2.0).unwrap_err();
+        assert!(err.contains("RAN_4096"), "{err}");
     }
 
     #[test]

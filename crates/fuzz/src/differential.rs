@@ -400,7 +400,7 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
     for step in 0..steps {
         match rng.gen_range(0..4usize) {
             // Retire a ready gate, poking a window query in between so
-            // deltas batch across refreshes the consumer never saw.
+            // deltas batch across queries the consumer never saw.
             0 | 1 => {
                 if let Some(node) = dag.front_gate() {
                     dag.mark_executed(node);

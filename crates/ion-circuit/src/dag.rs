@@ -17,33 +17,30 @@
 //!   `O(out-degree + |front|)` worst case (ordered insertion into the ready
 //!   list): retiring a gate touches only its direct successors and appends
 //!   newly-ready nodes to a caller-supplied buffer, so the scheduling loop
-//!   allocates nothing in steady state. `ready_on` is updated in `O(1)` per
-//!   retired or newly-ready gate.
-//! * [`lookahead_layers`](DependencyDag::lookahead_layers) /
-//!   [`next_use_depth`](DependencyDag::next_use_depth) /
+//!   allocates nothing in steady state. `ready_on` and the per-qubit gate
+//!   cursors are updated in `O(1)` per retired or newly-ready gate.
+//! * [`next_use_depth`](DependencyDag::next_use_depth) /
 //!   [`count_window_partners`](DependencyDag::count_window_partners) /
-//!   [`for_each_window_gate`](DependencyDag::for_each_window_gate) — while a
-//!   [`WindowDeltaTracker`] subscription is armed
-//!   ([`arm_window_tracker`](DependencyDag::arm_window_tracker), which the
-//!   schedulers do once per pass), these are served straight from the
-//!   tracker's capped-depth array and its per-qubit member index: the
-//!   indexed queries are `O(gates-on-qubit-in-window)` with **no** window
-//!   refresh at all, because depth `< k` membership is provably identical to
-//!   first-`k`-layers membership and same-qubit window gates are chained, so
-//!   node-id order *is* layer order. Unarmed, the queries fall back to the
-//!   original amortised-`O(Δ)` cached [`LookaheadWindow`]: the first `k`
-//!   layers are computed once by layered BFS and invalidated only when a
-//!   window gate retires (`O(window)` per refresh, allocation-free once
-//!   warm). The BFS path doubles as the oracle the armed path is
-//!   equivalence-tested against.
-//! * [`sync_window_delta`](DependencyDag::sync_window_delta) /
 //!   [`for_each_window_partner`](DependencyDag::for_each_window_partner) —
-//!   the incremental feed of the SWAP-insertion weight table: an armed
-//!   [`WindowDeltaTracker`] maintains each gate's capped longest-path depth
-//!   at retirement time and records which gates entered and left the
-//!   `k`-window (pooled buffers, armed only once a consumer subscribes), so
-//!   the table applies `O(Δ)` bumps per fiber gate without forcing a
-//!   `O(window)` BFS refresh.
+//!   answered on demand from the queried qubit's own next gates: a gate is
+//!   in the first `k` layers iff its longest-path depth over unexecuted
+//!   predecessors is `< k`, and that depth is computed by a capped-depth
+//!   probe that visits only ancestors within `k` hops, memoised per node
+//!   until the next retirement. Same-qubit gates form a dependency chain, so
+//!   depth strictly increases along a qubit's gate list and a query walks
+//!   the list only until the first gate at depth `≥ k`. Nothing is cached
+//!   across retirements, so no `O(window)` refresh exists.
+//! * [`lookahead_layers`](DependencyDag::lookahead_layers) /
+//!   [`for_each_window_gate`](DependencyDag::for_each_window_gate) — the
+//!   cold full-window walks, served by the same probe over every qubit's
+//!   next gates and sorted depth-major, id-ascending: `O(qubits + window ·
+//!   log window)` per call.
+//! * [`sync_window_delta`](DependencyDag::sync_window_delta) — the
+//!   incremental feed of the SWAP-insertion weight table: once a consumer
+//!   subscribes, a [`WindowDeltaTracker`] maintains each gate's capped
+//!   longest-path depth at retirement time and records which gates entered
+//!   and left the `k`-window (pooled buffers), so the table applies `O(Δ)`
+//!   bumps per fiber gate.
 //! * [`reset`](DependencyDag::reset) /
 //!   [`reset_reversed`](DependencyDag::reset_reversed) — `O(n + edges)`
 //!   rewind (respectively: rewind *and* flip the edge orientation, yielding
@@ -54,8 +51,8 @@
 //!   no allocation.
 //!
 //! A deliberately naive reference implementation ([`NaiveDag`]) is retained
-//! for the equivalence test suite; it is the executable specification the
-//! incremental structure is checked against.
+//! for the equivalence test suite; its layered BFS is the executable
+//! specification the probe is checked against.
 
 // lint: hot-path
 
@@ -101,159 +98,179 @@ impl WindowSync {
     }
 }
 
-/// The cached first-`k`-layers window of the remaining DAG, plus the
-/// per-qubit indexes the schedulers query against it.
-///
-/// The window is owned by the [`DependencyDag`] and refreshed lazily: queries
-/// hit the cache until a gate inside the window retires (which, for any
-/// non-empty window, is exactly when a gate is executed — executed gates are
-/// always front-layer members, i.e. layer 0). Between retirements an
-/// arbitrary number of affinity / next-use / weight-table queries share one
-/// window computation, which is what makes the scheduling loop `O(Δ)` per
-/// step instead of `O(n)` per query.
-#[derive(Debug, Clone)]
-struct LookaheadWindow {
-    /// The `k` this window was computed for (`None` = never computed).
-    valid_k: Option<usize>,
-    /// Set when a window member retires; forces a refresh on next query.
-    dirty: bool,
-    /// Window node ids in layer order (CSR payload): the nodes of layer `d`
-    /// are `layer_nodes[layer_ends[d-1]..layer_ends[d]]`, sorted ascending
-    /// (program order). Flat storage keeps the per-retirement refresh
-    /// allocation-free — no nested `Vec<Vec<_>>` churn.
-    layer_nodes: Vec<usize>,
-    /// CSR offsets: `layer_ends[d]` is the end index of layer `d` in
-    /// `layer_nodes`; `layer_ends.len()` is the number of layers.
-    layer_ends: Vec<usize>,
-    /// First window layer using each qubit (`usize::MAX` = not in window).
-    next_use_depth: Vec<usize>,
-    /// Per qubit: `(layer depth, partner qubit)` for every window gate on it,
-    /// in layer order.
-    partners: Vec<Vec<(usize, usize)>>,
-    /// Qubits whose `next_use_depth` / `partners` entries are live (so a
-    /// refresh clears `O(window)` entries, not `O(num_qubits)`).
-    touched_qubits: Vec<usize>,
-    /// Generation stamp marking window membership (`member_gen[i] ==
-    /// generation` ⇔ node `i` is in the current window).
-    member_gen: Vec<u32>,
-    /// Generation-stamped scratch: virtual predecessor counts for the BFS.
-    pred_gen: Vec<u32>,
-    virtual_preds: Vec<usize>,
-    generation: u32,
-    /// Number of BFS recomputations over the DAG's lifetime (diagnostic: the
-    /// bench reports it per compile; the armed tracker path never bumps it).
-    refreshes: u64,
+/// Probe stack frames reserved at DAG build time: a probe for window depth
+/// `k` nests at most `k` frames, so any `k ≤ 64` (the paper uses 8) never
+/// grows the stack.
+const PROBE_STACK_RESERVE: usize = 64;
+
+/// One node's memoised probe result.
+#[derive(Debug, Clone, Copy, Default)]
+struct DepthMemo {
+    /// `min(depth, cap)` for the cap the entry was computed under.
+    depth: usize,
+    /// Probe epoch of the entry; it is live iff this equals the probe's
+    /// current epoch.
+    stamp: u32,
+    /// `true` if `depth` reached its cap, i.e. the true depth is at least
+    /// `depth`; otherwise `depth` is exact.
+    capped: bool,
 }
 
-impl LookaheadWindow {
-    fn new(num_nodes: usize, num_qubits: usize) -> Self {
-        LookaheadWindow {
-            valid_k: None,
-            dirty: false,
-            layer_nodes: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            layer_ends: Vec::new(),  // lint: allow (pooled-buffer setup, grown once and recycled)
-            next_use_depth: vec![usize::MAX; num_qubits], // lint: allow (pooled-buffer setup, grown once and recycled)
-            partners: vec![Vec::new(); num_qubits], // lint: allow (pooled-buffer setup, grown once and recycled)
-            touched_qubits: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            member_gen: vec![0; num_nodes], // lint: allow (pooled-buffer setup, grown once and recycled)
-            pred_gen: vec![0; num_nodes], // lint: allow (pooled-buffer setup, grown once and recycled)
-            virtual_preds: vec![0; num_nodes], // lint: allow (pooled-buffer setup, grown once and recycled)
-            generation: 0,
-            refreshes: 0,
-        }
-    }
-
-    /// `true` if `node` belongs to the currently cached window.
-    fn contains(&self, node: usize) -> bool {
-        self.valid_k.is_some() && self.member_gen[node] == self.generation
-    }
-
-    /// Recomputes the window by layered BFS from the ready list.
-    ///
-    /// Costs `O(window + frontier-out-degree)`; the generation stamps make
-    /// the scratch arrays reusable without an `O(n)` clear or clone, and the
-    /// CSR layer layout means a warm refresh performs no allocation at all.
-    fn refresh(
-        &mut self,
-        k: usize,
-        ready: &[DagNodeId],
-        successors: &[Vec<DagNodeId>],
-        unexecuted_preds: &[usize],
-        gates: &[Gate],
-    ) {
-        self.refreshes += 1;
-        self.generation = self.generation.wrapping_add(1);
-        let generation = self.generation;
-        for &q in &self.touched_qubits {
-            self.next_use_depth[q] = usize::MAX;
-            self.partners[q].clear();
-        }
-        self.touched_qubits.clear();
-        self.layer_nodes.clear();
-        self.layer_ends.clear();
-        self.valid_k = Some(k);
-        self.dirty = false;
-        if k == 0 {
-            return;
-        }
-
-        // Layer 0 is the ready list (already program-ordered).
-        self.layer_nodes.extend(ready.iter().map(|n| n.index()));
-        let mut start = 0usize;
-        while start < self.layer_nodes.len() && self.layer_ends.len() < k {
-            let depth = self.layer_ends.len();
-            let end = self.layer_nodes.len();
-            for idx in start..end {
-                let node = self.layer_nodes[idx];
-                self.member_gen[node] = generation;
-                let (a, b) = gates[node]
-                    .two_qubit_pair()
-                    .expect("DAG nodes are always two-qubit gates");
-                for (q, p) in [(a.index(), b.index()), (b.index(), a.index())] {
-                    if self.next_use_depth[q] == usize::MAX {
-                        self.next_use_depth[q] = depth;
-                        self.touched_qubits.push(q);
-                    }
-                    self.partners[q].push((depth, p));
-                }
-            }
-            // Expanding the frontier past the final kept layer would be pure
-            // waste (the loop above never visits it), so skip it there.
-            if depth + 1 < k {
-                for idx in start..end {
-                    let node = self.layer_nodes[idx];
-                    for &succ in &successors[node] {
-                        let s = succ.index();
-                        if self.pred_gen[s] != generation {
-                            self.pred_gen[s] = generation;
-                            self.virtual_preds[s] = unexecuted_preds[s];
-                        }
-                        self.virtual_preds[s] -= 1;
-                        if self.virtual_preds[s] == 0 {
-                            self.layer_nodes.push(s);
-                        }
-                    }
-                }
-                self.layer_nodes[end..].sort_unstable();
-            }
-            self.layer_ends.push(end);
-            start = end;
-        }
-    }
-
-    /// The nodes of window layer `depth` (CSR slice).
-    fn layer(&self, depth: usize) -> &[usize] {
-        let start = if depth == 0 {
-            0
+impl DepthMemo {
+    /// `min(depth, cap)` if this entry answers it.
+    fn answer(self, epoch: u32, cap: usize) -> Option<usize> {
+        if self.stamp != epoch {
+            None
+        } else if !self.capped {
+            Some(self.depth.min(cap))
         } else {
-            self.layer_ends[depth - 1]
-        };
-        &self.layer_nodes[start..self.layer_ends[depth]]
+            (self.depth >= cap).then_some(cap)
+        }
+    }
+}
+
+/// An explicit-stack frame of [`DepthProbe::depth`].
+#[derive(Debug, Clone, Copy)]
+struct ProbeFrame {
+    node: usize,
+    /// The frame answers `min(depth(node), cap)`.
+    cap: usize,
+    /// Next index into the node's predecessor list.
+    next_pred: usize,
+    /// Running `max(1 + depth(p))` over the predecessors scanned so far.
+    depth: usize,
+}
+
+/// The on-demand look-ahead probe: capped longest-path depths over the
+/// unexecuted gates, computed when a query asks for them.
+///
+/// `depth(g) = min(cap, max over unexecuted preds p of 1 + depth(p))`, ready
+/// gates at 0. A frame with cap `c` asks its predecessors with cap `c - 1`
+/// and stops scanning once its running maximum reaches `c`, so a query for
+/// window depth `k` visits only ancestors within `k` hops. Results are
+/// memoised per node under an epoch stamp that every retirement and reset
+/// bumps (retiring a gate can only lower depths, so every entry goes stale
+/// at once); depths are memoised with their cap, so an exact depth serves any
+/// later cap and a capped one any smaller cap.
+#[derive(Debug, Clone)]
+struct DepthProbe {
+    memo: Vec<DepthMemo>,
+    epoch: u32,
+    stack: Vec<ProbeFrame>,
+    /// Pooled `(depth, node)` buffer of the full-window walks.
+    window: Vec<(usize, usize)>,
+    /// Nodes whose depth the probe computed over the DAG's lifetime (the
+    /// deterministic work counter behind
+    /// [`DependencyDag::window_probe_visits`]).
+    visits: u64,
+}
+
+impl DepthProbe {
+    fn new() -> Self {
+        DepthProbe {
+            memo: Vec::new(), // lint: allow (pooled-buffer setup, sized at DAG build)
+            epoch: 1,
+            stack: Vec::with_capacity(PROBE_STACK_RESERVE), // lint: allow (pooled-buffer setup, sized at DAG build)
+            window: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
+            visits: 0,
+        }
     }
 
-    /// Number of layers in the cached window.
-    fn num_layers(&self) -> usize {
-        self.layer_ends.len()
+    /// Sizes the memo for `n` nodes and invalidates it (DAG build/rebuild).
+    fn resize(&mut self, n: usize) {
+        self.memo.clear();
+        self.memo.resize(n, DepthMemo::default());
+        self.epoch = 1;
+    }
+
+    /// Drops every memoised depth in `O(1)` by bumping the epoch. On the
+    /// (once per 2³² retirements) wrap the stamps are cleared, so an entry
+    /// from 2³² epochs ago cannot read as live.
+    fn invalidate(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            for memo in &mut self.memo {
+                memo.stamp = 0;
+            }
+            self.epoch = 1;
+        }
+    }
+
+    /// `min(depth(node), cap)` for the unexecuted `node`.
+    fn depth(
+        &mut self,
+        node: usize,
+        cap: usize,
+        predecessors: &[Vec<DagNodeId>],
+        unexecuted_preds: &[usize],
+        executed: &[bool],
+    ) -> usize {
+        if cap == 0 || unexecuted_preds[node] == 0 {
+            return 0;
+        }
+        if let Some(depth) = self.memo[node].answer(self.epoch, cap) {
+            return depth;
+        }
+        let DepthProbe {
+            memo,
+            epoch,
+            stack,
+            visits,
+            ..
+        } = self;
+        let epoch = *epoch;
+        stack.clear();
+        stack.push(ProbeFrame {
+            node,
+            cap,
+            next_pred: 0,
+            depth: 0,
+        });
+        loop {
+            let top = stack.last_mut().expect("the probe stack holds the query");
+            let preds = &predecessors[top.node];
+            let mut deeper = None;
+            while top.depth < top.cap && top.next_pred < preds.len() {
+                let p = preds[top.next_pred].0;
+                top.next_pred += 1;
+                if executed[p] {
+                    continue;
+                }
+                let cap = top.cap - 1;
+                let known = if cap == 0 || unexecuted_preds[p] == 0 {
+                    Some(0)
+                } else {
+                    memo[p].answer(epoch, cap)
+                };
+                match known {
+                    Some(depth) => top.depth = top.depth.max(depth + 1),
+                    None => {
+                        deeper = Some(ProbeFrame {
+                            node: p,
+                            cap,
+                            next_pred: 0,
+                            depth: 0,
+                        });
+                        break;
+                    }
+                }
+            }
+            if let Some(frame) = deeper {
+                stack.push(frame);
+                continue;
+            }
+            let done = stack.pop().expect("the probe stack holds the query");
+            *visits += 1;
+            memo[done.node] = DepthMemo {
+                depth: done.depth,
+                stamp: epoch,
+                capped: done.depth >= done.cap,
+            };
+            match stack.last_mut() {
+                Some(parent) => parent.depth = parent.depth.max(done.depth + 1),
+                None => return done.depth,
+            }
+        }
     }
 }
 
@@ -262,37 +279,27 @@ impl LookaheadWindow {
 ///
 /// A gate belongs to the first `k` look-ahead layers iff its *longest-path
 /// depth* over unexecuted predecessors (`depth(g) = 1 + max depth(unexecuted
-/// preds)`, ready gates at 0) is `< k` — exactly the membership the
-/// [`LookaheadWindow`] BFS computes. Retiring gates only removes constraints,
-/// so depths are **monotone non-increasing**; the tracker stores each
-/// unexecuted gate's depth capped at `k` and, on every retirement, repairs
-/// just the affected cone by a min-heap worklist in node-id order (node ids
-/// are a topological order, so every predecessor's depth is final when a node
-/// is popped). Each node's capped depth can decrease at most `k` times over a
-/// whole pass, which bounds the total maintenance work at `O(n · k ·
-/// pred-degree)` — independent of how often the consumer syncs — and
-/// membership transitions are emitted into the pooled `entered`/`left`
-/// buffers as they happen, with **no** window refresh on the sync path.
+/// preds)`, ready gates at 0) is `< k` — exactly the membership the layered
+/// BFS computes. Retiring gates only removes constraints, so depths are
+/// **monotone non-increasing**; the tracker stores each unexecuted gate's
+/// depth capped at `k` and, on every retirement, repairs just the affected
+/// cone by a min-heap worklist in node-id order (node ids are a topological
+/// order, so every predecessor's depth is final when a node is popped). Each
+/// node's capped depth can decrease at most `k` times over a whole pass,
+/// which bounds the total maintenance work at `O(n · k · pred-degree)` —
+/// independent of how often the consumer syncs — and membership transitions
+/// are emitted into the pooled `entered`/`left` buffers as they happen.
 ///
 /// The tracker is disarmed until a consumer subscribes (and again after every
-/// [`reset`](DependencyDag::reset)), so passes that never consult it — e.g.
-/// the baseline schedulers' passes — pay nothing.
-///
-/// Besides the entered/left event record, the tracker maintains a per-qubit
-/// **member index** (`gates_on`): the unexecuted window members touching each
-/// qubit, sorted ascending by node id. Same-qubit gates form a dependency
-/// chain, so along one qubit's list the (capped) depths are strictly
-/// increasing — id order *is* layer order, the first element gives the
-/// qubit's next-use depth, and a retiring (ready) member is always its
-/// operands' list head. This is what lets the armed [`DependencyDag`] window
-/// queries answer without ever refreshing the BFS window.
+/// [`reset`](DependencyDag::reset)), so passes that never consult it — the
+/// SABRE dry passes and the baseline schedulers' passes — pay nothing.
 #[derive(Debug, Clone)]
 struct WindowDeltaTracker {
     /// `false` ⇒ no bookkeeping at all; `depth`/`entered`/`left` are stale.
     armed: bool,
     /// The `k` the tracker is armed for.
     k: usize,
-    /// Rebase counter handed to the consumer (0 is never handed out, so a
+    /// Arming counter handed to the consumer (0 is never handed out, so a
     /// fresh consumer's 0 always misses). Monotone across resets.
     token: u64,
     /// `min(longest-path depth, k)` per node; only unexecuted entries are
@@ -301,11 +308,6 @@ struct WindowDeltaTracker {
     /// Membership transitions since the consumer's last drain.
     entered: Vec<usize>,
     left: Vec<usize>,
-    /// Per qubit: the unexecuted window members (`depth < k`) touching it,
-    /// ascending by node id (= ascending depth; see the type-level docs). A
-    /// gate with equal operands appears twice in that one list, mirroring the
-    /// BFS partner index exactly.
-    gates_on: Vec<Vec<usize>>,
     /// Pooled min-heap worklist for the depth-repair cone.
     worklist: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
     /// Generation-stamped dedup for worklist pushes (one generation per
@@ -323,7 +325,6 @@ impl WindowDeltaTracker {
             depth: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             entered: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             left: Vec::new(),  // lint: allow (pooled-buffer setup, grown once and recycled)
-            gates_on: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             worklist: std::collections::BinaryHeap::new(),
             queued_gen: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             generation: 0,
@@ -338,28 +339,14 @@ impl WindowDeltaTracker {
     }
 
     /// (Re)arms the tracker for `k`: recomputes every unexecuted gate's
-    /// capped depth in one topological sweep (node-id order), rebuilds the
-    /// per-qubit member index and starts a fresh accumulation. `O(n + edges)`,
-    /// allocation-free once warm.
-    fn arm(
-        &mut self,
-        k: usize,
-        predecessors: &[Vec<DagNodeId>],
-        executed: &[bool],
-        gates: &[Gate],
-        num_qubits: usize,
-    ) {
+    /// capped depth in one topological sweep (node-id order) and starts a
+    /// fresh accumulation. `O(n + edges)`, allocation-free once warm.
+    fn arm(&mut self, k: usize, predecessors: &[Vec<DagNodeId>], executed: &[bool]) {
         let n = predecessors.len();
         self.depth.clear();
         self.depth.resize(n, 0);
         if self.queued_gen.len() < n {
             self.queued_gen.resize(n, 0);
-        }
-        for list in &mut self.gates_on {
-            list.clear();
-        }
-        if self.gates_on.len() < num_qubits {
-            self.gates_on.resize_with(num_qubits, Vec::new);
         }
         for i in 0..n {
             if executed[i] {
@@ -371,16 +358,7 @@ impl WindowDeltaTracker {
                     depth = depth.max(self.depth[p.0] + 1);
                 }
             }
-            let depth = depth.min(k);
-            self.depth[i] = depth;
-            if depth < k {
-                // Ascending `i` keeps every per-qubit list sorted by id.
-                let (a, b) = gates[i]
-                    .two_qubit_pair()
-                    .expect("DAG nodes are always two-qubit gates");
-                self.gates_on[a.index()].push(i);
-                self.gates_on[b.index()].push(i);
-            }
+            self.depth[i] = depth.min(k);
         }
         self.entered.clear();
         self.left.clear();
@@ -389,39 +367,20 @@ impl WindowDeltaTracker {
         self.token += 1;
     }
 
-    /// Restarts the consumer accumulation without recomputing depths or the
-    /// member index (both are maintained exactly while armed): clears the
-    /// event record and bumps the token, so stale consumer epochs can never
-    /// match. `O(Δ)` — this is the cheap path [`DependencyDag::sync_window_delta`]
-    /// takes when a consumer (re)subscribes to an already-armed window.
-    fn rebase(&mut self) {
-        debug_assert!(self.armed);
-        self.entered.clear();
-        self.left.clear();
-        self.token += 1;
-    }
-
     /// Retirement hook: records `node` leaving the window (it is ready, so
     /// its depth is 0) and repairs the depths of its affected cone, emitting
-    /// `entered` events — and mirroring both transitions into the per-qubit
-    /// member index — for gates whose capped depth crosses below `k`.
+    /// `entered` events for gates whose capped depth crosses below `k`.
     fn on_retire(
         &mut self,
         node: usize,
         successors: &[Vec<DagNodeId>],
         predecessors: &[Vec<DagNodeId>],
         executed: &[bool],
-        gates: &[Gate],
     ) {
         debug_assert!(self.armed);
         debug_assert_eq!(self.depth[node], 0, "retired gates are ready");
         if self.k > 0 {
             self.left.push(node);
-            let (a, b) = gates[node]
-                .two_qubit_pair()
-                .expect("DAG nodes are always two-qubit gates");
-            self.remove_member(a.index(), node);
-            self.remove_member(b.index(), node);
         }
         self.generation = self.generation.wrapping_add(1);
         let generation = self.generation;
@@ -450,11 +409,6 @@ impl WindowDeltaTracker {
             }
             if self.depth[i] >= self.k && depth < self.k {
                 self.entered.push(i);
-                let (a, b) = gates[i]
-                    .two_qubit_pair()
-                    .expect("DAG nodes are always two-qubit gates");
-                self.insert_member(a.index(), i);
-                self.insert_member(b.index(), i);
             }
             self.depth[i] = depth;
             for &succ in &successors[i] {
@@ -486,38 +440,6 @@ impl WindowDeltaTracker {
             self.queued_gen[i] = generation;
             self.worklist.push(std::cmp::Reverse(i));
         }
-    }
-
-    /// Removes `node` from `qubit`'s member list. The retiring gate is ready,
-    /// so by the chain argument it is the list head; the position scan (at
-    /// most `k` entries) keeps the index exact even if that reasoning were
-    /// ever violated.
-    fn remove_member(&mut self, qubit: usize, node: usize) {
-        let list = &mut self.gates_on[qubit];
-        let pos = list
-            .iter()
-            .position(|&g| g == node)
-            .expect("a retiring window member is indexed on both operands");
-        debug_assert_eq!(pos, 0, "a retiring (ready) member is its list head");
-        list.remove(pos);
-    }
-
-    /// Inserts `node` into `qubit`'s member list, keeping it id-sorted
-    /// (binary search + shift over at most `k` entries; allocation-free once
-    /// the list's capacity has grown to the pass's peak membership).
-    fn insert_member(&mut self, qubit: usize, node: usize) {
-        let list = &mut self.gates_on[qubit];
-        let pos = list.partition_point(|&g| g < node);
-        list.insert(pos, node);
-    }
-
-    /// `qubit`'s next-use depth: the depth of its smallest-id window member
-    /// (= its shallowest; id order is depth order along one qubit's chain).
-    fn next_use_depth(&self, qubit: usize) -> Option<usize> {
-        self.gates_on
-            .get(qubit)?
-            .first()
-            .map(|&node| self.depth[node])
     }
 }
 
@@ -588,14 +510,23 @@ pub struct DependencyDag {
     /// (the later one would depend on the earlier), so one slot per qubit
     /// suffices; maintained in `O(1)` per change alongside `ready`.
     ready_on: Vec<Option<DagNodeId>>,
+    /// Per-qubit gate lists in the current orientation (CSR payload): the
+    /// nodes acting on qubit `q`, ascending, are
+    /// `qubit_gates[qubit_starts[q]..qubit_starts[q + 1]]`.
+    qubit_gates: Vec<usize>,
+    qubit_starts: Vec<usize>,
+    /// `qubit_cursor[q]` indexes `q`'s first unexecuted gate in
+    /// `qubit_gates`. A retiring gate is ready, hence the first unexecuted
+    /// gate on both its operands, so retirement advances two cursors by one.
+    qubit_cursor: Vec<usize>,
     /// Pooled per-qubit last-user scratch for in-place edge rebuilds
     /// (`usize::MAX` = no user yet).
     build_scratch: Vec<usize>,
-    /// Cached look-ahead window (interior mutability so `&self` query methods
-    /// can refresh it lazily).
-    window: RefCell<LookaheadWindow>,
+    /// On-demand look-ahead probe (interior mutability so `&self` window
+    /// queries can memoise depths).
+    probe: RefCell<DepthProbe>,
     /// Incremental window-membership tracker (interior mutability so the
-    /// `&self` sync entry point can rebase it).
+    /// `&self` sync entry point can arm and drain it).
     tracker: RefCell<WindowDeltaTracker>,
 }
 
@@ -611,7 +542,6 @@ impl DependencyDag {
             }
         }
         let n = gates.len();
-        let window = RefCell::new(LookaheadWindow::new(n, circuit.num_qubits()));
         let mut dag = DependencyDag {
             gates,
             original_indices,
@@ -624,8 +554,11 @@ impl DependencyDag {
             num_qubits: circuit.num_qubits(),
             ready: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
             ready_on: vec![None; circuit.num_qubits()], // lint: allow (one-time construction, not the scheduling loop)
+            qubit_gates: Vec::with_capacity(2 * n), // lint: allow (one-time construction, not the scheduling loop)
+            qubit_starts: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
+            qubit_cursor: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
             build_scratch: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
-            window,
+            probe: RefCell::new(DepthProbe::new()),
             tracker: RefCell::new(WindowDeltaTracker::new()),
         };
         dag.rebuild_edges();
@@ -633,8 +566,8 @@ impl DependencyDag {
         dag
     }
 
-    /// (Re)derives the successor/predecessor lists from the current `gates`
-    /// order, reusing the edge-list and scratch allocations.
+    /// (Re)derives the successor/predecessor lists and the per-qubit gate
+    /// lists from the current `gates` order, reusing every allocation.
     ///
     /// `last_user[q]` = most recent node touching qubit q. Qubit ids are
     /// dense, so this is a flat pooled array rather than a hash map — DAG
@@ -652,6 +585,10 @@ impl DependencyDag {
         let last_user = &mut self.build_scratch;
         let successors = &mut self.successors;
         let predecessors = &mut self.predecessors;
+        // Per-qubit gate counts, shifted by one so the prefix sum below
+        // turns them into CSR offsets in place.
+        self.qubit_starts.clear();
+        self.qubit_starts.resize(self.num_qubits + 1, 0);
         for (i, g) in self.gates.iter().enumerate() {
             let (a, b) = g
                 .two_qubit_pair()
@@ -663,14 +600,37 @@ impl DependencyDag {
                     predecessors[i].push(DagNodeId(prev));
                 }
                 last_user[q.index()] = i;
+                self.qubit_starts[q.index() + 1] += 1;
             }
         }
+        for q in 0..self.num_qubits {
+            self.qubit_starts[q + 1] += self.qubit_starts[q];
+        }
+        // Fill the lists in ascending node order, using the cursors as write
+        // positions (`reset` rewinds them to the list heads afterwards).
+        self.qubit_cursor.clear();
+        self.qubit_cursor
+            .extend_from_slice(&self.qubit_starts[..self.num_qubits]);
+        self.qubit_gates.clear();
+        self.qubit_gates
+            .resize(self.qubit_starts[self.num_qubits], 0);
+        for (i, g) in self.gates.iter().enumerate() {
+            let (a, b) = g
+                .two_qubit_pair()
+                .expect("only two-qubit gates are inserted into the DAG");
+            for q in [a.index(), b.index()] {
+                self.qubit_gates[self.qubit_cursor[q]] = i;
+                self.qubit_cursor[q] += 1;
+            }
+        }
+        self.probe.get_mut().resize(self.gates.len());
     }
 
     /// Restores the DAG to its freshly-built state — every gate unexecuted,
-    /// the ready list back to the zero-predecessor gates, the cached
-    /// look-ahead window invalidated — while keeping every allocation
-    /// (edge lists, window scratch, per-qubit indexes).
+    /// the ready list back to the zero-predecessor gates, the per-qubit
+    /// cursors at their list heads, every memoised probe depth invalidated —
+    /// while keeping every allocation (edge lists, probe scratch, per-qubit
+    /// indexes).
     ///
     /// `O(n)` in the number of gates; this is what lets the SABRE two-fold
     /// search and the final scheduling pass share one DAG instead of
@@ -693,9 +653,9 @@ impl DependencyDag {
         for i in 0..self.ready.len() {
             self.set_ready_on(self.ready[i]);
         }
-        let window = self.window.get_mut();
-        window.valid_k = None;
-        window.dirty = false;
+        self.qubit_cursor
+            .copy_from_slice(&self.qubit_starts[..self.num_qubits]);
+        self.probe.get_mut().invalidate();
         // The rewind invalidates any delta subscription (the consumer's
         // token stays un-reusable because `token` is never rewound).
         self.tracker.get_mut().disarm();
@@ -838,8 +798,9 @@ impl DependencyDag {
     /// to `newly_ready` (the buffer is not cleared, so callers can pool it).
     ///
     /// `O(out-degree + |front|)` worst case (ordered ready-list insertion),
-    /// allocation-free in steady state; also invalidates the cached
-    /// look-ahead window iff the node was inside it.
+    /// allocation-free in steady state; also advances both operands'
+    /// per-qubit cursors and invalidates the probe's memoised depths in
+    /// `O(1)`.
     ///
     /// # Panics
     ///
@@ -859,8 +820,12 @@ impl DependencyDag {
             .expect("a zero-predecessor unexecuted node is in the ready list");
         self.ready.remove(pos);
         let (a, b) = self.operands(node);
-        self.ready_on[a.index()] = None;
-        self.ready_on[b.index()] = None;
+        for q in [a.index(), b.index()] {
+            self.ready_on[q] = None;
+            // A ready gate is the first unexecuted gate on each operand.
+            debug_assert_eq!(self.qubit_gates[self.qubit_cursor[q]], node.0);
+            self.qubit_cursor[q] += 1;
+        }
         for i in 0..self.successors[node.0].len() {
             let succ = self.successors[node.0][i];
             self.unexecuted_preds[succ.0] -= 1;
@@ -871,13 +836,7 @@ impl DependencyDag {
                 newly_ready.push(succ);
             }
         }
-        // A retired gate was ready, so it sits in layer 0 of any non-empty
-        // cached window; the membership check handles the k = 0 / stale-k
-        // cases without a spurious refresh.
-        let window = self.window.get_mut();
-        if window.contains(node.0) {
-            window.dirty = true;
-        }
+        self.probe.get_mut().invalidate();
         // Armed delta subscription: record the departure and repair the
         // affected cone's depths (amortised `O(k · pred-degree)` per node
         // over a whole pass; skipped entirely while disarmed).
@@ -886,12 +845,11 @@ impl DependencyDag {
             successors,
             predecessors,
             executed,
-            gates,
             ..
         } = self;
         let tracker = tracker.get_mut();
         if tracker.armed {
-            tracker.on_retire(node.0, successors, predecessors, executed, gates);
+            tracker.on_retire(node.0, successors, predecessors, executed);
         }
     }
 
@@ -911,104 +869,78 @@ impl DependencyDag {
         newly_ready
     }
 
-    /// Ensures the cached window is fresh for `k`, refreshing it if it is
-    /// stale (a member gate retired) or was built for a different `k`.
-    ///
-    /// The mutable borrow is confined to this method so that query callbacks
-    /// (run under a shared borrow) may re-enter window queries *for the same
-    /// `k`* without tripping the `RefCell`. Re-entering with a *different*
-    /// `k` would invalidate the window mid-iteration and still panics.
-    fn ensure_window(&self, k: usize) {
-        {
-            let window = self.window.borrow();
-            if window.valid_k == Some(k) && !window.dirty {
-                return;
-            }
-        }
-        let mut window = self.window.borrow_mut();
-        window.refresh(
-            k,
-            &self.ready,
-            &self.successors,
+    /// Number of nodes whose look-ahead depth the probe computed over this
+    /// DAG's lifetime (deterministic work counter; resets do not clear it).
+    /// Memoised answers and ready gates cost no visit, so the count stays a
+    /// small constant per two-qubit gate however wide the device — the bench
+    /// reports it per compile.
+    pub fn window_probe_visits(&self) -> u64 {
+        self.probe.borrow().visits
+    }
+
+    /// `min(depth(node), cap)` through the probe (see [`DepthProbe`]).
+    fn probe_depth(&self, probe: &mut DepthProbe, node: usize, cap: usize) -> usize {
+        probe.depth(
+            node,
+            cap,
+            &self.predecessors,
             &self.unexecuted_preds,
-            &self.gates,
-        );
+            &self.executed,
+        )
     }
 
-    /// Runs `f` with the cached window for `k`, refreshing it first if
-    /// needed. `f` runs under a shared borrow (see [`Self::ensure_window`]).
-    fn with_window<R>(&self, k: usize, f: impl FnOnce(&LookaheadWindow) -> R) -> R {
-        self.ensure_window(k);
-        f(&self.window.borrow())
+    /// The window gates on `qubit` (first `k` layers) as a range of
+    /// `qubit_gates`: the list from the qubit's cursor up to its first gate
+    /// at depth `≥ k`. Depth strictly increases along one qubit's chain, so
+    /// that prefix is exactly the qubit's window membership, in layer order.
+    /// The probe borrow ends on return, so callers may run user callbacks —
+    /// including nested window queries — over the range.
+    fn window_span(&self, k: usize, qubit: usize) -> std::ops::Range<usize> {
+        let Some(&start) = self.qubit_cursor.get(qubit) else {
+            return 0..0;
+        };
+        let end = self.qubit_starts[qubit + 1];
+        let mut probe = self.probe.borrow_mut();
+        let mut stop = start;
+        while stop < end && self.probe_depth(&mut probe, self.qubit_gates[stop], k) < k {
+            stop += 1;
+        }
+        start..stop
     }
 
-    /// Arms the incremental [`WindowDeltaTracker`] for `k`, so every window
-    /// query at that `k` is served from the tracker's maintained capped-depth
-    /// array and per-qubit member index instead of the cached BFS window —
-    /// the schedulers call this once at pass start, turning the per-retirement
-    /// `O(window)` refresh into the tracker's `O(Δ)` cone repair.
-    ///
-    /// Answer-identical to the BFS path (pinned by the equivalence suite); a
-    /// query for a *different* `k` still falls back to the BFS window. A
-    /// no-op when already armed at `k`; disarmed again by every
-    /// [`reset`](DependencyDag::reset) /
-    /// [`reset_reversed`](DependencyDag::reset_reversed). `O(n + edges)`,
-    /// allocation-free once warm.
-    pub fn arm_window_tracker(&mut self, k: usize) {
-        let DependencyDag {
-            tracker,
-            predecessors,
-            executed,
-            gates,
-            num_qubits,
-            ..
-        } = self;
-        let tracker = tracker.get_mut();
-        if tracker.armed && tracker.k == k {
+    /// Fills `window` with `(depth, node)` for every gate in the first `k`
+    /// layers, sorted depth-major, id-ascending (the layered BFS order):
+    /// each qubit's window prefix is walked and every gate reported from its
+    /// first operand's walk. `O(qubits + window · log window)`.
+    fn collect_window(&self, k: usize, window: &mut Vec<(usize, usize)>) {
+        window.clear();
+        if k == 0 {
             return;
         }
-        tracker.arm(k, predecessors, executed, gates, *num_qubits);
-    }
-
-    /// Number of `O(window)` BFS recomputations performed over this DAG's
-    /// lifetime (diagnostic; resets do not clear it). With the tracker armed
-    /// this stays flat — the bench reports it per compile to keep the next
-    /// hot-path candidate visible.
-    pub fn window_refreshes(&self) -> u64 {
-        self.window.borrow().refreshes
-    }
-
-    /// Shared borrow of the delta tracker iff it is armed for exactly `k`
-    /// (the armed query fast path). Queries may nest freely — shared borrows
-    /// stack — but a [`sync_window_delta`](DependencyDag::sync_window_delta)
-    /// callback must not re-enter window queries (it runs under the
-    /// tracker's exclusive borrow).
-    fn armed_tracker(&self, k: usize) -> Option<std::cell::Ref<'_, WindowDeltaTracker>> {
-        let tracker = self.tracker.borrow();
-        let armed = tracker.armed && tracker.k == k;
-        armed.then_some(tracker)
-    }
-
-    /// Calls `f(depth, node)` for the unexecuted gates of each tracker depth
-    /// `0..k` in ascending node-id order — exactly the BFS window's layer
-    /// order, since BFS layer `d` *is* the capped-depth-`d` member set.
-    /// Window depths are contiguous from 0, so the scan stops at the first
-    /// empty depth; `O(n · layers)`, read-only (borrow-safe under nesting)
-    /// and allocation-free. Cold path: full-window walks happen once per
-    /// weight-table rebuild, not per retirement.
-    fn for_each_tracked_gate(&self, tracker: &WindowDeltaTracker, mut f: impl FnMut(usize, usize)) {
-        for depth in 0..tracker.k {
-            let mut any = false;
-            for (node, &d) in tracker.depth.iter().enumerate() {
-                if d == depth && !self.executed[node] {
-                    any = true;
-                    f(depth, node);
+        let mut probe = self.probe.borrow_mut();
+        for qubit in 0..self.num_qubits {
+            for &node in &self.qubit_gates[self.qubit_cursor[qubit]..self.qubit_starts[qubit + 1]] {
+                let depth = self.probe_depth(&mut probe, node, k);
+                if depth >= k {
+                    break;
+                }
+                if self.operands(DagNodeId(node)).0.index() == qubit {
+                    window.push((depth, node));
                 }
             }
-            if !any {
-                break;
-            }
         }
+        window.sort_unstable();
+    }
+
+    /// Runs `f` over the full window (see [`Self::collect_window`]) in the
+    /// probe's pooled buffer, taken out for the duration so `f` may re-enter
+    /// window queries.
+    fn with_window_gates<R>(&self, k: usize, f: impl FnOnce(&[(usize, usize)]) -> R) -> R {
+        let mut window = std::mem::take(&mut self.probe.borrow_mut().window);
+        self.collect_window(k, &mut window);
+        let result = f(&window);
+        self.probe.borrow_mut().window = window;
+        result
     }
 
     /// The partner operand of `node`'s gate relative to `qubit`.
@@ -1030,120 +962,72 @@ impl DependencyDag {
     /// the "first *k* layers" window the SWAP-insertion weight table of
     /// Section 3.3 inspects (the paper uses `k = 8`).
     ///
-    /// Amortised `O(Δ)`: served from the armed tracker's depth array when a
-    /// delta subscription is live, else from the cached [`LookaheadWindow`]
-    /// (the returned nesting is materialised fresh either way, so prefer the
-    /// indexed queries on hot paths).
+    /// Cold path: materialises the nesting from the probe's full-window walk;
+    /// hot paths use the indexed queries.
     pub fn lookahead_layers(&self, k: usize) -> Vec<Vec<DagNodeId>> {
-        if let Some(tracker) = self.armed_tracker(k) {
+        self.with_window_gates(k, |window| {
             let mut layers: Vec<Vec<DagNodeId>> = Vec::new(); // lint: allow (cold path: materialises the returned nesting by design)
-            self.for_each_tracked_gate(&tracker, |depth, node| {
+            for &(depth, node) in window {
                 if depth == layers.len() {
                     layers.push(Vec::new()); // lint: allow (cold path: materialises the returned nesting by design)
                 }
                 layers[depth].push(DagNodeId(node));
-            });
-            return layers;
-        }
-        self.with_window(k, |window| {
-            (0..window.num_layers())
-                .map(|depth| window.layer(depth).iter().copied().map(DagNodeId).collect())
-                .collect()
+            }
+            layers
         })
     }
 
     /// The first window layer (depth) in which `qubit` is used, looking `k`
     /// layers ahead, or `None` if it does not appear in the window.
     ///
-    /// `O(1)` while the tracker is armed (head of the qubit's maintained
-    /// member list — no refresh at all); otherwise `O(1)` after the amortised
-    /// window refresh, via the per-qubit next-use-depth index built once per
-    /// refresh.
+    /// The depth of the qubit's first unexecuted gate, probed on demand
+    /// (ancestors within `k` hops, memoised until the next retirement).
     pub fn next_use_depth(&self, k: usize, qubit: QubitId) -> Option<usize> {
-        if let Some(tracker) = self.armed_tracker(k) {
-            return tracker.next_use_depth(qubit.index());
+        let q = qubit.index();
+        let &start = self.qubit_cursor.get(q)?;
+        if k == 0 || start == self.qubit_starts[q + 1] {
+            return None;
         }
-        self.with_window(k, |window| {
-            match window.next_use_depth.get(qubit.index()).copied() {
-                None | Some(usize::MAX) => None,
-                Some(depth) => Some(depth),
-            }
-        })
+        let depth = self.probe_depth(&mut self.probe.borrow_mut(), self.qubit_gates[start], k);
+        (depth < k).then_some(depth)
     }
 
     /// Counts the window gates (first `k` layers) pairing `qubit` with a
     /// partner accepted by `pred`.
     ///
-    /// `O(gates-on-qubit-in-window)` over the tracker's maintained member
-    /// index while armed (no refresh), or after the amortised window refresh
-    /// otherwise; this is the locality ("affinity") signal of Section 3.2.
+    /// `O(gates-on-qubit-in-window)` plus the probe's visits: walks the
+    /// qubit's own next gates until the first one outside the window. This
+    /// is the locality ("affinity") signal of Section 3.2.
     pub fn count_window_partners(
         &self,
         k: usize,
         qubit: QubitId,
         mut pred: impl FnMut(QubitId) -> bool,
     ) -> usize {
-        if let Some(tracker) = self.armed_tracker(k) {
-            return tracker
-                .gates_on
-                .get(qubit.index())
-                .map(|members| {
-                    members
-                        .iter()
-                        .filter(|&&node| pred(self.partner_of(node, qubit.index())))
-                        .count()
-                })
-                .unwrap_or(0);
-        }
-        self.with_window(k, |window| {
-            window
-                .partners
-                .get(qubit.index())
-                .map(|partners| {
-                    partners
-                        .iter()
-                        .filter(|&&(_, p)| pred(QubitId::new(p)))
-                        .count()
-                })
-                .unwrap_or(0)
-        })
+        let span = self.window_span(k, qubit.index());
+        self.qubit_gates[span]
+            .iter()
+            .filter(|&&node| pred(self.partner_of(node, qubit.index())))
+            .count()
     }
 
     /// Calls `f` with the partner qubit of every window gate (first `k`
     /// layers) on `qubit`, in layer order — one call per gate, so repeated
     /// pairs are reported repeatedly.
     ///
-    /// `O(gates-on-qubit-in-window)` after the amortised window refresh, via
-    /// the same per-qubit partner index behind
-    /// [`count_window_partners`](DependencyDag::count_window_partners). This
-    /// is the placement-churn hook of the incremental SWAP-insertion weight
-    /// table: when `qubit` changes module, exactly these partners carry
-    /// weight towards it and must be re-attributed. Served from the armed
-    /// tracker's member index when a delta subscription is live (id order on
-    /// one qubit's chain *is* layer order, so the reported sequence is
-    /// identical).
+    /// Same walk as [`count_window_partners`](DependencyDag::count_window_partners).
+    /// This is the placement-churn hook of the incremental SWAP-insertion
+    /// weight table: when `qubit` changes module, exactly these partners
+    /// carry weight towards it and must be re-attributed.
     pub fn for_each_window_partner(&self, k: usize, qubit: QubitId, mut f: impl FnMut(QubitId)) {
-        if let Some(tracker) = self.armed_tracker(k) {
-            if let Some(members) = tracker.gates_on.get(qubit.index()) {
-                for &node in members {
-                    f(self.partner_of(node, qubit.index()));
-                }
-            }
-            return;
+        for &node in &self.qubit_gates[self.window_span(k, qubit.index())] {
+            f(self.partner_of(node, qubit.index()));
         }
-        self.with_window(k, |window| {
-            if let Some(partners) = window.partners.get(qubit.index()) {
-                for &(_, p) in partners {
-                    f(QubitId::new(p));
-                }
-            }
-        })
     }
 
     /// Reconciles the single window-delta consumer with the current
     /// `k`-window's membership (maintained incrementally by the
-    /// [`WindowDeltaTracker`] — this entry point never refreshes the BFS
-    /// window cache, which is what keeps the per-fiber-gate weight-table
+    /// [`WindowDeltaTracker`], which keeps the per-fiber-gate weight-table
     /// sync `O(Δ)` instead of `O(window)`):
     ///
     /// * if the tracker holds an exact entered/left record since
@@ -1154,12 +1038,12 @@ impl DependencyDag {
     ///   [`WindowSync::Delta`];
     /// * otherwise (first sync, a [`reset`](DependencyDag::reset) /
     ///   [`reset_reversed`](DependencyDag::reset_reversed), a different `k`,
-    ///   or another consumer rebased in between) the tracker re-arms —
-    ///   `O(n + edges)` — no callbacks run, and the call returns
-    ///   [`WindowSync::Rebuild`]: the caller must rebuild its state from the
-    ///   full window (e.g. via
+    ///   or another consumer synced in between) the tracker re-arms —
+    ///   `O(n + edges)` — no callbacks run, and
+    ///   the call returns [`WindowSync::Rebuild`]: the caller must rebuild
+    ///   its state from the full window (e.g. via
     ///   [`for_each_window_gate`](DependencyDag::for_each_window_gate), whose
-    ///   BFS membership is identical to the tracker's `depth < k` rule).
+    ///   membership is identical to the tracker's `depth < k` rule).
     ///
     /// Either way the caller is synced at the returned epoch, which it passes
     /// back next time. The record is kept for **one** consumer: interleaving
@@ -1190,20 +1074,8 @@ impl DependencyDag {
             tracker.entered.clear();
             tracker.left.clear();
             WindowSync::Delta(tracker.token)
-        } else if tracker.armed && tracker.k == k {
-            // Already armed at this k (e.g. by the scheduler's pass-start
-            // `arm_window_tracker`): depths and the member index are exact,
-            // only the consumer accumulation restarts — `O(Δ)`, not `O(n)`.
-            tracker.rebase();
-            WindowSync::Rebuild(tracker.token)
         } else {
-            tracker.arm(
-                k,
-                &self.predecessors,
-                &self.executed,
-                &self.gates,
-                self.num_qubits,
-            );
+            tracker.arm(k, &self.predecessors, &self.executed);
             WindowSync::Rebuild(tracker.token)
         }
     }
@@ -1211,19 +1083,14 @@ impl DependencyDag {
     /// Calls `f` with `(layer depth, node)` for every gate in the first `k`
     /// layers, in layer order (nodes ascending within a layer).
     ///
-    /// Amortised `O(window)` (armed: a read-only scan of the tracker's depth
-    /// array, no refresh); used by the SWAP-insertion weight table so it
-    /// never materialises the nested layer vectors.
+    /// The probe's full-window walk (see
+    /// [`lookahead_layers`](DependencyDag::lookahead_layers)) in a pooled
+    /// buffer, allocation-free once warm; used by the SWAP-insertion weight
+    /// table's rebuild so it never materialises the nested layer vectors.
     pub fn for_each_window_gate(&self, k: usize, mut f: impl FnMut(usize, DagNodeId)) {
-        if let Some(tracker) = self.armed_tracker(k) {
-            self.for_each_tracked_gate(&tracker, |depth, node| f(depth, DagNodeId(node)));
-            return;
-        }
-        self.with_window(k, |window| {
-            for depth in 0..window.num_layers() {
-                for &node in window.layer(depth) {
-                    f(depth, DagNodeId(node));
-                }
+        self.with_window_gates(k, |window| {
+            for &(depth, node) in window {
+                f(depth, DagNodeId(node));
             }
         })
     }
@@ -1349,7 +1216,7 @@ impl NaiveDag {
 
     /// First `k` layers by cloning the full state and re-running the BFS
     /// (`O(n + window)` per call, on purpose — this is the pre-optimisation
-    /// behaviour the cached window must match).
+    /// behaviour the on-demand probe must match).
     pub fn lookahead_layers(&self, k: usize) -> Vec<Vec<DagNodeId>> {
         let mut layers = Vec::new(); // lint: allow (naive reference)
         if k == 0 {
@@ -1558,7 +1425,7 @@ mod tests {
         assert_eq!(dag.lookahead_layers(8).len(), 5);
         let first = dag.front_layer()[0];
         dag.mark_executed(first);
-        // The cached window contained `first` (layer 0), so it must refresh.
+        // Retiring `first` (layer 0) shifts every remaining depth down by one.
         let layers = dag.lookahead_layers(8);
         assert_eq!(layers.len(), 4);
         assert_eq!(layers[0][0].index(), 1);
@@ -1574,6 +1441,22 @@ mod tests {
         let q1 = QubitId::new(1);
         let count = dag.count_window_partners(8, q1, |p| dag.next_use_depth(8, p).is_some());
         assert_eq!(count, 2);
+    }
+
+    #[test]
+    fn probe_memo_survives_epoch_wrap_around() {
+        // Memoise the chain's depths, jump the epoch to the end of its range
+        // and retire gates until a wrapped epoch would again equal the one
+        // the depths were stamped at: the stale depth 8 must stay dead.
+        let mut dag = DependencyDag::from_circuit(&chain_circuit(10));
+        let last = QubitId::new(9);
+        assert_eq!(dag.next_use_depth(16, last), Some(8));
+        let stamped = dag.probe.borrow().epoch as usize;
+        dag.probe.get_mut().epoch = u32::MAX;
+        for node in 0..=stamped {
+            dag.mark_executed(DagNodeId(node));
+        }
+        assert_eq!(dag.next_use_depth(16, last), Some(8 - (stamped + 1)));
     }
 
     #[test]
@@ -1705,8 +1588,8 @@ mod tests {
         let mut epoch = apply_delta(&dag, k, &mut members, 0);
         while let Some(node) = dag.front_gate() {
             dag.mark_executed(node);
-            // Touch the window between syncs so deltas accumulate across
-            // multiple refreshes (the scheduler's tie-break queries do this).
+            // Query the window between syncs, as the scheduler's tie-breaks
+            // do, so probe memoisation interleaves with the delta record.
             let _ = dag.next_use_depth(k, QubitId::new(0));
             epoch = apply_delta(&dag, k, &mut members, epoch);
             let mut sorted = members.clone();
@@ -1729,7 +1612,7 @@ mod tests {
             for _ in 0..3 {
                 if let Some(node) = dag.front_gate() {
                     dag.mark_executed(node);
-                    // Force a refresh per retirement.
+                    // A full-window walk per retirement.
                     let _ = dag.lookahead_layers(k);
                 }
             }
@@ -1750,7 +1633,7 @@ mod tests {
         // A different k breaks the chain.
         let sync = dag.sync_window_delta(2, epoch, |_, _| panic!("no delta across k change"));
         assert!(matches!(sync, WindowSync::Rebuild(_)));
-        // Rebase at k = 4 again, then reset: the chain breaks once more.
+        // Re-arm at k = 4, then reset: the chain breaks once more.
         let epoch = apply_delta(&dag, 4, &mut members, 0);
         dag.mark_executed(dag.front_gate().unwrap());
         dag.reset();

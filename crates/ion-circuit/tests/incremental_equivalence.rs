@@ -1,10 +1,10 @@
 //! Equivalence suite: the incremental [`DependencyDag`] (ready-set front
-//! layer, cached look-ahead window, per-qubit next-use index) must answer
+//! layer, on-demand look-ahead probe, per-qubit gate cursors) must answer
 //! every query identically to the retained naive reference implementation
-//! ([`NaiveDag`]) at every step of execution, across the generator suite and
-//! several execution orders.
+//! ([`NaiveDag`]) at every step of execution, across the generator suite,
+//! several execution orders and both edge orientations.
 
-use ion_circuit::{generators, Circuit, DependencyDag, NaiveDag, QubitId, WindowSync};
+use ion_circuit::{generators, Circuit, DagNodeId, DependencyDag, NaiveDag, QubitId, WindowSync};
 use proptest::prelude::*;
 
 /// The circuits the suite is checked on: one per generator family plus
@@ -252,7 +252,7 @@ fn window_delta_replay_matches_naive_window_membership() {
     // The entered/left record behind `sync_window_delta` (the incremental
     // weight table's feed) must reconstruct exactly the membership of the
     // naive window at every reconciliation point — across batched
-    // retirements, interleaved refreshes for a *different* k (which must not
+    // retirements, interleaved queries for a *different* k (which must not
     // corrupt the record: it breaks the chain and forces a rebuild instead),
     // and a mid-run reset.
     for circuit in suite() {
@@ -295,7 +295,7 @@ fn window_delta_replay_matches_naive_window_membership() {
                 break;
             }
             // Retire 1–3 gates between syncs, poking queries at another k so
-            // foreign refreshes interleave with the tracked one.
+            // foreign queries interleave with the tracked one.
             for burst in 0..=(step % 3) {
                 if let Some(node) = dag.front_gate() {
                     dag.mark_executed(node);
@@ -313,108 +313,132 @@ fn window_delta_replay_matches_naive_window_membership() {
     }
 }
 
-/// Drains two DAGs built from the same circuit in lockstep — one with the
-/// window-delta tracker armed at depth `k`, one left on the BFS fallback —
-/// asserting every window query is answer-identical at every step. This pins
-/// the tentpole contract: arming the tracker changes how the window is
-/// *served*, never what it *contains*.
-fn assert_armed_matches_bfs(circuit: &Circuit, k: usize, salt: u64) {
-    let mut armed = DependencyDag::from_circuit(circuit);
-    let mut bfs = DependencyDag::from_circuit(circuit);
-    armed.arm_window_tracker(k);
-    let mut step = 0usize;
-    loop {
-        assert_eq!(
-            armed.lookahead_layers(k),
-            bfs.lookahead_layers(k),
-            "armed/BFS lookahead(k={k}) diverged at step {step} of {} (salt {salt})",
-            circuit.name()
-        );
-        for q in 0..circuit.num_qubits() {
-            let qubit = QubitId::new(q);
-            assert_eq!(
-                armed.next_use_depth(k, qubit),
-                bfs.next_use_depth(k, qubit),
-                "armed/BFS next_use_depth(q{q}, k={k}) diverged at step {step} of {} (salt {salt})",
-                circuit.name()
-            );
-            assert_eq!(
-                armed.count_window_partners(k, qubit, |_| true),
-                bfs.count_window_partners(k, qubit, |_| true),
-                "armed/BFS partner count (q{q}, k={k}) diverged at step {step} of {} (salt {salt})",
-                circuit.name()
-            );
-            // Partner *sets* must match too, not just counts. The two
-            // implementations may walk the window in different orders, so
-            // compare as sorted multisets.
-            let mut armed_partners = Vec::new();
-            armed.for_each_window_partner(k, qubit, |p| armed_partners.push(p));
-            let mut bfs_partners = Vec::new();
-            bfs.for_each_window_partner(k, qubit, |p| bfs_partners.push(p));
-            armed_partners.sort_unstable();
-            bfs_partners.sort_unstable();
-            assert_eq!(
-                armed_partners,
-                bfs_partners,
-                "armed/BFS partner set (q{q}, k={k}) diverged at step {step} of {} (salt {salt})",
-                circuit.name()
-            );
+/// Asserts every window query of `dag` at depth `k` against the window the
+/// naive layered BFS derives: the exact layer order of `lookahead_layers` and
+/// `for_each_window_gate`, and per qubit `next_use_depth`,
+/// `count_window_partners` (under two predicates) and the exact
+/// `for_each_window_partner` sequence (layer order; at most one gate per
+/// layer touches a qubit).
+fn assert_window_matches_naive(dag: &DependencyDag, naive: &NaiveDag, k: usize, context: &str) {
+    let layers = naive.lookahead_layers(k);
+    assert_eq!(
+        dag.lookahead_layers(k),
+        layers,
+        "lookahead_layers(k={k}) diverged {context}"
+    );
+    let expected_gates: Vec<(usize, DagNodeId)> = layers
+        .iter()
+        .enumerate()
+        .flat_map(|(depth, layer)| layer.iter().map(move |&node| (depth, node)))
+        .collect();
+    let mut gates = Vec::new();
+    dag.for_each_window_gate(k, |depth, node| gates.push((depth, node)));
+    assert_eq!(
+        gates, expected_gates,
+        "for_each_window_gate(k={k}) diverged {context}"
+    );
+    let even = |p: QubitId| p.index().is_multiple_of(2);
+    for q in 0..dag.num_qubits() {
+        let qubit = QubitId::new(q);
+        let mut expected_partners = Vec::new();
+        let mut expected_depth = None;
+        for (depth, layer) in layers.iter().enumerate() {
+            for &node in layer {
+                let (a, b) = dag.operands(node);
+                let partner = if a == qubit {
+                    b
+                } else if b == qubit {
+                    a
+                } else {
+                    continue;
+                };
+                expected_partners.push(partner);
+                expected_depth.get_or_insert(depth);
+            }
         }
-        let mut armed_gates = Vec::new();
-        armed.for_each_window_gate(k, |depth, node| armed_gates.push((depth, node)));
-        let mut bfs_gates = Vec::new();
-        bfs.for_each_window_gate(k, |depth, node| bfs_gates.push((depth, node)));
-        armed_gates.sort_unstable();
-        bfs_gates.sort_unstable();
         assert_eq!(
-            armed_gates,
-            bfs_gates,
-            "armed/BFS window gates (k={k}) diverged at step {step} of {} (salt {salt})",
-            circuit.name()
+            dag.next_use_depth(k, qubit),
+            expected_depth,
+            "next_use_depth(q{q}, k={k}) diverged {context}"
         );
-
-        let front = bfs.front_layer();
+        let mut partners = Vec::new();
+        dag.for_each_window_partner(k, qubit, |p| partners.push(p));
         assert_eq!(
-            armed.front_layer(),
-            front,
-            "armed/BFS front layer diverged at step {step} of {} (salt {salt})",
-            circuit.name()
+            partners, expected_partners,
+            "for_each_window_partner(q{q}, k={k}) diverged {context}"
         );
-        if front.is_empty() {
-            break;
-        }
-        let node = pick(&front, step, salt);
-        armed.mark_executed(node);
-        bfs.mark_executed(node);
-        step += 1;
+        assert_eq!(
+            dag.count_window_partners(k, qubit, |_| true),
+            expected_partners.len(),
+            "count_window_partners(q{q}, k={k}) diverged {context}"
+        );
+        assert_eq!(
+            dag.count_window_partners(k, qubit, even),
+            expected_partners.iter().filter(|&&p| even(p)).count(),
+            "filtered count_window_partners(q{q}, k={k}) diverged {context}"
+        );
     }
-    assert!(armed.all_executed());
-    assert!(bfs.all_executed());
+}
+
+/// The window depths the probe is checked at: empty, single-layer, shallow,
+/// the paper's 8, and windows deeper than most of the suite's circuits.
+const PROBE_KS: [usize; 6] = [0, 1, 2, 8, 12, 64];
+
+/// Drains `circuit`'s DAG in lockstep with its naive oracle under a
+/// pseudo-random retire order, checking every window query at every `k` of
+/// [`PROBE_KS`] at every step; then flips the drained DAG with
+/// `reset_reversed` and repeats against a naive DAG of the reversed circuit.
+fn assert_probe_matches_naive(circuit: &Circuit, salt: u64) {
+    let mut dag = DependencyDag::from_circuit(circuit);
+    for (orientation, source) in [
+        ("forward", circuit.clone()),
+        ("reversed", circuit.reversed()),
+    ] {
+        if orientation == "reversed" {
+            dag.reset_reversed();
+        }
+        let mut naive = NaiveDag::from_circuit(&source);
+        let mut step = 0usize;
+        loop {
+            let context = format!(
+                "at step {step} of {} ({orientation}, salt {salt})",
+                circuit.name()
+            );
+            for k in PROBE_KS {
+                assert_window_matches_naive(&dag, &naive, k, &context);
+            }
+            let front = dag.front_layer();
+            assert_eq!(front, naive.front_layer(), "front diverged {context}");
+            if front.is_empty() {
+                break;
+            }
+            let node = pick(&front, step, salt);
+            dag.mark_executed(node);
+            naive.mark_executed(node);
+            step += 1;
+        }
+    }
 }
 
 #[test]
-fn armed_window_matches_bfs_window_on_the_generator_suite() {
+fn probe_window_matches_naive_window_on_the_generator_suite() {
     for circuit in suite() {
-        for k in [1usize, 4, 8] {
-            assert_armed_matches_bfs(&circuit, k, 42);
-        }
+        assert_probe_matches_naive(&circuit, 42);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random circuits, random retire orders, several window depths: the
-    /// armed (tracker-derived) window must stay answer-identical to the BFS
-    /// window throughout the drain.
+    /// Random circuits, random retire orders, both orientations, every
+    /// probed window depth: the probe must stay answer-identical to the
+    /// naive BFS window throughout the drain.
     #[test]
-    fn armed_window_matches_bfs_window_on_random_circuits(
-        ((qubits, gates, seed), (salt, k_index)) in
-            ((4usize..20, 10usize..140, 0u64..64), (0u64..1 << 60, 0usize..4))
+    fn probe_window_matches_naive_window_on_random_circuits(
+        ((qubits, gates), (seed, salt)) in ((4usize..20, 10usize..140), (0u64..64, 0u64..1 << 60))
     ) {
-        let k = [1usize, 2, 4, 8][k_index];
         let circuit = generators::random_circuit(qubits, gates, seed);
-        assert_armed_matches_bfs(&circuit, k, salt);
+        assert_probe_matches_naive(&circuit, salt);
     }
 }
 

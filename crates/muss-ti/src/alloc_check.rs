@@ -4,7 +4,7 @@
 //! A counting global allocator (installed for the unit-test binary only)
 //! tracks per-thread allocation counts; after a warm-up pass has grown every
 //! pooled buffer — op stream, placement state, weight table, DAG ready
-//! list/window, executable/newly-ready scratch — re-running the same pass in
+//! list, per-qubit cursors and look-ahead probe, executable/newly-ready scratch — re-running the same pass in
 //! the same scratch must allocate nothing at all. The counters are
 //! thread-local so the suite stays exact under `cargo test`'s parallel test
 //! threads.
@@ -115,8 +115,7 @@ mod tests {
     /// entered/left replays), inserted SWAPs with their `swap_logical`
     /// re-attribution, and LRU evictions — and the warm pass must still not
     /// allocate: the delta buffers, partner indexes and the qubits×modules
-    /// table are all pooled. SWAP insertion also arms the DAG's window
-    /// tracker, so every look-ahead query of the pass runs armed.
+    /// table are all pooled.
     #[test]
     fn warm_full_pass_with_swap_insertion_on_three_modules_is_allocation_free() {
         let device = DeviceConfig::for_qubits(96).build();
@@ -128,7 +127,7 @@ mod tests {
         let options = MussTiOptions::default();
         assert!(
             options.enable_swap_insertion,
-            "the default pass must arm the window tracker"
+            "the default pass must subscribe to the window-delta feed"
         );
         let mapping = trivial_mapping(&device, 96).unwrap();
         let mut dag = DependencyDag::from_circuit(&circuit);
@@ -179,6 +178,44 @@ mod tests {
         assert_eq!(
             allocs, 0,
             "steady-state cost-only scheduling pass must not allocate"
+        );
+    }
+
+    /// A warm cost-only dry pass stays allocation-free while its LRU
+    /// evictions tie and fall through to the look-ahead probe: at pass start
+    /// every resident qubit shares the same last-use stamp, so the first
+    /// evictions from the full zones of a 64-qubit random circuit break ties
+    /// by next-use depth. The probe's memo and stack are sized when the DAG
+    /// is built, so those queries allocate nothing.
+    #[test]
+    fn warm_cost_only_pass_with_lru_ties_performs_zero_allocations() {
+        let device = DeviceConfig::for_qubits(64).build();
+        let circuit = generators::random_circuit(64, 400, 5);
+        let options = MussTiOptions {
+            enable_swap_insertion: false,
+            ..MussTiOptions::default()
+        };
+        let mapping = trivial_mapping(&device, 64).unwrap();
+        let mut dag = DependencyDag::from_circuit(&circuit);
+        let mut cx = SchedulerScratch::new(&device);
+
+        for _ in 0..2 {
+            dag.reset();
+            schedule_cost_only(&device, &options, &mut dag, &mapping, &mut cx).unwrap();
+        }
+
+        dag.reset();
+        let visits = dag.window_probe_visits();
+        let allocs = allocations_during(|| {
+            schedule_cost_only(&device, &options, &mut dag, &mapping, &mut cx).unwrap();
+        });
+        assert!(
+            dag.window_probe_visits() > visits,
+            "the pass must break ties through the look-ahead probe"
+        );
+        assert_eq!(
+            allocs, 0,
+            "steady-state cost-only pass breaking LRU ties must not allocate"
         );
     }
 

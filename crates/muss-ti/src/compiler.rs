@@ -218,7 +218,7 @@ impl MussTiCompiler {
             lowering_ms: lowering_start.elapsed().as_secs_f64() * 1e3,
             // One DAG served every pass of this compile, so its counter is
             // already the compile-wide total.
-            window_refreshes: dag.window_refreshes(),
+            window_probe_visits: dag.window_probe_visits(),
             probe_skips: u64::from(probe_skipped),
         };
         let initial_placement = mapping.iter().map(|&(q, z)| (q, z.index())).collect();

@@ -257,19 +257,9 @@ fn run_pass<S: OpSink>(
     // ready gate of every placed qubit: the whole executable front.
     state.reset_from_mapping(device, initial_mapping);
     candidates.clear();
-    // Swap-inserting passes maintain the incremental window tracker for the
-    // weight table anyway; arming it up front lets every tie-break look-ahead
-    // query (zone affinity, LRU next-use distance) ride the same maintained
-    // depth/member index `O(Δ)` instead of re-running the layered BFS when a
-    // window gate retires. Answer-identical to the BFS path (pinned by the
-    // ion-circuit equivalence suite); disarmed automatically by the DAG
-    // resets between passes. Cost-only dry passes stay on the lazy BFS
-    // window: their two-phase tie-breaking consults the window far too
-    // rarely to amortise the tracker's per-retirement cone repair (measured
-    // ~2x placement regression when armed there).
-    if options.enable_swap_insertion {
-        dag.arm_window_tracker(options.lookahead_k);
-    }
+    // Look-ahead tie-breaks probe the DAG on demand in every pass; the
+    // weight table's window-delta feed arms itself at the pass's first
+    // fiber-gate sync, so passes without SWAP insertion never maintain it.
     let mut scheduler = Scheduler {
         device,
         options,
@@ -517,9 +507,8 @@ impl<S: OpSink> Scheduler<'_, S> {
     /// that do move (Section 3.2, "Multi-level scheduling").
     ///
     /// The affinity term is a *tie-breaker* (third key), and it is the only
-    /// term that reads the DAG's look-ahead window — whose cache is
-    /// invalidated by every retired gate, making its refresh the dominant
-    /// cost of the dry passes. So the selection runs in two phases: score
+    /// term that reads the DAG's look-ahead window, each read probing the
+    /// operands' next gates. So the selection runs in two phases: score
     /// every candidate on the cheap `(incoming, evictions)` prefix first, and
     /// only consult the window when two candidates actually tie on it. The
     /// chosen zone is identical to the one-phase lexicographic minimum.
@@ -645,9 +634,10 @@ impl<S: OpSink> Scheduler<'_, S> {
     /// currently resident in `zone` (the locality signal used for routing and
     /// for breaking LRU ties).
     ///
-    /// `O(gates-on-q-in-window)` per call: the partner pairs come from the
-    /// DAG's cached look-ahead window, refreshed at most once per retired
-    /// gate instead of rebuilt per candidate zone.
+    /// `O(gates-on-q-in-window)` per call: the DAG walks `q`'s own next
+    /// gates until the first one outside the window, probing their depths on
+    /// demand (memoised until the next retirement, so the candidate zones of
+    /// one routing decision share the probe work).
     fn zone_affinity(&self, q: QubitId, zone: ZoneId) -> usize {
         let state = &*self.state;
         self.dag
@@ -661,8 +651,8 @@ impl<S: OpSink> Scheduler<'_, S> {
     /// the window. Qubits needed furthest in the future are the safest
     /// eviction victims.
     ///
-    /// `O(1)` per call via the cached window's per-qubit next-use-depth
-    /// index (built once per window refresh).
+    /// One on-demand depth probe of `q`'s first unexecuted gate, visiting
+    /// only ancestors within `lookahead_k` hops.
     fn next_use_distance(&self, q: QubitId) -> usize {
         self.dag
             .next_use_depth(self.options.lookahead_k, q)
@@ -1055,10 +1045,11 @@ mod tests {
         );
     }
 
-    /// Executability checks summed over the passes a SABRE compile runs —
-    /// forward, backward and probe dry passes, then the final pass with SWAP
-    /// insertion — divided by the circuit's two-qubit gate count.
-    fn exec_checks_per_gate(circuit: &Circuit) -> f64 {
+    /// The scheduling loop's two work counters — executability checks and
+    /// look-ahead probe visits — summed over the passes a SABRE compile runs
+    /// (forward, backward and probe dry passes, then the final pass with
+    /// SWAP insertion), each divided by the circuit's two-qubit gate count.
+    fn work_per_gate(circuit: &Circuit) -> (f64, f64) {
         let device = DeviceConfig::for_qubits(circuit.num_qubits()).build();
         let options = MussTiOptions::default();
         let dry = MussTiOptions {
@@ -1085,7 +1076,11 @@ mod tests {
         checks += schedule_in(&device, &options, &mut dag, &candidate, &mut cx)
             .unwrap()
             .exec_checks;
-        checks as f64 / circuit.two_qubit_gate_count() as f64
+        let gates = circuit.two_qubit_gate_count() as f64;
+        (
+            checks as f64 / gates,
+            dag.window_probe_visits() as f64 / gates,
+        )
     }
 
     #[test]
@@ -1095,10 +1090,28 @@ mod tests {
         // O(front width) checks per gate: hundreds at these widths.
         for (qubits, gates) in [(256, 2048), (1024, 8192)] {
             let circuit = generators::random_circuit(qubits, gates, 25);
-            let per_gate = exec_checks_per_gate(&circuit);
+            let (per_gate, _) = work_per_gate(&circuit);
             assert!(
                 per_gate <= 8.0,
                 "RAN_{qubits}: {per_gate:.2} executability checks per two-qubit gate"
+            );
+        }
+    }
+
+    #[test]
+    fn window_probe_work_per_gate_stays_flat_as_the_device_widens() {
+        // Look-ahead tie-breaks probe only the queried qubit's next gates and
+        // their ancestors within k hops: measured 1.25 (RAN_256) and 0.83
+        // (RAN_1024) visits per two-qubit gate, so 3.0 leaves over 2x
+        // headroom. Rebuilding the whole k-layer window after each retirement
+        // instead visits O(k · width / 2) nodes per refresh, a per-gate cost
+        // that grows with the device width.
+        for (qubits, gates) in [(256, 2048), (1024, 8192)] {
+            let circuit = generators::random_circuit(qubits, gates, 25);
+            let (_, per_gate) = work_per_gate(&circuit);
+            assert!(
+                per_gate <= 3.0,
+                "RAN_{qubits}: {per_gate:.2} look-ahead probe visits per two-qubit gate"
             );
         }
     }

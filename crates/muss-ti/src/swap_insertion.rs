@@ -28,12 +28,13 @@ use ion_circuit::{DagNodeId, DependencyDag, QubitId, WindowSync};
 ///   ([`DependencyDag::sync_window_delta`]) and applies ±1 bumps for just
 ///   the gates that crossed the window boundary since the previous fiber
 ///   gate (`O(Δ)` amortised, `O(window)` only when the delta chain breaks —
-///   pass start, DAG reset, or a `k` change);
+///   the pass's first fiber gate, a DAG reset, or a `k` change);
 /// * **placement churn** —
 ///   [`apply_module_change`](WeightTable::apply_module_change) re-attributes
 ///   one qubit's window partners from its old module column to the new one
-///   (via [`DependencyDag::for_each_window_partner`]) when an inserted SWAP
-///   moves it; intra-module shuttles never touch the table.
+///   (via [`DependencyDag::for_each_window_partner`], a walk over the
+///   qubit's own next gates) when an inserted SWAP moves it; intra-module
+///   shuttles never touch the table.
 ///
 /// [`recompute`](WeightTable::recompute) — the original rebuild-from-window
 /// pass — is retained as the executable specification: the equivalence suite

@@ -78,7 +78,7 @@ fn drive_interleaving(num_qubits: usize, gates: usize, seed: u64, actions: &[usi
     for (step, &action) in actions.iter().enumerate() {
         match action % 4 {
             // Retire the oldest ready gate; poke a window query so deltas
-            // accumulate across refreshes the consumer never observed.
+            // accumulate across queries the consumer never observed.
             0 | 1 => {
                 if let Some(node) = dag.front_gate() {
                     dag.mark_executed(node);
