@@ -517,6 +517,7 @@ pub(crate) fn compile_on_grid_in(
         // no SABRE probe passes to report on).
         window_probe_visits: 0,
         probe_skips: 0,
+        swap_window_walks: 0,
     };
     let initial_placement = mapping.iter().map(|&(q, t)| (q, t.index())).collect();
     Ok(

@@ -3,10 +3,9 @@
 //!
 //! The one-shot [`Compiler::compile`](crate::Compiler::compile) call is a
 //! facade over a staged pipeline (placement → scheduling → swap insertion →
-//! lowering) whose per-compile scratch — dependency-DAG ready sets and
-//! look-ahead windows, placement state, weight tables, executor clock/heat
-//! arrays — lives in a [`CompileContext`] arena that is allocated once and
-//! reused across runs. Three entry points expose that reuse:
+//! lowering) whose per-compile scratch — placement state, op streams,
+//! scheduling work buffers, executor clock/heat arrays — lives in a
+//! [`CompileContext`] arena that is allocated once and reused across runs. Three entry points expose that reuse:
 //!
 //! * [`StagedCompiler::compile_in`] — compile into a caller-held context;
 //! * [`CompileSession`] — a compiler paired with its context, held across
@@ -120,6 +119,10 @@ pub struct StageTimings {
     /// (0 or 1 per compile). Not a time: excluded from
     /// [`total_ms`](Self::total_ms).
     pub probe_skips: u64,
+    /// Exact look-ahead window walks the swap-insertion pass ran (target
+    /// and partner checks the probe-free bound did not settle). Not a time:
+    /// excluded from [`total_ms`](Self::total_ms).
+    pub swap_window_walks: u64,
 }
 
 impl StageTimings {
@@ -877,6 +880,7 @@ mod tests {
             lowering_ms: 0.25,
             window_probe_visits: 97,
             probe_skips: 1,
+            swap_window_walks: 23,
         };
         assert!((t.total_ms() - 3.75).abs() < 1e-12);
     }

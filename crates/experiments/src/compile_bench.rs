@@ -40,6 +40,7 @@ fn accumulate(acc: &mut PhaseTimings, phases: &PhaseTimings) {
     acc.lowering_ms += phases.lowering_ms;
     acc.window_probe_visits += phases.window_probe_visits;
     acc.probe_skips += phases.probe_skips;
+    acc.swap_window_walks += phases.swap_window_walks;
 }
 
 /// Divides every field by `iterations` to get per-compile means. The hot-path
@@ -52,6 +53,7 @@ fn averaged(mut sum: PhaseTimings, iterations: usize) -> PhaseTimings {
     sum.lowering_ms /= n;
     sum.window_probe_visits /= iterations as u64;
     sum.probe_skips /= iterations as u64;
+    sum.swap_window_walks /= iterations as u64;
     sum
 }
 
@@ -283,9 +285,9 @@ impl BenchReport {
                 .phases
                 .map(|p| {
                     format!(
-                        ", \"phases\": {{\"placement_ms\": {:.3}, \"scheduling_ms\": {:.3}, \"swap_insertion_ms\": {:.3}, \"lowering_ms\": {:.3}, \"window_probe_visits\": {}, \"probe_skips\": {}}}",
+                        ", \"phases\": {{\"placement_ms\": {:.3}, \"scheduling_ms\": {:.3}, \"swap_insertion_ms\": {:.3}, \"lowering_ms\": {:.3}, \"window_probe_visits\": {}, \"probe_skips\": {}, \"swap_window_walks\": {}}}",
                         p.placement_ms, p.scheduling_ms, p.swap_insertion_ms, p.lowering_ms,
-                        p.window_probe_visits, p.probe_skips,
+                        p.window_probe_visits, p.probe_skips, p.swap_window_walks,
                     )
                 })
                 .unwrap_or_default();
@@ -357,6 +359,7 @@ impl BenchReport {
                 "Lowering",
                 "Probe visits",
                 "Probe skips",
+                "Swap walks",
             ],
         );
         for row in self.rows.iter().filter(|r| r.phases.is_some()) {
@@ -369,6 +372,7 @@ impl BenchReport {
                 format!("{:.3}", p.lowering_ms),
                 p.window_probe_visits.to_string(),
                 p.probe_skips.to_string(),
+                p.swap_window_walks.to_string(),
             ]);
         }
         out.push('\n');
@@ -560,6 +564,7 @@ mod tests {
         assert!(json.contains("\"swap_insertion_ms\""));
         assert!(json.contains("\"window_probe_visits\""));
         assert!(json.contains("\"probe_skips\""));
+        assert!(json.contains("\"swap_window_walks\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -9,10 +9,11 @@
 //! [`crate::qasm_oracle`], and a full `parse → compile` differential.
 
 use baselines::{DaiCompiler, GridConfig, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{Compiler, DeviceConfig, ModuleId};
+use eml_qccd::{Compiler, DeviceConfig};
 use ion_circuit::qasm::{Diagnostic, DiagnosticKind, ParseLimits};
 use ion_circuit::{generators, qasm, Circuit, DependencyDag, NaiveDag, QubitId};
-use muss_ti::{MussTiCompiler, MussTiOptions, NaivePlacement, PlacementState, WeightTable};
+use muss_ti::test_support::check_swap_weights;
+use muss_ti::{MussTiCompiler, MussTiOptions, NaivePlacement, PlacementState, SwapWeights};
 use rand::rngs::StdRng;
 use rand::Rng;
 use verify::{DeviceModel, ScheduleVerifier};
@@ -20,7 +21,7 @@ use verify::{DeviceModel, ScheduleVerifier};
 use crate::qasm_oracle;
 
 /// The look-ahead window depth used by the scheduler (and therefore by the
-/// weight-table and DAG oracle checks).
+/// SWAP-weight and DAG oracle checks).
 const K: usize = 8;
 
 macro_rules! ensure_eq {
@@ -370,15 +371,15 @@ pub fn check_placement_oracle(rng: &mut StdRng) -> Result<(), String> {
     Ok(())
 }
 
-/// Random interleavings of gate retirement, shuttles and logical swaps: the
-/// incrementally-maintained [`WeightTable`] must equal a fresh
-/// [`WeightTable::compute`] at every synchronisation point.
+/// Random interleavings of gate retirement, shuttles and logical swaps: every
+/// SWAP-insertion decision [`SwapWeights`] answers on demand must equal the
+/// one the [`WeightTable::compute`](muss_ti::WeightTable::compute) oracle
+/// implies, at every check point.
 pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
     let num_qubits = rng.gen_range(40..72usize);
     let gates = rng.gen_range(20..120usize);
     let circuit = generators::random_circuit(num_qubits, gates, rng.gen_range(0..1u64 << 32));
     let device = DeviceConfig::for_qubits(num_qubits).build();
-    let module_count = device.num_modules();
     let mut dag = DependencyDag::from_circuit(&circuit);
     let mut state = PlacementState::new(&device);
     // Spread the ions round-robin over every zone with space.
@@ -394,20 +395,21 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
             }
         }
     }
-    let mut table = WeightTable::default();
-    table.sync(&dag, K, module_count, |q| state.module_of(&device, q));
+    let mut weights = SwapWeights::default();
     let steps = rng.gen_range(20..120usize);
     for step in 0..steps {
         match rng.gen_range(0..4usize) {
-            // Retire a ready gate, poking a window query in between so
-            // deltas batch across queries the consumer never saw.
+            // Retire a random ready gate, poking a window query in between
+            // so the probe's memo is warm across retirements.
             0 | 1 => {
-                if let Some(node) = dag.front_gate() {
+                let front = dag.front();
+                if !front.is_empty() {
+                    let node = front[rng.gen_range(0..front.len())];
                     dag.mark_executed(node);
                     let _ = dag.next_use_depth(K, QubitId::new(step % num_qubits));
                 }
             }
-            // Intra-module shuttle: invisible to the module-granular table.
+            // Intra-module shuttle: invisible to the module-granular weights.
             2 => {
                 let q = QubitId::new(rng.gen_range(0..num_qubits));
                 let module = state.module_of(&device, q).expect("placed");
@@ -420,35 +422,22 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
                     let _ = state.shuttle(&device, q, to);
                 }
             }
-            // Cross-module logical swap: sync at the swap site, then patch
-            // both moved qubits (the scheduler's discipline).
+            // Cross-module logical swap: the only way a qubit changes module.
             _ => {
                 let a = QubitId::new(rng.gen_range(0..num_qubits));
                 let b = QubitId::new(rng.gen_range(0..num_qubits));
-                let ma = state.module_of(&device, a).expect("placed");
-                let mb = state.module_of(&device, b).expect("placed");
-                if ma != mb {
-                    table.sync(&dag, K, module_count, |q| state.module_of(&device, q));
+                if state.module_of(&device, a) != state.module_of(&device, b) {
                     state.swap_logical(a, b);
-                    table.apply_module_change(&dag, K, a, ma, mb);
-                    table.apply_module_change(&dag, K, b, mb, ma);
                 }
             }
         }
         if step % 5 == 4 || step + 1 == steps {
-            table.sync(&dag, K, module_count, |q| state.module_of(&device, q));
-            let fresh =
-                WeightTable::compute(&dag, K, module_count, |q| state.module_of(&device, q));
-            ensure_eq!(table.len(), fresh.len(), "entry count at step {step}");
-            for q in 0..num_qubits {
-                for m in 0..module_count {
-                    ensure_eq!(
-                        table.weight(QubitId::new(q), ModuleId(m)),
-                        fresh.weight(QubitId::new(q), ModuleId(m)),
-                        "W(q{q}, m{m}) at step {step}"
-                    );
-                }
-            }
+            // Shallow windows often span a qubit's next k gates entirely,
+            // where the probe-free bound and the exact walk see alike.
+            let k = [1, 2, K][rng.gen_range(0..3usize)];
+            let threshold = rng.gen_range(0..5usize);
+            check_swap_weights(&mut weights, &dag, k, threshold, &device, &state)
+                .map_err(|e| format!("at step {step} (k {k}, T {threshold}): {e}"))?;
         }
     }
     Ok(())

@@ -20,7 +20,8 @@
 //!   production-vs-oracle QASM parsing,
 //!   optimised-vs-oracle equivalence for [`ion_circuit::DependencyDag`] vs
 //!   `NaiveDag`, `muss_ti::PlacementState` vs `NaivePlacement`,
-//!   `muss_ti::WeightTable` incremental-vs-recompute, and the
+//!   `muss_ti::SwapWeights` on-demand decisions vs the full-window
+//!   `WeightTable`, and the
 //!   `parse → compile → to_qasm → parse` differential compile.
 //! * [`campaign`] — drivers that run many cases under
 //!   [`std::panic::catch_unwind`] and report every panic and divergence with

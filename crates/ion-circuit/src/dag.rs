@@ -30,17 +30,17 @@
 //!   depth strictly increases along a qubit's gate list and a query walks
 //!   the list only until the first gate at depth `≥ k`. Nothing is cached
 //!   across retirements, so no `O(window)` refresh exists.
+//! * [`next_partners`](DependencyDag::next_partners) — `O(1)` per item,
+//!   no probe: the partners of the qubit's next `k` unexecuted
+//!   gates. A qubit's window gates are a prefix of at most `k` of these, so
+//!   counting over them bounds every window count from above; SWAP
+//!   insertion rejects most operands on this bound alone.
 //! * [`lookahead_layers`](DependencyDag::lookahead_layers) /
 //!   [`for_each_window_gate`](DependencyDag::for_each_window_gate) — the
 //!   cold full-window walks, served by the same probe over every qubit's
 //!   next gates and sorted depth-major, id-ascending: `O(qubits + window ·
-//!   log window)` per call.
-//! * [`sync_window_delta`](DependencyDag::sync_window_delta) — the
-//!   incremental feed of the SWAP-insertion weight table: once a consumer
-//!   subscribes, a [`WindowDeltaTracker`] maintains each gate's capped
-//!   longest-path depth at retirement time and records which gates entered
-//!   and left the `k`-window (pooled buffers), so the table applies `O(Δ)`
-//!   bumps per fiber gate.
+//!   log window)` per call. Only tests and the SWAP-insertion weight
+//!   table's reference oracle use them.
 //! * [`reset`](DependencyDag::reset) /
 //!   [`reset_reversed`](DependencyDag::reset_reversed) — `O(n + edges)`
 //!   rewind (respectively: rewind *and* flip the edge orientation, yielding
@@ -73,28 +73,6 @@ impl DagNodeId {
     /// The raw index of this node.
     pub const fn index(self) -> usize {
         self.0
-    }
-}
-
-/// Outcome of [`DependencyDag::sync_window_delta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowSync {
-    /// The callback received the exact entered/left record since the epoch
-    /// the caller passed in; the caller is now synced at the carried epoch.
-    Delta(u64),
-    /// The record since the caller's epoch was unavailable (first sync, DAG
-    /// reset, different `k`, or a competing consumer); no callbacks ran — the
-    /// caller must rebuild from the full window, after which it is synced at
-    /// the carried epoch.
-    Rebuild(u64),
-}
-
-impl WindowSync {
-    /// The window epoch the consumer is synced at after this call.
-    pub fn epoch(self) -> u64 {
-        match self {
-            WindowSync::Delta(epoch) | WindowSync::Rebuild(epoch) => epoch,
-        }
     }
 }
 
@@ -274,175 +252,6 @@ impl DepthProbe {
     }
 }
 
-/// Incremental window-membership tracker: the delta feed behind
-/// [`DependencyDag::sync_window_delta`].
-///
-/// A gate belongs to the first `k` look-ahead layers iff its *longest-path
-/// depth* over unexecuted predecessors (`depth(g) = 1 + max depth(unexecuted
-/// preds)`, ready gates at 0) is `< k` — exactly the membership the layered
-/// BFS computes. Retiring gates only removes constraints, so depths are
-/// **monotone non-increasing**; the tracker stores each unexecuted gate's
-/// depth capped at `k` and, on every retirement, repairs just the affected
-/// cone by a min-heap worklist in node-id order (node ids are a topological
-/// order, so every predecessor's depth is final when a node is popped). Each
-/// node's capped depth can decrease at most `k` times over a whole pass,
-/// which bounds the total maintenance work at `O(n · k · pred-degree)` —
-/// independent of how often the consumer syncs — and membership transitions
-/// are emitted into the pooled `entered`/`left` buffers as they happen.
-///
-/// The tracker is disarmed until a consumer subscribes (and again after every
-/// [`reset`](DependencyDag::reset)), so passes that never consult it — the
-/// SABRE dry passes and the baseline schedulers' passes — pay nothing.
-#[derive(Debug, Clone)]
-struct WindowDeltaTracker {
-    /// `false` ⇒ no bookkeeping at all; `depth`/`entered`/`left` are stale.
-    armed: bool,
-    /// The `k` the tracker is armed for.
-    k: usize,
-    /// Arming counter handed to the consumer (0 is never handed out, so a
-    /// fresh consumer's 0 always misses). Monotone across resets.
-    token: u64,
-    /// `min(longest-path depth, k)` per node; only unexecuted entries are
-    /// meaningful.
-    depth: Vec<usize>,
-    /// Membership transitions since the consumer's last drain.
-    entered: Vec<usize>,
-    left: Vec<usize>,
-    /// Pooled min-heap worklist for the depth-repair cone.
-    worklist: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
-    /// Generation-stamped dedup for worklist pushes (one generation per
-    /// retirement).
-    queued_gen: Vec<u32>,
-    generation: u32,
-}
-
-impl WindowDeltaTracker {
-    fn new() -> Self {
-        WindowDeltaTracker {
-            armed: false,
-            k: 0,
-            token: 0,
-            depth: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            entered: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            left: Vec::new(),  // lint: allow (pooled-buffer setup, grown once and recycled)
-            worklist: std::collections::BinaryHeap::new(),
-            queued_gen: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            generation: 0,
-        }
-    }
-
-    /// Drops the subscription (reset paths); allocations are kept.
-    fn disarm(&mut self) {
-        self.armed = false;
-        self.entered.clear();
-        self.left.clear();
-    }
-
-    /// (Re)arms the tracker for `k`: recomputes every unexecuted gate's
-    /// capped depth in one topological sweep (node-id order) and starts a
-    /// fresh accumulation. `O(n + edges)`, allocation-free once warm.
-    fn arm(&mut self, k: usize, predecessors: &[Vec<DagNodeId>], executed: &[bool]) {
-        let n = predecessors.len();
-        self.depth.clear();
-        self.depth.resize(n, 0);
-        if self.queued_gen.len() < n {
-            self.queued_gen.resize(n, 0);
-        }
-        for i in 0..n {
-            if executed[i] {
-                continue;
-            }
-            let mut depth = 0usize;
-            for &p in &predecessors[i] {
-                if !executed[p.0] {
-                    depth = depth.max(self.depth[p.0] + 1);
-                }
-            }
-            self.depth[i] = depth.min(k);
-        }
-        self.entered.clear();
-        self.left.clear();
-        self.armed = true;
-        self.k = k;
-        self.token += 1;
-    }
-
-    /// Retirement hook: records `node` leaving the window (it is ready, so
-    /// its depth is 0) and repairs the depths of its affected cone, emitting
-    /// `entered` events for gates whose capped depth crosses below `k`.
-    fn on_retire(
-        &mut self,
-        node: usize,
-        successors: &[Vec<DagNodeId>],
-        predecessors: &[Vec<DagNodeId>],
-        executed: &[bool],
-    ) {
-        debug_assert!(self.armed);
-        debug_assert_eq!(self.depth[node], 0, "retired gates are ready");
-        if self.k > 0 {
-            self.left.push(node);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        let generation = self.generation;
-        // `enqueue_if_lowered` computes a candidate's depth from its
-        // (possibly still-shrinking) predecessors and enqueues it only when
-        // the value dropped — the common no-change successor costs one
-        // predecessor scan and zero heap traffic. A node skipped now is
-        // re-examined if one of its predecessors later lowers, so nothing is
-        // missed.
-        for &succ in &successors[node] {
-            self.enqueue_if_lowered(succ.0, generation, predecessors, executed);
-        }
-        while let Some(std::cmp::Reverse(i)) = self.worklist.pop() {
-            // All predecessors have smaller ids, so by min-heap order their
-            // depths are final here.
-            let mut depth = 0usize;
-            for &p in &predecessors[i] {
-                if !executed[p.0] {
-                    depth = depth.max(self.depth[p.0] + 1);
-                }
-            }
-            let depth = depth.min(self.k);
-            if depth >= self.depth[i] {
-                debug_assert_eq!(depth, self.depth[i], "depths never increase");
-                continue;
-            }
-            if self.depth[i] >= self.k && depth < self.k {
-                self.entered.push(i);
-            }
-            self.depth[i] = depth;
-            for &succ in &successors[i] {
-                self.enqueue_if_lowered(succ.0, generation, predecessors, executed);
-            }
-        }
-    }
-
-    /// Enqueues `i` for depth repair iff its depth recomputed from the
-    /// current predecessor values is lower than its stored one (stamped so a
-    /// node sits in the worklist at most once per retirement).
-    fn enqueue_if_lowered(
-        &mut self,
-        i: usize,
-        generation: u32,
-        predecessors: &[Vec<DagNodeId>],
-        executed: &[bool],
-    ) {
-        if self.queued_gen[i] == generation {
-            return;
-        }
-        let mut depth = 0usize;
-        for &p in &predecessors[i] {
-            if !executed[p.0] {
-                depth = depth.max(self.depth[p.0] + 1);
-            }
-        }
-        if depth.min(self.k) < self.depth[i] {
-            self.queued_gen[i] = generation;
-            self.worklist.push(std::cmp::Reverse(i));
-        }
-    }
-}
-
 /// Dependency graph over the *two-qubit* gates of a circuit.
 ///
 /// Following Section 3.1 of the paper, single-qubit gates are disregarded for
@@ -466,9 +275,9 @@ impl WindowDeltaTracker {
 /// * [`lookahead_layers`](DependencyDag::lookahead_layers) and the indexed
 ///   window queries ([`next_use_depth`](DependencyDag::next_use_depth),
 ///   [`count_window_partners`](DependencyDag::count_window_partners),
-///   [`for_each_window_gate`](DependencyDag::for_each_window_gate)) — the
-///   first `k` layers of the *remaining* DAG, used by the SWAP-insertion
-///   weight table and the locality heuristics.
+///   [`for_each_window_partner`](DependencyDag::for_each_window_partner)) —
+///   the first `k` layers of the *remaining* DAG, used by the SWAP-insertion
+///   weights and the locality heuristics.
 ///
 /// ```
 /// use ion_circuit::{Circuit, DependencyDag};
@@ -525,9 +334,6 @@ pub struct DependencyDag {
     /// On-demand look-ahead probe (interior mutability so `&self` window
     /// queries can memoise depths).
     probe: RefCell<DepthProbe>,
-    /// Incremental window-membership tracker (interior mutability so the
-    /// `&self` sync entry point can arm and drain it).
-    tracker: RefCell<WindowDeltaTracker>,
 }
 
 impl DependencyDag {
@@ -559,7 +365,6 @@ impl DependencyDag {
             qubit_cursor: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
             build_scratch: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
             probe: RefCell::new(DepthProbe::new()),
-            tracker: RefCell::new(WindowDeltaTracker::new()),
         };
         dag.rebuild_edges();
         dag.reset();
@@ -656,9 +461,6 @@ impl DependencyDag {
         self.qubit_cursor
             .copy_from_slice(&self.qubit_starts[..self.num_qubits]);
         self.probe.get_mut().invalidate();
-        // The rewind invalidates any delta subscription (the consumer's
-        // token stays un-reusable because `token` is never rewound).
-        self.tracker.get_mut().disarm();
     }
 
     /// Flips the DAG into the dependency DAG of the *reversed* circuit by
@@ -837,20 +639,6 @@ impl DependencyDag {
             }
         }
         self.probe.get_mut().invalidate();
-        // Armed delta subscription: record the departure and repair the
-        // affected cone's depths (amortised `O(k · pred-degree)` per node
-        // over a whole pass; skipped entirely while disarmed).
-        let DependencyDag {
-            tracker,
-            successors,
-            predecessors,
-            executed,
-            ..
-        } = self;
-        let tracker = tracker.get_mut();
-        if tracker.armed {
-            tracker.on_retire(node.0, successors, predecessors, executed);
-        }
     }
 
     /// Marks a node as executed, returning the newly-ready successors as a
@@ -1016,68 +804,38 @@ impl DependencyDag {
     /// pairs are reported repeatedly.
     ///
     /// Same walk as [`count_window_partners`](DependencyDag::count_window_partners).
-    /// This is the placement-churn hook of the incremental SWAP-insertion
-    /// weight table: when `qubit` changes module, exactly these partners
-    /// carry weight towards it and must be re-attributed.
+    /// This is the exact half of the Section 3.3 SWAP-insertion weights
+    /// `W(qubit, ·)`: one call per window gate, so the partners' modules give
+    /// every weight of the qubit in one walk.
     pub fn for_each_window_partner(&self, k: usize, qubit: QubitId, mut f: impl FnMut(QubitId)) {
         for &node in &self.qubit_gates[self.window_span(k, qubit.index())] {
             f(self.partner_of(node, qubit.index()));
         }
     }
 
-    /// Reconciles the single window-delta consumer with the current
-    /// `k`-window's membership (maintained incrementally by the
-    /// [`WindowDeltaTracker`], which keeps the per-fiber-gate weight-table
-    /// sync `O(Δ)` instead of `O(window)`):
+    /// The partner qubits of `qubit`'s next `k` unexecuted gates, in order,
+    /// found without probing.
     ///
-    /// * if the tracker holds an exact entered/left record since
-    ///   `synced_epoch` (the value the consumer got from its previous call),
-    ///   it is replayed through `f` — `f(node, true)` for every gate that
-    ///   entered the window since, `f(node, false)` for every gate that left
-    ///   (a member only leaves by retiring) — and the call returns
-    ///   [`WindowSync::Delta`];
-    /// * otherwise (first sync, a [`reset`](DependencyDag::reset) /
-    ///   [`reset_reversed`](DependencyDag::reset_reversed), a different `k`,
-    ///   or another consumer synced in between) the tracker re-arms —
-    ///   `O(n + edges)` — no callbacks run, and
-    ///   the call returns [`WindowSync::Rebuild`]: the caller must rebuild
-    ///   its state from the full window (e.g. via
-    ///   [`for_each_window_gate`](DependencyDag::for_each_window_gate), whose
-    ///   membership is identical to the tracker's `depth < k` rule).
-    ///
-    /// Either way the caller is synced at the returned epoch, which it passes
-    /// back next time. The record is kept for **one** consumer: interleaving
-    /// two consumers is exact but degrades every sync to a rebuild. `f` must
-    /// not re-enter this method.
-    ///
-    /// Until the first sync arms the tracker, retirements record nothing —
-    /// passes that never consult the table (e.g. the SABRE dry passes) pay
-    /// zero overhead.
-    pub fn sync_window_delta(
+    /// `O(1)` to start and `O(1)` per item: a slice of the qubit's gate list
+    /// from its cursor. Depth strictly increases along the qubit's gates and
+    /// the window holds depths `0..k`, so the window partners
+    /// ([`for_each_window_partner`](DependencyDag::for_each_window_partner))
+    /// are a prefix of these. Any count over them is therefore an upper
+    /// bound on the same count over the window, which lets SWAP insertion
+    /// rule an operand out without probing.
+    pub fn next_partners(
         &self,
         k: usize,
-        synced_epoch: u64,
-        mut f: impl FnMut(DagNodeId, bool),
-    ) -> WindowSync {
-        let mut tracker = self.tracker.borrow_mut();
-        let tracker = &mut *tracker;
-        if tracker.armed && tracker.k == k && tracker.token == synced_epoch && synced_epoch != 0 {
-            // Entered before left: a gate that both entered and retired
-            // between syncs then nets to zero without any weight-table cell
-            // dipping below what it held at the previous sync.
-            for &node in &tracker.entered {
-                f(DagNodeId(node), true);
-            }
-            for &node in &tracker.left {
-                f(DagNodeId(node), false);
-            }
-            tracker.entered.clear();
-            tracker.left.clear();
-            WindowSync::Delta(tracker.token)
-        } else {
-            tracker.arm(k, &self.predecessors, &self.executed);
-            WindowSync::Rebuild(tracker.token)
-        }
+        qubit: QubitId,
+    ) -> impl ExactSizeIterator<Item = QubitId> + '_ {
+        let q = qubit.index();
+        let span = match self.qubit_cursor.get(q) {
+            Some(&start) => start..self.qubit_starts[q + 1].min(start.saturating_add(k)),
+            None => 0..0,
+        };
+        self.qubit_gates[span]
+            .iter()
+            .map(move |&node| self.partner_of(node, q))
     }
 
     /// Calls `f` with `(layer depth, node)` for every gate in the first `k`
@@ -1085,8 +843,9 @@ impl DependencyDag {
     ///
     /// The probe's full-window walk (see
     /// [`lookahead_layers`](DependencyDag::lookahead_layers)) in a pooled
-    /// buffer, allocation-free once warm; used by the SWAP-insertion weight
-    /// table's rebuild so it never materialises the nested layer vectors.
+    /// buffer, allocation-free once warm. Cold: the SWAP-insertion weight
+    /// table's reference oracle rebuilds from it; the scheduler never calls
+    /// it.
     pub fn for_each_window_gate(&self, k: usize, mut f: impl FnMut(usize, DagNodeId)) {
         self.with_window_gates(k, |window| {
             for &(depth, node) in window {
@@ -1541,109 +1300,6 @@ mod tests {
         assert!(dag.all_executed());
     }
 
-    /// Replays a `sync_window_delta` call into a sorted membership set.
-    fn apply_delta(dag: &DependencyDag, k: usize, members: &mut Vec<usize>, epoch: u64) -> u64 {
-        let sync = dag.sync_window_delta(k, epoch, |node, entered| {
-            if entered {
-                members.push(node.index());
-            } else {
-                let pos = members
-                    .iter()
-                    .position(|&n| n == node.index())
-                    .expect("a departing gate was a member");
-                members.remove(pos);
-            }
-        });
-        if let WindowSync::Rebuild(epoch) = sync {
-            members.clear();
-            dag.for_each_window_gate(k, |_, node| members.push(node.index()));
-            return epoch;
-        }
-        sync.epoch()
-    }
-
-    /// Flattens the current window into a sorted node-index set.
-    fn window_members(dag: &DependencyDag, k: usize) -> Vec<usize> {
-        let mut members: Vec<usize> = dag
-            .lookahead_layers(k)
-            .into_iter()
-            .flatten()
-            .map(DagNodeId::index)
-            .collect();
-        members.sort_unstable();
-        members
-    }
-
-    #[test]
-    fn window_delta_tracks_membership_across_a_full_run() {
-        let mut c = Circuit::new(8);
-        c.cx(0, 1).cx(2, 3).cx(4, 5).cx(6, 7);
-        c.cx(1, 2).cx(5, 6).cx(3, 4).cx(0, 7).cx(2, 5);
-        let mut dag = DependencyDag::from_circuit(&c);
-        let k = 2;
-        let mut members = Vec::new();
-        // First sync is always a rebuild.
-        let sync = dag.sync_window_delta(k, 0, |_, _| panic!("no callbacks on rebuild"));
-        assert!(matches!(sync, WindowSync::Rebuild(_)));
-        let mut epoch = apply_delta(&dag, k, &mut members, 0);
-        while let Some(node) = dag.front_gate() {
-            dag.mark_executed(node);
-            // Query the window between syncs, as the scheduler's tie-breaks
-            // do, so probe memoisation interleaves with the delta record.
-            let _ = dag.next_use_depth(k, QubitId::new(0));
-            epoch = apply_delta(&dag, k, &mut members, epoch);
-            let mut sorted = members.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, window_members(&dag, k), "after {node:?}");
-        }
-        assert!(members.is_empty());
-    }
-
-    #[test]
-    fn window_delta_is_exact_across_batched_refreshes() {
-        // Retire several gates between syncs: the accumulated record must
-        // still reconcile, including gates that entered and then retired
-        // without the consumer ever seeing them as members.
-        let mut dag = DependencyDag::from_circuit(&chain_circuit(12));
-        let k = 3;
-        let mut members = Vec::new();
-        let mut epoch = apply_delta(&dag, k, &mut members, 0);
-        for _ in 0..3 {
-            for _ in 0..3 {
-                if let Some(node) = dag.front_gate() {
-                    dag.mark_executed(node);
-                    // A full-window walk per retirement.
-                    let _ = dag.lookahead_layers(k);
-                }
-            }
-            let before = epoch;
-            epoch = apply_delta(&dag, k, &mut members, epoch);
-            assert!(epoch >= before);
-            let mut sorted = members.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, window_members(&dag, k));
-        }
-    }
-
-    #[test]
-    fn window_delta_rebuilds_after_reset_and_k_change() {
-        let mut dag = DependencyDag::from_circuit(&chain_circuit(10));
-        let mut members = Vec::new();
-        let epoch = apply_delta(&dag, 4, &mut members, 0);
-        // A different k breaks the chain.
-        let sync = dag.sync_window_delta(2, epoch, |_, _| panic!("no delta across k change"));
-        assert!(matches!(sync, WindowSync::Rebuild(_)));
-        // Re-arm at k = 4, then reset: the chain breaks once more.
-        let epoch = apply_delta(&dag, 4, &mut members, 0);
-        dag.mark_executed(dag.front_gate().unwrap());
-        dag.reset();
-        let sync = dag.sync_window_delta(4, epoch, |_, _| panic!("no delta across reset"));
-        assert!(matches!(sync, WindowSync::Rebuild(_)));
-        members.clear();
-        dag.for_each_window_gate(4, |_, node| members.push(node.index()));
-        assert_eq!(members, window_members(&dag, 4));
-    }
-
     #[test]
     fn for_each_window_partner_reports_one_call_per_gate() {
         let mut c = Circuit::new(4);
@@ -1654,6 +1310,34 @@ mod tests {
         assert_eq!(partners, vec![1, 2, 2, 3]);
         // Out-of-range qubits report nothing.
         dag.for_each_window_partner(8, QubitId::new(42), |_| panic!("no partners"));
+    }
+
+    #[test]
+    fn next_partners_takes_the_next_k_gates_without_depth_checks() {
+        // q0's second gate cx(0,2) waits behind cx(0,1) and the chain
+        // cx(1,2), cx(2,3) (depth 2), so at k = 2 it lies outside the window
+        // yet is among q0's next 2 gates.
+        let mut c = Circuit::new(4);
+        c.cx(1, 2).cx(2, 3).cx(0, 1).cx(0, 2).cx(0, 3);
+        let mut dag = DependencyDag::from_circuit(&c);
+        let next = |dag: &DependencyDag, k: usize| {
+            let partners = dag.next_partners(k, QubitId::new(0));
+            let len = partners.len();
+            let partners: Vec<usize> = partners.map(QubitId::index).collect();
+            assert_eq!(partners.len(), len, "exact size");
+            partners
+        };
+        let mut window = Vec::new();
+        dag.for_each_window_partner(2, QubitId::new(0), |p| window.push(p.index()));
+        assert_eq!(window, vec![1]);
+        assert_eq!(next(&dag, 2), vec![1, 2]);
+        assert_eq!(next(&dag, 8), vec![1, 2, 3]);
+        assert_eq!(next(&dag, 0), Vec::<usize>::new());
+        // The walk starts at the cursor: retiring q0's first gate drops it.
+        dag.mark_executed(DagNodeId(0));
+        dag.mark_executed(DagNodeId(2));
+        assert_eq!(next(&dag, 8), vec![2, 3]);
+        assert_eq!(dag.next_partners(8, QubitId::new(42)).len(), 0);
     }
 
     /// Drives two DAGs in lockstep and asserts every scheduler-visible query

@@ -4,7 +4,7 @@
 //! ([`NaiveDag`]) at every step of execution, across the generator suite,
 //! several execution orders and both edge orientations.
 
-use ion_circuit::{generators, Circuit, DagNodeId, DependencyDag, NaiveDag, QubitId, WindowSync};
+use ion_circuit::{generators, Circuit, DagNodeId, DependencyDag, NaiveDag, QubitId};
 use proptest::prelude::*;
 
 /// The circuits the suite is checked on: one per generator family plus
@@ -247,78 +247,14 @@ fn count_window_partners_matches_naive_window_scan() {
     }
 }
 
-#[test]
-fn window_delta_replay_matches_naive_window_membership() {
-    // The entered/left record behind `sync_window_delta` (the incremental
-    // weight table's feed) must reconstruct exactly the membership of the
-    // naive window at every reconciliation point — across batched
-    // retirements, interleaved queries for a *different* k (which must not
-    // corrupt the record: it breaks the chain and forces a rebuild instead),
-    // and a mid-run reset.
-    for circuit in suite() {
-        let mut dag = DependencyDag::from_circuit(&circuit);
-        let k = 4;
-        let mut members: Vec<ion_circuit::DagNodeId> = Vec::new();
-        let mut epoch = 0u64;
-        let mut step = 0usize;
-        loop {
-            let sync = dag.sync_window_delta(k, epoch, |node, entered| {
-                if entered {
-                    members.push(node);
-                } else {
-                    let pos = members
-                        .iter()
-                        .position(|&n| n == node)
-                        .expect("departing gates were members");
-                    members.remove(pos);
-                }
-            });
-            if let WindowSync::Rebuild(_) = sync {
-                members.clear();
-                dag.for_each_window_gate(k, |_, node| members.push(node));
-            }
-            epoch = sync.epoch();
-            let mut sorted = members.clone();
-            sorted.sort_unstable();
-            let naive: Vec<ion_circuit::DagNodeId> =
-                naive_window_after(&dag, k).into_iter().flatten().collect();
-            let mut naive_sorted = naive;
-            naive_sorted.sort_unstable();
-            assert_eq!(
-                sorted,
-                naive_sorted,
-                "window membership diverged at step {step} of {}",
-                circuit.name()
-            );
-
-            if dag.all_executed() {
-                break;
-            }
-            // Retire 1–3 gates between syncs, poking queries at another k so
-            // foreign queries interleave with the tracked one.
-            for burst in 0..=(step % 3) {
-                if let Some(node) = dag.front_gate() {
-                    dag.mark_executed(node);
-                    if burst == 1 {
-                        let _ = dag.lookahead_layers(8);
-                    }
-                }
-            }
-            // A mid-run reset must break the chain, not corrupt the replay.
-            if step == 7 {
-                dag.reset();
-            }
-            step += 1;
-        }
-    }
-}
-
 /// Asserts every window query of `dag` at depth `k` against the window the
 /// naive layered BFS derives: the exact layer order of `lookahead_layers` and
 /// `for_each_window_gate`, and per qubit `next_use_depth`,
-/// `count_window_partners` (under two predicates) and the exact
+/// `count_window_partners` (under two predicates), the exact
 /// `for_each_window_partner` sequence (layer order; at most one gate per
-/// layer touches a qubit).
+/// layer touches a qubit) and the probe-free `next_partners` walk:
+/// the qubit's next `k` unexecuted gates in program order, of which the
+/// window partners are a prefix.
 fn assert_window_matches_naive(dag: &DependencyDag, naive: &NaiveDag, k: usize, context: &str) {
     let layers = naive.lookahead_layers(k);
     assert_eq!(
@@ -338,6 +274,13 @@ fn assert_window_matches_naive(dag: &DependencyDag, naive: &NaiveDag, k: usize, 
         "for_each_window_gate(k={k}) diverged {context}"
     );
     let even = |p: QubitId| p.index().is_multiple_of(2);
+    // Every qubit's partners over its unexecuted gates, in program order.
+    let mut unexecuted_partners = vec![Vec::new(); dag.num_qubits()];
+    for (node, _) in dag.iter().filter(|&(node, _)| !dag.is_executed(node)) {
+        let (a, b) = dag.operands(node);
+        unexecuted_partners[a.index()].push(b);
+        unexecuted_partners[b.index()].push(a);
+    }
     for q in 0..dag.num_qubits() {
         let qubit = QubitId::new(q);
         let mut expected_partners = Vec::new();
@@ -376,6 +319,16 @@ fn assert_window_matches_naive(dag: &DependencyDag, naive: &NaiveDag, k: usize, 
             dag.count_window_partners(k, qubit, even),
             expected_partners.iter().filter(|&&p| even(p)).count(),
             "filtered count_window_partners(q{q}, k={k}) diverged {context}"
+        );
+        let next_gates = &unexecuted_partners[q][..k.min(unexecuted_partners[q].len())];
+        let next: Vec<QubitId> = dag.next_partners(k, qubit).collect();
+        assert_eq!(
+            next, next_gates,
+            "next_partners(q{q}, k={k}) diverged {context}"
+        );
+        assert!(
+            next.starts_with(&expected_partners),
+            "window partners of q{q} (k={k}) are not a prefix of its next k partners {context}"
         );
     }
 }

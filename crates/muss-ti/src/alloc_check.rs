@@ -3,7 +3,7 @@
 //!
 //! A counting global allocator (installed for the unit-test binary only)
 //! tracks per-thread allocation counts; after a warm-up pass has grown every
-//! pooled buffer — op stream, placement state, weight table, DAG ready
+//! pooled buffer — op stream, placement state, SWAP-insertion buffer, DAG ready
 //! list, per-qubit cursors and look-ahead probe, executable/newly-ready scratch — re-running the same pass in
 //! the same scratch must allocate nothing at all. The counters are
 //! thread-local so the suite stays exact under `cargo test`'s parallel test
@@ -83,7 +83,7 @@ mod tests {
     /// The full scheduling pass (op stream materialised) is allocation-free
     /// once the pooled scratch is warm. QFT_48 on a 2-module device exercises
     /// every path: shuttles, LRU evictions, fiber gates and the
-    /// SWAP-insertion weight table.
+    /// SWAP-insertion weights.
     #[test]
     fn warm_full_pass_performs_zero_allocations() {
         let device = DeviceConfig::for_qubits(48).build();
@@ -109,13 +109,12 @@ mod tests {
         );
     }
 
-    /// The same invariant on a >2-module device with the incremental
-    /// SWAP-insertion table doing real work: a dense random 96-qubit circuit
-    /// on 3 modules triggers fiber gates, per-fiber-gate table syncs (window
-    /// entered/left replays), inserted SWAPs with their `swap_logical`
-    /// re-attribution, and LRU evictions — and the warm pass must still not
-    /// allocate: the delta buffers, partner indexes and the qubits×modules
-    /// table are all pooled.
+    /// The same invariant on a >2-module device with SWAP insertion doing
+    /// real work: a dense random 96-qubit circuit on 3 modules triggers
+    /// fiber gates, on-demand `W(q, ·)` queries (bound and exact window
+    /// walks), inserted SWAPs with their `swap_logical` exchange, and LRU
+    /// evictions — and the warm pass must still not allocate: the
+    /// partner-module buffer is pooled in the scheduler scratch.
     #[test]
     fn warm_full_pass_with_swap_insertion_on_three_modules_is_allocation_free() {
         let device = DeviceConfig::for_qubits(96).build();
@@ -127,7 +126,7 @@ mod tests {
         let options = MussTiOptions::default();
         assert!(
             options.enable_swap_insertion,
-            "the default pass must subscribe to the window-delta feed"
+            "the default pass must run SWAP insertion"
         );
         let mapping = trivial_mapping(&device, 96).unwrap();
         let mut dag = DependencyDag::from_circuit(&circuit);

@@ -37,7 +37,7 @@ use crate::{MussTiContext, MussTiOptions, PhaseTimings};
 ///
 /// For repeated compiles against one device, hold a session (or a
 /// [`MussTiContext`]) so every run after the first reuses the scratch arenas
-/// — DAG ready sets and look-ahead window, placement state, weight tables,
+/// — placement state, op stream, front-layer and SWAP-insertion buffers,
 /// executor clock/heat arrays — instead of reallocating them:
 ///
 /// ```
@@ -220,6 +220,7 @@ impl MussTiCompiler {
             // already the compile-wide total.
             window_probe_visits: dag.window_probe_visits(),
             probe_skips: u64::from(probe_skipped),
+            swap_window_walks: stats.swap_window_walks,
         };
         let initial_placement = mapping.iter().map(|&(q, z)| (q, z.index())).collect();
         let program =

@@ -7,16 +7,15 @@ use crate::scheduler::SchedulerScratch;
 
 /// The concrete scratch arena behind MUSS-TI's
 /// [`CompileContext`](eml_qccd::CompileContext): the scheduler's placement
-/// state, op buffer and Section 3.3 weight table, plus the executor's
-/// clock/heat arrays — allocated once and recycled by every scheduling pass
-/// (including the SABRE forward/backward/probe dry passes, which run in this
-/// arena back to back instead of three cold starts).
+/// state, op buffer, front-layer buffers and Section 3.3 partner-module
+/// buffer, plus the executor's clock/heat arrays — allocated once and
+/// recycled by every scheduling pass (including the SABRE
+/// forward/backward/probe dry passes, which run in this arena back to back
+/// instead of three cold starts).
 ///
-/// The pooled weight table is *incrementally* maintained against the pass's
-/// DAG window; the context reset path clears its synced-epoch subscription
-/// along with its entries (via `SchedulerScratch::clear` →
-/// `WeightTable::clear`), so a recycled arena can never replay a previous
-/// circuit's window deltas.
+/// No pooled buffer carries meaning from one pass to the next: SWAP
+/// insertion answers its weights on demand from the pass's DAG and
+/// placement, so a recycled arena cannot replay a previous circuit's state.
 ///
 /// Reuse is behaviour-neutral: compiling in a warm context yields op streams
 /// bit-identical to a cold compile (pinned by `tests/op_fingerprints.rs` and

@@ -9,10 +9,11 @@
 //!   gates are routed to the closest level that satisfies them, and capacity
 //!   conflicts are resolved by evicting the least-recently-used ion one level
 //!   down, like a page fault.
-//! * **Cross-module SWAP insertion** (Section 3.3): after a fiber gate, a
-//!   weight table over the next `k` DAG layers decides whether a logical
-//!   qubit should be exchanged with an idle qubit on another module,
-//!   replacing future remote traffic with local gates.
+//! * **Cross-module SWAP insertion** (Section 3.3): after a fiber gate, the
+//!   weights `W(q, m)` over the next `k` DAG layers — answered on demand
+//!   from each operand's own next gates — decide whether a logical qubit
+//!   should be exchanged with an idle qubit on another module, replacing
+//!   future remote traffic with local gates.
 //! * **Initial mapping** (Section 3.4): trivial highest-level-first placement
 //!   or the SABRE-style two-fold search.
 //!
@@ -79,15 +80,60 @@ pub use context::MussTiContext;
 /// Test-support hooks for the external parity suites (not part of the API;
 /// hidden and semver-exempt). Exposes just enough of the internal scheduler
 /// to let integration tests pin `ScheduleMode::CostOnly` dry passes against
-/// full passes.
+/// full passes, and the on-demand SWAP-insertion weights against their
+/// full-window oracle.
 #[doc(hidden)]
 pub mod test_support {
-    use eml_qccd::{CompileError, EmlQccdDevice, ZoneId};
+    use eml_qccd::{CompileError, EmlQccdDevice, ModuleId, ZoneId};
     use ion_circuit::{Circuit, DependencyDag, QubitId};
 
     use crate::mapping::trivial_mapping;
     use crate::scheduler::{schedule_with_mode, ScheduleMode as Mode, SchedulerScratch};
-    use crate::MussTiOptions;
+    use crate::{MussTiOptions, PlacementState, SwapWeights, WeightTable};
+
+    /// Checks every SWAP-insertion decision [`SwapWeights`] answers on
+    /// demand against the [`WeightTable`] oracle built from the full
+    /// `k`-layer window under `state`'s placement: for every placed qubit,
+    /// the swap target and, per module `m`, whether `W(q, m) = 0`.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first disagreement.
+    pub fn check_swap_weights(
+        weights: &mut SwapWeights,
+        dag: &DependencyDag,
+        k: usize,
+        threshold: usize,
+        device: &EmlQccdDevice,
+        state: &PlacementState,
+    ) -> Result<(), String> {
+        let module_of = |q| state.module_of(device, q);
+        let table = WeightTable::compute(dag, k, device.num_modules(), module_of);
+        for q in (0..dag.num_qubits()).map(QubitId::new) {
+            let Some(home) = module_of(q) else { continue };
+            let expected = if table.weight(q, home) > 0 {
+                None
+            } else {
+                table.best_remote_module(q, home, threshold).map(|(m, _)| m)
+            };
+            let got = weights.swap_target(dag, k, threshold, q, home, module_of);
+            if got != expected {
+                return Err(format!(
+                    "swap target of {q} (k {k}, T {threshold}): on demand {got:?}, oracle {expected:?}"
+                ));
+            }
+            for module in (0..device.num_modules()).map(ModuleId) {
+                let idle = table.weight(q, module) == 0;
+                if weights.is_idle_on(dag, k, q, module, module_of) != idle {
+                    return Err(format!(
+                        "W({q}, {module}) = 0 (k {k}): on demand {}, oracle {idle}",
+                        !idle
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 
     /// Public mirror of the internal `ScheduleMode`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +196,7 @@ pub mod test_support {
 pub use naive_placement::NaivePlacement;
 pub use options::{InitialMappingStrategy, MussTiOptions};
 pub use placement::PlacementState;
-pub use swap_insertion::WeightTable;
+pub use swap_insertion::{SwapWeights, WeightTable};
 
 /// Wall-clock breakdown of one compilation run, phase by phase. This is the
 /// pipeline-wide [`StageTimings`](eml_qccd::StageTimings) type, re-exported

@@ -40,7 +40,7 @@ pub struct MussTiOptions {
     /// Whether the cross-module SWAP-insertion pass (Section 3.3) runs.
     pub enable_swap_insertion: bool,
     /// Look-ahead window `k`: how many layers of the remaining DAG the SWAP
-    /// weight table inspects (paper default 8, swept 4–12 in Fig. 9).
+    /// weights `W(q, ·)` inspect (paper default 8, swept 4–12 in Fig. 9).
     pub lookahead_k: usize,
     /// SWAP-insertion threshold `T`: the minimum future-gate weight towards a
     /// remote module required before a SWAP is inserted (paper default 4; a

@@ -207,12 +207,9 @@ impl PlacementState {
     /// itself. The destination must be in the same module and have free space
     /// (the scheduler guarantees both).
     ///
-    /// The same-module restriction is load-bearing beyond physics: the
-    /// incremental SWAP-insertion weight table attributes weight by *module*
-    /// and reconciles placement churn only at
-    /// [`swap_logical`](PlacementState::swap_logical) sites, so shuttles must
-    /// never change a qubit's module — the assert below is what keeps the
-    /// table exact without a per-shuttle hook.
+    /// Modules exchange qubits only through
+    /// [`swap_logical`](PlacementState::swap_logical) (an inserted SWAP over
+    /// the fiber link), never by transport; the assert below enforces it.
     ///
     /// # Panics
     ///
@@ -291,9 +288,9 @@ impl PlacementState {
     /// emits alongside this call.
     ///
     /// This is the **only** operation that changes a qubit's module
-    /// mid-schedule (shuttles are intra-module by contract), which is why the
-    /// incremental weight table repairs placement churn exclusively at its
-    /// call sites via `WeightTable::apply_module_change`.
+    /// mid-schedule (shuttles are intra-module by contract). The SWAP
+    /// insertion weights read modules on demand, so nothing has to be
+    /// repaired after the exchange.
     ///
     /// # Panics
     ///

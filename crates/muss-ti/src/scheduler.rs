@@ -1,8 +1,9 @@
 //! The multi-level shuttle scheduler (Section 3.2 of the paper).
 //!
 //! The pass runs inside pooled scratch ([`SchedulerScratch`], owned by the
-//! compile context): placement state, op buffer, weight table and the
-//! front-layer work buffers are reused across passes — including the SABRE
+//! compile context): placement state, op buffer, the SWAP-insertion
+//! partner-module buffer and the front-layer work buffers are reused across
+//! passes — including the SABRE
 //! dry passes, which additionally share one [`DependencyDag`] via
 //! [`DependencyDag::reset`]/[`DependencyDag::reset_reversed`] — so the
 //! scheduling loop performs **zero** steady-state allocations (pinned by the
@@ -40,7 +41,7 @@ use ion_circuit::Circuit;
 use ion_circuit::{DagNodeId, DependencyDag, QubitId};
 
 use crate::placement::{is_protected, protected_mask, PlacementState};
-use crate::swap_insertion::WeightTable;
+use crate::swap_insertion::SwapWeights;
 use crate::MussTiOptions;
 
 /// The reusable per-pass scratch of the scheduler: everything a pass
@@ -53,10 +54,9 @@ pub(crate) struct SchedulerScratch {
     /// The op stream of the most recent full pass (cleared at pass start;
     /// cost-only passes leave it untouched).
     pub(crate) ops: Vec<ScheduledOp>,
-    /// Pooled Section 3.3 weight table, incrementally synced to the DAG's
-    /// look-ahead window per fiber gate (rebuilt only when the delta chain
-    /// breaks, i.e. at the first fiber gate of a pass).
-    pub(crate) weights: WeightTable,
+    /// The Section 3.3 weights `W(q, ·)`, answered on demand; holds the
+    /// pooled partner-module buffer and the exact-walk counter.
+    pub(crate) weights: SwapWeights,
     /// Pooled snapshot of the executable front gates of one scheduling step
     /// (executing them mutates the DAG, so the list is fixed first).
     pub(crate) executable: Vec<DagNodeId>,
@@ -71,7 +71,7 @@ impl SchedulerScratch {
         SchedulerScratch {
             state: PlacementState::new(device),
             ops: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            weights: WeightTable::default(),
+            weights: SwapWeights::default(),
             executable: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             candidates: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
         }
@@ -81,7 +81,6 @@ impl SchedulerScratch {
     pub(crate) fn clear(&mut self) {
         self.state.clear();
         self.ops.clear();
-        self.weights.clear();
         self.executable.clear();
         self.candidates.clear();
     }
@@ -119,6 +118,11 @@ pub(crate) struct ScheduleStats {
     /// keeps it a small constant per gate; a return to whole-front rescans
     /// would make it grow with the front width (pinned by a unit test).
     pub exec_checks: u64,
+    /// Exact look-ahead window walks SWAP insertion ran, over both the
+    /// target check and the partner check: the queries the probe-free
+    /// next-`k`-gates bound did not settle (pinned per fiber gate by a unit
+    /// test).
+    pub swap_window_walks: u64,
     /// Wall-clock time spent inside the SWAP-insertion pass (a slice of the
     /// scheduling phase, reported separately in the per-phase bench timings).
     pub swap_insertion_time: Duration,
@@ -133,7 +137,7 @@ pub(crate) struct ScheduleStats {
 /// (first-come-first-served), route its qubits to the best zone using
 /// multi-level scheduling, resolve capacity conflicts by LRU eviction, execute
 /// it, and — after every fiber gate — consider inserting a cross-module SWAP
-/// guided by the weight table.
+/// guided by the weights `W(q, ·)` over the next `k` DAG layers.
 ///
 /// `dag` must be fresh (or [`reset`](DependencyDag::reset)) and built from
 /// the circuit being scheduled; passing it in is what lets the SABRE
@@ -231,7 +235,7 @@ pub(crate) fn schedule_with_mode(
 /// from the same [`SchedulerScratch`]).
 struct LoopBuffers<'a> {
     state: &'a mut PlacementState,
-    weights: &'a mut WeightTable,
+    weights: &'a mut SwapWeights,
     executable: &'a mut Vec<DagNodeId>,
     candidates: &'a mut Vec<DagNodeId>,
 }
@@ -257,9 +261,7 @@ fn run_pass<S: OpSink>(
     // ready gate of every placed qubit: the whole executable front.
     state.reset_from_mapping(device, initial_mapping);
     candidates.clear();
-    // Look-ahead tie-breaks probe the DAG on demand in every pass; the
-    // weight table's window-delta feed arms itself at the pass's first
-    // fiber-gate sync, so passes without SWAP insertion never maintain it.
+    let walks_before = weights.walks();
     let mut scheduler = Scheduler {
         device,
         options,
@@ -280,6 +282,7 @@ fn run_pass<S: OpSink>(
         inserted_swaps: scheduler.inserted_swaps,
         final_clock: scheduler.clock,
         exec_checks: scheduler.exec_checks,
+        swap_window_walks: scheduler.weights.walks() - walks_before,
         swap_insertion_time: scheduler.swap_insertion_time,
     })
 }
@@ -310,7 +313,7 @@ struct Scheduler<'a, S: OpSink> {
     state: &'a mut PlacementState,
     dag: &'a mut DependencyDag,
     ops: &'a mut S,
-    weights: &'a mut WeightTable,
+    weights: &'a mut SwapWeights,
     /// Pooled snapshot of the executable front gates of the current step.
     executable: &'a mut Vec<DagNodeId>,
     /// Pooled candidate buffer (see [`SchedulerScratch::candidates`]):
@@ -471,10 +474,13 @@ impl<S: OpSink> Scheduler<'_, S> {
         self.dag.mark_executed_into(node, self.candidates);
 
         if remote && self.options.enable_swap_insertion {
-            // Unconditionally timed: two monotonic clock reads per *fiber*
-            // gate (a small fraction of the gates) are noise next to the
-            // pass itself, and keeping one code path is worth more than
-            // gating the instrumentation behind the phase-reporting callers.
+            // Unconditionally timed: two monotonic clock reads per fiber
+            // gate. Fiber gates are most of the two-qubit gates on wide
+            // devices (0.873 / 0.968 / 0.992 of them on RAN_256 / RAN_1024 /
+            // RAN_4096), and a pair of reads costs about 85 ns on a shared
+            // 2-vCPU VM: around a tenth of the final pass's per-gate cost
+            // there. One code path is kept rather than gating the
+            // instrumentation behind the phase-reporting callers.
             let swap_start = Instant::now();
             let result = self.try_swap_insertion(a, b);
             self.swap_insertion_time += swap_start.elapsed();
@@ -745,64 +751,23 @@ impl<S: OpSink> Scheduler<'_, S> {
             .map(|z| z.id)
     }
 
-    /// Brings the Section 3.3 weight table up to date with the DAG's current
-    /// look-ahead window and the current placement: `O(Δ)` bumps for the
-    /// gates that crossed the window boundary since the previous fiber gate
-    /// (placement churn is applied eagerly at the `swap_logical` site below,
-    /// so the window record is the only drift to reconcile here).
-    fn sync_weights_into(&self, table: &mut WeightTable) {
-        let state = &*self.state;
-        let device = self.device;
-        table.sync(
-            self.dag,
-            self.options.lookahead_k,
-            device.num_modules(),
-            |qubit| state.module_of(device, qubit),
-        );
-    }
-
     /// Section 3.3: after a fiber gate on `(a, b)`, check whether either
     /// operand should be logically swapped onto another module.
-    fn try_swap_insertion(&mut self, a: QubitId, b: QubitId) -> Result<(), CompileError> {
-        // The pooled table is taken out of the scratch for the duration of
-        // the pass so `self` stays free for the routing calls below, and put
-        // back (allocation intact) when done.
-        let mut table = std::mem::take(self.weights);
-        self.sync_weights_into(&mut table);
-        let result = self.swap_insertion_pass(a, b, &mut table);
-        *self.weights = table;
-        result
-    }
-
-    /// The body of [`Scheduler::try_swap_insertion`], operating on the
-    /// taken-out weight table.
     ///
-    /// One table serves both operands. The routing below moves ions only
-    /// within their modules (and retires no gate), so the table can only go
-    /// stale when an inserted SWAP changes qubit→module assignments — and
-    /// that churn is repaired exactly, in `O(window partners)`, by the
-    /// `apply_module_change` pair next to `swap_logical`.
-    fn swap_insertion_pass(
-        &mut self,
-        a: QubitId,
-        b: QubitId,
-        table: &mut WeightTable,
-    ) -> Result<(), CompileError> {
+    /// Every weight is read on demand from the current placement, so the
+    /// swap of `a` is already visible to `b`'s check and nothing needs
+    /// repairing after `swap_logical`.
+    fn try_swap_insertion(&mut self, a: QubitId, b: QubitId) -> Result<(), CompileError> {
         for q in [a, b] {
             let home = self.module_of(q)?;
-            // The qubit must no longer be needed on its current module...
-            if table.weight(q, home) > 0 {
-                continue;
-            }
-            // ...and strongly needed on another module.
-            let Some((target_module, _)) =
-                table.best_remote_module(q, home, self.options.swap_threshold)
-            else {
+            // The qubit must no longer be needed on its current module, and
+            // strongly needed on another module...
+            let Some(target_module) = self.swap_target(q, home) else {
                 continue;
             };
-            // Find a partner on the target module that is itself no longer
+            // ...and a partner on the target module must itself no longer be
             // needed there.
-            let Some(partner) = self.swap_partner(target_module, table, &[a, b]) else {
+            let Some(partner) = self.swap_partner(target_module, &[a, b]) else {
                 continue;
             };
             // Both qubits meet in their optical zones and exchange via three
@@ -820,12 +785,6 @@ impl<S: OpSink> Scheduler<'_, S> {
                 });
             }
             self.state.swap_logical(q, partner);
-            // The swap moved `q` home → target and `partner` target → home;
-            // re-attribute both qubits' window partners so the table stays
-            // exactly the one a full recompute would produce.
-            let k = self.options.lookahead_k;
-            table.apply_module_change(self.dag, k, q, home, target_module);
-            table.apply_module_change(self.dag, k, partner, target_module, home);
             self.clock += 1;
             self.state.touch(q, self.clock);
             self.state.touch(partner, self.clock);
@@ -834,21 +793,46 @@ impl<S: OpSink> Scheduler<'_, S> {
         Ok(())
     }
 
+    /// The module `q` should be swapped onto: `W(q, home) = 0` and the
+    /// remote module with the largest `W(q, ·)` above the threshold.
+    fn swap_target(&mut self, q: QubitId, home: ModuleId) -> Option<ModuleId> {
+        let (state, device) = (&*self.state, self.device);
+        self.weights.swap_target(
+            self.dag,
+            self.options.lookahead_k,
+            self.options.swap_threshold,
+            q,
+            home,
+            |p| state.module_of(device, p),
+        )
+    }
+
     /// Picks the least-recently-used qubit on `module` whose weight towards
     /// its own module is zero (it has no near-future work there).
-    fn swap_partner(
-        &self,
-        module: ModuleId,
-        table: &WeightTable,
-        excluded: &[QubitId],
-    ) -> Option<QubitId> {
-        self.device
-            .zones_in_module(module)
-            .iter()
-            .flat_map(|z| self.state.chain(z.id).iter().copied())
-            .filter(|q| !excluded.contains(q))
-            .filter(|&q| table.weight(q, module) == 0)
-            .min_by_key(|&q| (self.state.last_use(q), q.index()))
+    ///
+    /// Candidates are visited in chain order and a weight is asked only of a
+    /// candidate that would beat the best found so far; `(last use, id)` is
+    /// unique per qubit, so the pick equals the minimum over every idle
+    /// candidate.
+    fn swap_partner(&mut self, module: ModuleId, excluded: &[QubitId]) -> Option<QubitId> {
+        let (state, device, dag) = (&*self.state, self.device, &*self.dag);
+        let k = self.options.lookahead_k;
+        let key = |q: QubitId| (state.last_use(q), q.index());
+        let mut best: Option<QubitId> = None;
+        for zone in device.zones_in_module(module) {
+            for &q in state.chain(zone.id) {
+                if excluded.contains(&q) || best.is_some_and(|b| key(b) < key(q)) {
+                    continue;
+                }
+                if self
+                    .weights
+                    .is_idle_on(dag, k, q, module, |p| state.module_of(device, p))
+                {
+                    best = Some(q);
+                }
+            }
+        }
+        best
     }
 }
 
@@ -1045,11 +1029,20 @@ mod tests {
         );
     }
 
-    /// The scheduling loop's two work counters — executability checks and
-    /// look-ahead probe visits — summed over the passes a SABRE compile runs
-    /// (forward, backward and probe dry passes, then the final pass with
-    /// SWAP insertion), each divided by the circuit's two-qubit gate count.
-    fn work_per_gate(circuit: &Circuit) -> (f64, f64) {
+    /// The scheduling loop's work counters over the passes a SABRE compile
+    /// runs (forward, backward and probe dry passes, then the final pass
+    /// with SWAP insertion).
+    struct WorkPerGate {
+        /// Executability checks per two-qubit gate, over all four passes.
+        exec_checks: f64,
+        /// Look-ahead probe visits per two-qubit gate, over all four passes.
+        probe_visits: f64,
+        /// Exact SWAP-insertion window walks per fiber gate of the final
+        /// pass (each fiber gate runs one swap-insertion check).
+        swap_walks_per_fiber_gate: f64,
+    }
+
+    fn work_per_gate(circuit: &Circuit) -> WorkPerGate {
         let device = DeviceConfig::for_qubits(circuit.num_qubits()).build();
         let options = MussTiOptions::default();
         let dry = MussTiOptions {
@@ -1073,14 +1066,20 @@ mod tests {
             .unwrap()
             .exec_checks;
         dag.reset();
-        checks += schedule_in(&device, &options, &mut dag, &candidate, &mut cx)
-            .unwrap()
-            .exec_checks;
+        let last = schedule_in(&device, &options, &mut dag, &candidate, &mut cx).unwrap();
+        checks += last.exec_checks;
+        let fiber_ops = cx
+            .ops
+            .iter()
+            .filter(|o| matches!(o, ScheduledOp::FiberGate { .. }))
+            .count();
+        let fiber_gates = (fiber_ops - 3 * last.inserted_swaps).max(1) as f64;
         let gates = circuit.two_qubit_gate_count() as f64;
-        (
-            checks as f64 / gates,
-            dag.window_probe_visits() as f64 / gates,
-        )
+        WorkPerGate {
+            exec_checks: checks as f64 / gates,
+            probe_visits: dag.window_probe_visits() as f64 / gates,
+            swap_walks_per_fiber_gate: last.swap_window_walks as f64 / fiber_gates,
+        }
     }
 
     #[test]
@@ -1090,7 +1089,7 @@ mod tests {
         // O(front width) checks per gate: hundreds at these widths.
         for (qubits, gates) in [(256, 2048), (1024, 8192)] {
             let circuit = generators::random_circuit(qubits, gates, 25);
-            let (per_gate, _) = work_per_gate(&circuit);
+            let per_gate = work_per_gate(&circuit).exec_checks;
             assert!(
                 per_gate <= 8.0,
                 "RAN_{qubits}: {per_gate:.2} executability checks per two-qubit gate"
@@ -1101,19 +1100,50 @@ mod tests {
     #[test]
     fn window_probe_work_per_gate_stays_flat_as_the_device_widens() {
         // Look-ahead tie-breaks probe only the queried qubit's next gates and
-        // their ancestors within k hops: measured 1.25 (RAN_256) and 0.83
-        // (RAN_1024) visits per two-qubit gate, so 3.0 leaves over 2x
-        // headroom. Rebuilding the whole k-layer window after each retirement
-        // instead visits O(k · width / 2) nodes per refresh, a per-gate cost
-        // that grows with the device width.
+        // their ancestors within k hops, and SWAP insertion probes only when
+        // its probe-free bound cannot rule a swap out: measured 1.04
+        // (RAN_256) and 0.44 (RAN_1024) visits per two-qubit gate, so 3.0
+        // leaves over 2x headroom. Rebuilding the whole k-layer window after
+        // each retirement instead visits O(k · width / 2) nodes per refresh,
+        // a per-gate cost that grows with the device width.
         for (qubits, gates) in [(256, 2048), (1024, 8192)] {
             let circuit = generators::random_circuit(qubits, gates, 25);
-            let (_, per_gate) = work_per_gate(&circuit);
+            let per_gate = work_per_gate(&circuit).probe_visits;
             assert!(
                 per_gate <= 3.0,
                 "RAN_{qubits}: {per_gate:.2} look-ahead probe visits per two-qubit gate"
             );
         }
+    }
+
+    #[test]
+    fn swap_insertion_walks_the_window_only_when_its_bound_allows_a_swap() {
+        // After each fiber gate, SWAP insertion first counts partner modules
+        // over each operand's next k gates without probing; only a count
+        // above T (or a partner on the module asked about) costs an exact
+        // window walk. Dense random circuits almost never pass: measured
+        // 0.013 (RAN_256) and 0 (RAN_1024) walks per fiber gate.
+        for (qubits, gates) in [(256, 2048), (1024, 8192)] {
+            let circuit = generators::random_circuit(qubits, gates, 25);
+            let per_fiber_gate = work_per_gate(&circuit).swap_walks_per_fiber_gate;
+            assert!(
+                per_fiber_gate <= 0.05,
+                "RAN_{qubits}: {per_fiber_gate:.3} exact window walks per fiber gate"
+            );
+        }
+    }
+
+    #[test]
+    fn swap_heavy_compile_keeps_probe_work_per_gate_bounded() {
+        // QFT_96 inserts 174 swaps, so its exact window walks are frequent;
+        // the probe still visits a few nodes per two-qubit gate (measured
+        // 2.23 over the four passes).
+        let work = work_per_gate(&generators::qft(96));
+        assert!(
+            work.probe_visits <= 8.0,
+            "QFT_96: {:.2} look-ahead probe visits per two-qubit gate",
+            work.probe_visits
+        );
     }
 
     #[test]

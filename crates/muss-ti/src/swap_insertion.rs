@@ -1,56 +1,145 @@
-//! The SWAP-insertion weight table (Section 3.3 of the paper).
+//! The Section 3.3 SWAP-insertion weights `W(q, m)`, answered on demand.
 
 // lint: hot-path
 
-use eml_qccd::ModuleId;
-use ion_circuit::{DagNodeId, DependencyDag, QubitId, WindowSync};
+use std::cmp::Reverse;
 
-/// The weight table `W(qᵢ, cⱼ)`: the number of gates within the first `k`
-/// layers of the remaining dependency DAG that involve qubit `qᵢ` together
-/// with a qubit currently located on QCCD module `cⱼ`.
+use eml_qccd::ModuleId;
+use ion_circuit::{DependencyDag, QubitId};
+
+/// The SWAP-insertion weights of the paper's Section 3.3, answered on demand
+/// from the queried qubit's own next gates.
 ///
-/// The table is consulted after each fiber (remote) gate; it is what decides
-/// whether a logical qubit should be swapped onto another module because its
-/// near-future work lives there.
+/// `W(q, m)` counts the gates within the first `k` layers of the remaining
+/// dependency DAG that pair `q` with a qubit currently on module `m`. After
+/// each fiber (remote) gate the scheduler asks, per operand `q` on module
+/// `home`: is `W(q, home) = 0`, and does some other module `m` have
+/// `W(q, m) > T`? If so, `q` is swapped with an idle qubit of the best such
+/// `m` (largest weight, then smallest module id), where idle means zero
+/// weight towards its own module.
 ///
 /// # Performance
 ///
-/// Storage is a flat `Vec<usize>` indexed by `qubit * num_modules + module`
-/// (no hashing on the hot path); [`weight`](WeightTable::weight) is `O(1)`
-/// and [`len`](WeightTable::len) / [`is_empty`](WeightTable::is_empty) read a
-/// maintained non-zero-entry counter in `O(1)`.
+/// Depth strictly increases along one qubit's gates, so `q`'s window gates
+/// are a prefix of its next `k` unexecuted gates. Every query therefore
+/// first counts partner modules over those `k` gates
+/// ([`DependencyDag::next_partners`], no probe), stopping as soon as the
+/// outcome is decided. That count bounds each `W(q, m)` from above, and it
+/// settles most queries: no remote module above `T`, or no partner on the
+/// module asked about. Only the rest walk the exact window
+/// ([`DependencyDag::for_each_window_partner`]), and
+/// [`walks`](SwapWeights::walks) counts those walks. Each query reads the
+/// current placement, so nothing goes stale when a qubit changes module. The
+/// partner-module buffer (at most `k` entries) is pooled.
 ///
-/// On the scheduler's hot path the table is **incrementally maintained**
-/// rather than rebuilt per fiber gate, from two exact delta sources:
+/// [`WeightTable`] is the reference oracle: the original rebuild of the
+/// whole table from the full window, kept for the equivalence suites.
+#[derive(Debug, Clone, Default)]
+pub struct SwapWeights {
+    /// Pooled partner modules of the current query.
+    modules: Vec<ModuleId>,
+    /// Exact window walks run so far.
+    walks: u64,
+}
+
+impl SwapWeights {
+    /// The module `q` (on `home`) should be swapped onto, if any:
+    /// `W(q, home) = 0` and the remote module with the largest `W(q, ·)`
+    /// above `threshold` (smallest id on ties). `module_of` maps a qubit to
+    /// its current module; unplaced partners carry no weight.
+    pub fn swap_target(
+        &mut self,
+        dag: &DependencyDag,
+        k: usize,
+        threshold: usize,
+        q: QubitId,
+        home: ModuleId,
+        module_of: impl Fn(QubitId) -> Option<ModuleId>,
+    ) -> Option<ModuleId> {
+        // The bound: can a remote module pass `threshold` over the next `k`
+        // partners? Stop as soon as the answer is known.
+        let modules = &mut self.modules;
+        modules.clear();
+        let mut partners = dag.next_partners(k, q);
+        let mut heaviest = 0;
+        while heaviest <= threshold {
+            // A module seen so far reaches at most `heaviest + len`, an
+            // unseen one at most `len`.
+            if heaviest + partners.len() <= threshold {
+                return None;
+            }
+            if let Some(module) = module_of(partners.next()?).filter(|&m| m != home) {
+                heaviest = heaviest.max(tally(modules, module));
+            }
+        }
+        // The exact window walk.
+        self.walks += 1;
+        modules.clear();
+        let mut home_used = false;
+        let mut best: Option<(usize, Reverse<ModuleId>)> = None;
+        dag.for_each_window_partner(k, q, |partner| match module_of(partner) {
+            Some(module) if module == home => home_used = true,
+            Some(module) => {
+                // Weights only grow, so the running maximum of
+                // `(weight, smaller id)` ends at the overall maximum.
+                let key = (tally(modules, module), Reverse(module));
+                best = best.max(Some(key));
+            }
+            None => {}
+        });
+        if home_used {
+            return None;
+        }
+        best.filter(|&(weight, _)| weight > threshold)
+            .map(|(_, Reverse(module))| module)
+    }
+
+    /// `true` iff `W(q, module) = 0`: no window gate pairs `q` with a qubit
+    /// on `module`.
+    pub fn is_idle_on(
+        &mut self,
+        dag: &DependencyDag,
+        k: usize,
+        q: QubitId,
+        module: ModuleId,
+        module_of: impl Fn(QubitId) -> Option<ModuleId>,
+    ) -> bool {
+        let on_module = |p| module_of(p) == Some(module);
+        if !dag.next_partners(k, q).any(on_module) {
+            return true;
+        }
+        self.walks += 1;
+        dag.count_window_partners(k, q, on_module) == 0
+    }
+
+    /// Exact window walks run so far: the queries the probe-free bound did
+    /// not settle (a deterministic work counter).
+    pub fn walks(&self) -> u64 {
+        self.walks
+    }
+}
+
+/// Appends `module` to `modules` and returns how often it occurs there
+/// (`O(k)`: the buffer holds at most `k` entries).
+fn tally(modules: &mut Vec<ModuleId>, module: ModuleId) -> usize {
+    modules.push(module);
+    modules.iter().filter(|&&m| m == module).count()
+}
+
+/// The weight table `W(qᵢ, cⱼ)` built from the whole `k`-layer window: the
+/// original Section 3.3 computation, kept as the reference oracle that the
+/// equivalence suites pin [`SwapWeights`] against. The scheduler never
+/// builds it.
 ///
-/// * **window churn** — [`sync`](WeightTable::sync) subscribes to the DAG's
-///   entered/left window record
-///   ([`DependencyDag::sync_window_delta`]) and applies ±1 bumps for just
-///   the gates that crossed the window boundary since the previous fiber
-///   gate (`O(Δ)` amortised, `O(window)` only when the delta chain breaks —
-///   the pass's first fiber gate, a DAG reset, or a `k` change);
-/// * **placement churn** —
-///   [`apply_module_change`](WeightTable::apply_module_change) re-attributes
-///   one qubit's window partners from its old module column to the new one
-///   (via [`DependencyDag::for_each_window_partner`], a walk over the
-///   qubit's own next gates) when an inserted SWAP moves it; intra-module
-///   shuttles never touch the table.
-///
-/// [`recompute`](WeightTable::recompute) — the original rebuild-from-window
-/// pass — is retained as the executable specification: the equivalence suite
-/// (`crates/muss-ti/tests/weight_table_equivalence.rs`) pins the incremental
-/// path against it under arbitrary interleavings of gate retirement and
-/// cross-module moves.
+/// Storage is a flat `Vec<usize>` indexed by `qubit * num_modules + module`;
+/// pairs outside it read zero.
 #[derive(Debug, Clone, Default)]
 pub struct WeightTable {
     /// `weights[qubit * num_modules + module]`.
     weights: Vec<usize>,
     num_modules: usize,
-    /// Number of non-zero entries, maintained at build time.
+    /// Number of non-zero entries.
     nonzero: usize,
-    /// Window epoch of the last [`WeightTable::sync`] (0 = not tracking a
-    /// window; the next sync rebuilds).
-    synced_epoch: u64,
 }
 
 impl WeightTable {
@@ -58,7 +147,7 @@ impl WeightTable {
     ///
     /// `module_of` maps a logical qubit to the module currently holding it;
     /// qubits that are somehow unplaced are skipped (they cannot attract or
-    /// contribute weight).
+    /// contribute weight), and so are modules outside `0..num_modules`.
     pub fn compute(
         dag: &DependencyDag,
         lookahead_k: usize,
@@ -70,11 +159,7 @@ impl WeightTable {
         table
     }
 
-    /// [`WeightTable::compute`] in place: rebuilds the table reusing the flat
-    /// weight array, so a rebuild is allocation-free once the table has
-    /// grown to the circuit's `qubits × modules` footprint. This is the
-    /// reference oracle and the fallback [`sync`](WeightTable::sync) takes
-    /// when the delta chain breaks (once per pass, not per fiber gate).
+    /// [`WeightTable::compute`] in place, reusing the flat weight array.
     pub fn recompute(
         &mut self,
         dag: &DependencyDag,
@@ -86,110 +171,20 @@ impl WeightTable {
         self.weights.resize(dag.num_qubits() * num_modules, 0);
         self.num_modules = num_modules;
         self.nonzero = 0;
-        self.synced_epoch = 0;
         dag.for_each_window_gate(lookahead_k, |_, node| {
-            self.apply_gate(dag, node, true, &module_of);
-        });
-    }
-
-    /// Incrementally synchronises the table with `dag`'s current `k`-layer
-    /// window under the placement described by `module_of`, by applying ±1
-    /// bumps for just the gates that entered or left the window since the
-    /// previous sync (`O(Δ)`). Falls back to a full
-    /// [`recompute`](WeightTable::recompute) when the DAG cannot supply an
-    /// exact delta — the first sync of a pass, after a DAG reset, or when the
-    /// table's geometry (qubits × modules) changed.
-    ///
-    /// Exactness contract: between two syncs the placement consulted through
-    /// `module_of` must not have changed, except through
-    /// [`apply_module_change`](WeightTable::apply_module_change) calls made
-    /// while the table was synced (the scheduler's `swap_logical` sites).
-    /// Under that discipline the table is bit-identical to a fresh
-    /// `recompute` at every sync point.
-    pub fn sync(
-        &mut self,
-        dag: &DependencyDag,
-        lookahead_k: usize,
-        num_modules: usize,
-        module_of: impl Fn(QubitId) -> Option<ModuleId>,
-    ) {
-        // A table whose flat geometry no longer matches cannot patch itself;
-        // pretend we never synced so the DAG hands back a rebuild.
-        let geometry_ok =
-            self.num_modules == num_modules && self.weights.len() == dag.num_qubits() * num_modules;
-        let epoch = if geometry_ok { self.synced_epoch } else { 0 };
-        let sync = dag.sync_window_delta(lookahead_k, epoch, |node, entered| {
-            self.apply_gate(dag, node, entered, &module_of);
-        });
-        match sync {
-            WindowSync::Delta(epoch) => self.synced_epoch = epoch,
-            WindowSync::Rebuild(epoch) => {
-                self.recompute(dag, lookahead_k, num_modules, module_of);
-                self.synced_epoch = epoch;
-            }
-        }
-    }
-
-    /// Applies (or reverts) one window gate's weight contribution: each
-    /// operand gains (loses) one unit towards its partner's current module.
-    fn apply_gate(
-        &mut self,
-        dag: &DependencyDag,
-        node: DagNodeId,
-        entered: bool,
-        module_of: &impl Fn(QubitId) -> Option<ModuleId>,
-    ) {
-        let (a, b) = dag.operands(node);
-        if let Some(module_b) = module_of(b) {
-            if entered {
+            let (a, b) = dag.operands(node);
+            if let Some(module_b) = module_of(b) {
                 self.bump(a, module_b);
-            } else {
-                self.debump(a, module_b);
             }
-        }
-        if let Some(module_a) = module_of(a) {
-            if entered {
+            if let Some(module_a) = module_of(a) {
                 self.bump(b, module_a);
-            } else {
-                self.debump(b, module_a);
             }
-        }
-    }
-
-    /// Re-attributes the weight `qubit`'s window partners carry towards it
-    /// after `qubit` moved from `old_module` to `new_module` (the
-    /// placement-churn delta source): every window gate `(qubit, x)`
-    /// contributes one unit of `W(x, module(qubit))`, so each partner `x`
-    /// loses one unit towards `old_module` and gains one towards
-    /// `new_module`. `W(qubit, ·)` itself is untouched — it counts the
-    /// partners' modules, and the partners did not move.
-    ///
-    /// Must be called while the table is [`sync`](WeightTable::sync)ed to
-    /// `dag`'s current window (the scheduler calls it right after
-    /// `swap_logical`, with no gate retirement in between).
-    pub fn apply_module_change(
-        &mut self,
-        dag: &DependencyDag,
-        lookahead_k: usize,
-        qubit: QubitId,
-        old_module: ModuleId,
-        new_module: ModuleId,
-    ) {
-        if old_module == new_module {
-            return;
-        }
-        dag.for_each_window_partner(lookahead_k, qubit, |partner| {
-            self.debump(partner, old_module);
-            self.bump(partner, new_module);
         });
     }
 
-    /// The flat-array slot of `(q, module)`, or `None` when the pair lies
-    /// outside the table — the **single** range guard behind every read and
-    /// write: an unchecked out-of-range module would alias into another
-    /// qubit's row of the flat layout, and a guard that dropped writes while
-    /// reads pretended the slot were zero could leave the table silently
-    /// lopsided.
+    /// The flat-array slot of `(q, module)`, or `None` outside the table: the
+    /// one range guard behind both reads and writes (an unchecked
+    /// out-of-range module would alias into another qubit's row).
     fn checked_slot(&self, q: QubitId, module: ModuleId) -> Option<usize> {
         if module.index() >= self.num_modules {
             return None;
@@ -198,45 +193,24 @@ impl WeightTable {
         (slot < self.weights.len()).then_some(slot)
     }
 
+    /// Adds one unit to `W(q, module)`; out-of-table pairs are dropped.
     fn bump(&mut self, q: QubitId, module: ModuleId) {
-        let Some(slot) = self.checked_slot(q, module) else {
-            // Out-of-table pairs carry no weight: the bump is a no-op, and
-            // `weight` reads the same slot as zero — one consistent story
-            // instead of a write-side drop that disagrees with the read side.
-            return;
-        };
-        let w = &mut self.weights[slot];
-        if *w == 0 {
-            self.nonzero += 1;
-        }
-        *w += 1;
-    }
-
-    fn debump(&mut self, q: QubitId, module: ModuleId) {
-        let Some(slot) = self.checked_slot(q, module) else {
-            return;
-        };
-        let w = &mut self.weights[slot];
-        debug_assert!(*w > 0, "debump of a zero weight ({q} towards {module})");
-        if *w == 0 {
-            return;
-        }
-        *w -= 1;
-        if *w == 0 {
-            self.nonzero -= 1;
+        if let Some(slot) = self.checked_slot(q, module) {
+            if self.weights[slot] == 0 {
+                self.nonzero += 1;
+            }
+            self.weights[slot] += 1;
         }
     }
 
-    /// `W(q, module)` (`O(1)` flat-array read; out-of-table pairs read zero).
+    /// `W(q, module)` (out-of-table pairs read zero).
     pub fn weight(&self, q: QubitId, module: ModuleId) -> usize {
         self.checked_slot(q, module)
-            .map(|slot| self.weights[slot])
-            .unwrap_or(0)
+            .map_or(0, |slot| self.weights[slot])
     }
 
     /// The remote module (≠ `home`) with the largest weight for `q`, provided
-    /// that weight strictly exceeds `threshold`. Scans the table's own module
-    /// axis, so it can neither skip candidate modules nor scan dead columns.
+    /// that weight strictly exceeds `threshold` (smallest id on ties).
     pub fn best_remote_module(
         &self,
         q: QubitId,
@@ -251,21 +225,12 @@ impl WeightTable {
             .max_by_key(|&(m, w)| (w, std::cmp::Reverse(m.index())))
     }
 
-    /// Empties the table while keeping the flat array's allocation (the
-    /// compile-context reset path; [`WeightTable::recompute`] re-sizes it).
-    pub fn clear(&mut self) {
-        self.weights.clear();
-        self.num_modules = 0;
-        self.nonzero = 0;
-        self.synced_epoch = 0;
-    }
-
-    /// Number of non-zero entries (`O(1)`, maintained counter).
+    /// Number of non-zero entries.
     pub fn len(&self) -> usize {
         self.nonzero
     }
 
-    /// `true` if the table has no non-zero entry (`O(1)`).
+    /// `true` if the table has no non-zero entry.
     pub fn is_empty(&self) -> bool {
         self.nonzero == 0
     }
@@ -442,10 +407,6 @@ mod tests {
         assert_eq!(table.weight(q(0), ModuleId(7)), 0);
         assert_eq!(table.weight(q(1), ModuleId(0)), aliased_row, "no aliasing");
         assert_eq!(table.len(), before_len, "dropped bumps leave len intact");
-        // The symmetric debump path is guarded identically.
-        table.debump(q(0), ModuleId(2));
-        assert_eq!(table.weight(q(1), ModuleId(0)), aliased_row);
-        assert_eq!(table.len(), before_len);
         // A placement bug during a rebuild behaves the same way: the mirrored
         // in-range contribution still lands, the out-of-range one is dropped.
         let lopsided = WeightTable::compute(&dag, 8, 2, |qubit| {
@@ -463,8 +424,110 @@ mod tests {
         );
     }
 
+    /// The decisions the oracle table implies for every qubit: the swap
+    /// target `(W(q, home) = 0, best remote module above T)` and, per
+    /// module, whether `W(q, m) = 0`.
+    fn oracle_decisions(
+        dag: &DependencyDag,
+        k: usize,
+        threshold: usize,
+        num_modules: usize,
+        module_of: impl Fn(QubitId) -> Option<ModuleId> + Copy,
+    ) -> Vec<(Option<ModuleId>, Vec<bool>)> {
+        let table = WeightTable::compute(dag, k, num_modules, module_of);
+        (0..dag.num_qubits())
+            .map(|i| {
+                let home = module_of(q(i)).expect("placed");
+                let target = if table.weight(q(i), home) > 0 {
+                    None
+                } else {
+                    table
+                        .best_remote_module(q(i), home, threshold)
+                        .map(|(m, _)| m)
+                };
+                let idle = (0..num_modules)
+                    .map(|m| table.weight(q(i), ModuleId(m)) == 0)
+                    .collect();
+                (target, idle)
+            })
+            .collect()
+    }
+
+    /// The same decisions answered on demand by [`SwapWeights`].
+    fn on_demand_decisions(
+        weights: &mut SwapWeights,
+        dag: &DependencyDag,
+        k: usize,
+        threshold: usize,
+        num_modules: usize,
+        module_of: impl Fn(QubitId) -> Option<ModuleId> + Copy,
+    ) -> Vec<(Option<ModuleId>, Vec<bool>)> {
+        (0..dag.num_qubits())
+            .map(|i| {
+                let home = module_of(q(i)).expect("placed");
+                let target = weights.swap_target(dag, k, threshold, q(i), home, module_of);
+                let idle = (0..num_modules)
+                    .map(|m| weights.is_idle_on(dag, k, q(i), ModuleId(m), module_of))
+                    .collect();
+                (target, idle)
+            })
+            .collect()
+    }
+
     #[test]
-    fn sync_tracks_retirements_like_a_recompute() {
+    fn swap_target_picks_the_heaviest_remote_module_with_the_smallest_id_on_ties() {
+        // q0 (module 0) meets q2 and q3 (module 1) twice each and q4, q5
+        // (module 2) twice each: modules 1 and 2 tie at weight 4.
+        let mut c = Circuit::new(6);
+        for partner in [2, 4, 3, 5, 2, 4, 3, 5] {
+            c.cx(0, partner);
+        }
+        let dag = DependencyDag::from_circuit(&c);
+        let by_pairs = |qubit: QubitId| Some(ModuleId(qubit.index() / 2));
+        let mut weights = SwapWeights::default();
+        let target = |weights: &mut SwapWeights, k, t| {
+            weights.swap_target(&dag, k, t, q(0), ModuleId(0), by_pairs)
+        };
+        assert_eq!(target(&mut weights, 8, 3), Some(ModuleId(1)));
+        assert_eq!(target(&mut weights, 8, 4), None, "T is a strict bound");
+        // Within 6 gates module 1 has 3 and module 2 has 3 as well.
+        assert_eq!(target(&mut weights, 6, 2), Some(ModuleId(1)));
+        // Any window gate towards home vetoes the swap.
+        let mut home = Circuit::new(6);
+        home.cx(0, 2).cx(0, 2).cx(0, 2).cx(0, 1);
+        let dag = DependencyDag::from_circuit(&home);
+        assert_eq!(
+            weights.swap_target(&dag, 8, 1, q(0), ModuleId(0), by_pairs),
+            None
+        );
+        assert_eq!(
+            weights.swap_target(&dag, 3, 1, q(0), ModuleId(0), by_pairs),
+            Some(ModuleId(1)),
+            "the home gate lies outside a 3-layer window"
+        );
+    }
+
+    #[test]
+    fn the_probe_free_bound_settles_queries_without_walking() {
+        // q0's gates all go to module 1 but only twice: with T = 4 the bound
+        // over the next 8 gates rules the swap out without a window walk.
+        let mut c = Circuit::new(4);
+        c.cx(0, 2).cx(0, 3);
+        let dag = DependencyDag::from_circuit(&c);
+        let mut weights = SwapWeights::default();
+        assert_eq!(
+            weights.swap_target(&dag, 8, 4, q(0), ModuleId(0), module_of),
+            None
+        );
+        assert!(weights.is_idle_on(&dag, 8, q(0), ModuleId(0), module_of));
+        assert_eq!(weights.walks(), 0);
+        // A partner on the module asked about needs the exact walk.
+        assert!(!weights.is_idle_on(&dag, 8, q(0), ModuleId(1), module_of));
+        assert_eq!(weights.walks(), 1);
+    }
+
+    #[test]
+    fn on_demand_weights_track_retirements_like_a_recompute() {
         let mut c = Circuit::new(6);
         c.cx(0, 2)
             .cx(2, 4)
@@ -472,89 +535,47 @@ mod tests {
             .cx(0, 2)
             .cx(3, 5)
             .cx(4, 0)
-            .cx(1, 5);
+            .cx(1, 5)
+            .cx(0, 4)
+            .cx(0, 4);
         let mut dag = DependencyDag::from_circuit(&c);
         let module = |qubit: QubitId| Some(ModuleId(qubit.index() % 3));
-        let k = 2;
-        let mut incremental = WeightTable::default();
-        incremental.sync(&dag, k, 3, module);
-        loop {
-            let fresh = WeightTable::compute(&dag, k, 3, module);
-            assert_eq!(incremental.len(), fresh.len());
-            for qi in 0..6 {
-                for m in 0..3 {
+        let mut weights = SwapWeights::default();
+        for k in [1, 2, 8] {
+            for threshold in [0, 1, 4] {
+                dag.reset();
+                loop {
                     assert_eq!(
-                        incremental.weight(q(qi), ModuleId(m)),
-                        fresh.weight(q(qi), ModuleId(m)),
-                        "q{qi}/m{m}"
+                        on_demand_decisions(&mut weights, &dag, k, threshold, 3, module),
+                        oracle_decisions(&dag, k, threshold, 3, module),
+                        "k = {k}, T = {threshold}, {} gates left",
+                        dag.remaining()
                     );
+                    let Some(node) = dag.front_gate() else { break };
+                    dag.mark_executed(node);
                 }
             }
-            let Some(node) = dag.front_gate() else { break };
-            dag.mark_executed(node);
-            incremental.sync(&dag, k, 3, module);
         }
-        assert!(incremental.is_empty());
     }
 
     #[test]
-    fn apply_module_change_matches_a_recompute_under_the_new_placement() {
+    fn on_demand_weights_follow_a_module_change_like_a_recompute() {
         let mut c = Circuit::new(6);
         c.cx(0, 2).cx(0, 3).cx(0, 2).cx(1, 2).cx(4, 5);
         let dag = DependencyDag::from_circuit(&c);
         // q0..q2 on module 0/0/1 initially; q3+ on module 1.
         let mut modules = [0usize, 0, 1, 1, 1, 1];
-        let mut table = WeightTable::default();
-        table.sync(&dag, 8, 2, |qubit| Some(ModuleId(modules[qubit.index()])));
-        // Move q2 from module 1 to module 0 (the swap_logical pattern).
-        table.apply_module_change(&dag, 8, q(2), ModuleId(1), ModuleId(0));
-        modules[2] = 0;
-        let fresh =
-            WeightTable::compute(&dag, 8, 2, |qubit| Some(ModuleId(modules[qubit.index()])));
-        assert_eq!(table.len(), fresh.len());
-        for qi in 0..6 {
-            for m in 0..2 {
-                assert_eq!(
-                    table.weight(q(qi), ModuleId(m)),
-                    fresh.weight(q(qi), ModuleId(m)),
-                    "q{qi}/m{m}"
-                );
-            }
-        }
-        // A no-op move leaves the table untouched.
-        table.apply_module_change(&dag, 8, q(2), ModuleId(0), ModuleId(0));
-        assert_eq!(table.len(), fresh.len());
-    }
-
-    #[test]
-    fn sync_rebuilds_after_dag_reset_and_geometry_change() {
-        let mut c = Circuit::new(4);
-        c.cx(0, 2).cx(1, 3).cx(0, 2);
-        let mut dag = DependencyDag::from_circuit(&c);
-        let mut table = WeightTable::default();
-        table.sync(&dag, 8, 2, module_of);
-        dag.mark_executed(dag.front_gate().unwrap());
-        dag.reset();
-        // After a reset the delta chain is broken: sync must land on exactly
-        // the fresh-table answer, not a stale patch.
-        table.sync(&dag, 8, 2, module_of);
-        let fresh = WeightTable::compute(&dag, 8, 2, module_of);
-        assert_eq!(table.len(), fresh.len());
-        assert_eq!(
-            table.weight(q(0), ModuleId(1)),
-            fresh.weight(q(0), ModuleId(1))
-        );
-        // Growing the module axis forces a rebuild too.
-        table.sync(&dag, 8, 3, |qubit| Some(ModuleId(qubit.index() % 3)));
-        let fresh3 = WeightTable::compute(&dag, 8, 3, |qubit| Some(ModuleId(qubit.index() % 3)));
-        assert_eq!(table.len(), fresh3.len());
-        for qi in 0..4 {
-            for m in 0..3 {
-                assert_eq!(
-                    table.weight(q(qi), ModuleId(m)),
-                    fresh3.weight(q(qi), ModuleId(m))
-                );
-            }
+        let mut weights = SwapWeights::default();
+        for step in 0..2 {
+            let module_of = |qubit: QubitId| Some(ModuleId(modules[qubit.index()]));
+            assert_eq!(
+                on_demand_decisions(&mut weights, &dag, 8, 0, 2, module_of),
+                oracle_decisions(&dag, 8, 0, 2, module_of),
+                "step {step}"
+            );
+            // Move q2 from module 1 to module 0 (the swap_logical pattern):
+            // the next query reads the new placement, nothing to repair.
+            modules[2] = 0;
         }
     }
 }

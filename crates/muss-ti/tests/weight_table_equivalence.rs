@@ -1,23 +1,32 @@
-//! Incremental-vs-recompute equivalence for the Section 3.3 weight table.
+//! On-demand-vs-oracle equivalence for the Section 3.3 SWAP-insertion
+//! weights.
 //!
-//! The scheduler maintains its `WeightTable` incrementally — window churn via
-//! `WeightTable::sync` (the DAG's entered/left record) and placement churn
-//! via `WeightTable::apply_module_change` at `swap_logical` sites — with the
-//! original rebuild-from-window `recompute` retained as the executable
-//! specification. This suite drives arbitrary interleavings of gate
-//! retirement, intra-module shuttles and cross-module logical swaps against
-//! a real `PlacementState` and pins the incremental table **exactly** equal
-//! to a fresh recompute at every synchronisation point. (Cross-module
-//! *shuttles* do not exist in this machine model — `PlacementState::shuttle`
-//! asserts same-module transport — which is precisely why `swap_logical` is
-//! the only placement-churn hook the table needs.)
+//! The scheduler answers `W(q, ·)` on demand with `SwapWeights`: a
+//! probe-free bound over the qubit's next `k` gates, then an exact walk of
+//! its window gates. The original rebuild of the whole weight table from the
+//! full window (`WeightTable::compute`) is the executable specification.
+//! This suite drives arbitrary interleavings of gate retirement,
+//! intra-module shuttles and cross-module logical swaps against a real
+//! `PlacementState`, and pins every swap decision — each qubit's swap
+//! target and its `W(q, m) = 0` verdict per module — to the oracle's at
+//! irregular check points.
 
-use eml_qccd::{DeviceConfig, EmlQccdDevice, ModuleId};
+use eml_qccd::{DeviceConfig, EmlQccdDevice};
 use ion_circuit::{generators, DependencyDag, QubitId};
-use muss_ti::{PlacementState, WeightTable};
+use muss_ti::test_support::check_swap_weights;
+use muss_ti::{PlacementState, SwapWeights};
 use proptest::prelude::*;
 
 const K: usize = 8;
+
+/// Window depths checked at every check point: at `k = 1` and `k = 2` a
+/// qubit's window often spans all of its next `k` gates, the case where the
+/// probe-free bound and the exact walk see the same gates.
+const KS: [usize; 3] = [1, 2, K];
+
+/// Swap thresholds checked at every check point: eager, small and the
+/// paper's default.
+const THRESHOLDS: [usize; 3] = [0, 1, 4];
 
 /// Places `num_qubits` ions round-robin across every zone with free space.
 fn spread_placement(device: &EmlQccdDevice, num_qubits: usize) -> PlacementState {
@@ -42,51 +51,33 @@ fn spread_placement(device: &EmlQccdDevice, num_qubits: usize) -> PlacementState
     state
 }
 
-/// Asserts the incremental table equals a fresh recompute entry for entry.
-fn assert_matches_recompute(
-    label: &str,
-    table: &WeightTable,
-    dag: &DependencyDag,
-    device: &EmlQccdDevice,
-    state: &PlacementState,
-    num_qubits: usize,
-) {
-    let fresh = WeightTable::compute(dag, K, device.num_modules(), |q| state.module_of(device, q));
-    assert_eq!(table.len(), fresh.len(), "{label}: non-zero entry counts");
-    for q in 0..num_qubits {
-        for m in 0..device.num_modules() {
-            assert_eq!(
-                table.weight(QubitId::new(q), ModuleId(m)),
-                fresh.weight(QubitId::new(q), ModuleId(m)),
-                "{label}: W(q{q}, m{m})"
-            );
-        }
-    }
-}
-
-/// One random interleaving: retire / shuttle / swap / sync-and-check.
+/// One random interleaving: retire / shuttle / swap / check.
 fn drive_interleaving(num_qubits: usize, gates: usize, seed: u64, actions: &[usize]) {
     let circuit = generators::random_circuit(num_qubits, gates, seed);
     let device = DeviceConfig::for_qubits(num_qubits).build();
     let mut dag = DependencyDag::from_circuit(&circuit);
     let mut state = spread_placement(&device, num_qubits);
-    let mut table = WeightTable::default();
-    let module_count = device.num_modules();
-    assert!(module_count >= 2, "the swap action needs two modules");
+    let mut weights = SwapWeights::default();
+    assert!(
+        device.num_modules() >= 2,
+        "the swap action needs two modules"
+    );
 
-    table.sync(&dag, K, module_count, |q| state.module_of(&device, q));
     for (step, &action) in actions.iter().enumerate() {
         match action % 4 {
-            // Retire the oldest ready gate; poke a window query so deltas
-            // accumulate across queries the consumer never observed.
+            // Retire a ready gate picked by the step, so retire orders vary;
+            // poke a window query so the probe's memo is warm across
+            // retirements.
             0 | 1 => {
-                if let Some(node) = dag.front_gate() {
+                let front = dag.front();
+                if !front.is_empty() {
+                    let node = front[(step * 13 + action) % front.len()];
                     dag.mark_executed(node);
                     let _ = dag.next_use_depth(K, QubitId::new(step % num_qubits));
                 }
             }
             // Intra-module shuttle: moves an ion between zones of its module
-            // — invisible to the module-granular weight table by design.
+            // — invisible to the module-granular weights by design.
             2 => {
                 let q = QubitId::new((step * 7) % num_qubits);
                 let module = state.module_of(&device, q).unwrap();
@@ -99,40 +90,33 @@ fn drive_interleaving(num_qubits: usize, gates: usize, seed: u64, actions: &[usi
                     let _ = state.shuttle(&device, q, to);
                 }
             }
-            // Cross-module logical swap: the placement-churn delta source.
-            // The table must be synced at the swap site (the scheduler's
-            // discipline), then patched for both moved qubits.
+            // Cross-module logical swap: the only way a qubit changes module.
             _ => {
                 let a = QubitId::new((step * 3) % num_qubits);
                 let b = QubitId::new((step * 5 + 1) % num_qubits);
-                let ma = state.module_of(&device, a).unwrap();
-                let mb = state.module_of(&device, b).unwrap();
-                if ma != mb {
-                    table.sync(&dag, K, module_count, |q| state.module_of(&device, q));
+                if state.module_of(&device, a) != state.module_of(&device, b) {
                     state.swap_logical(a, b);
-                    table.apply_module_change(&dag, K, a, ma, mb);
-                    table.apply_module_change(&dag, K, b, mb, ma);
                 }
             }
         }
-        // Re-synchronise and compare at irregular intervals (and always at
-        // the end) so some checks see batched multi-refresh deltas.
+        // Compare at irregular intervals (and always at the end) so some
+        // checks see several retirements and moves at once.
         if step % 5 == 4 || step + 1 == actions.len() {
-            table.sync(&dag, K, module_count, |q| state.module_of(&device, q));
-            assert_matches_recompute(
-                &format!("step {step} of random({num_qubits},{gates},{seed})"),
-                &table,
-                &dag,
-                &device,
-                &state,
-                num_qubits,
-            );
+            for k in KS {
+                for threshold in THRESHOLDS {
+                    if let Err(e) =
+                        check_swap_weights(&mut weights, &dag, k, threshold, &device, &state)
+                    {
+                        panic!("step {step} of random({num_qubits},{gates},{seed}): {e}");
+                    }
+                }
+            }
         }
     }
 }
 
 #[test]
-fn incremental_table_survives_a_full_drain_with_swaps() {
+fn on_demand_weights_survive_a_full_drain_with_swaps() {
     // Deterministic smoke: every action class, all the way to an empty DAG.
     let actions: Vec<usize> = (0..200usize).map(|i| i % 4).collect();
     drive_interleaving(48, 160, 11, &actions);
@@ -142,9 +126,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arbitrary interleavings of retirement, shuttles and logical swaps:
-    /// the incremental table is exactly a fresh recompute at every sync.
+    /// every on-demand decision equals the oracle's at every check point.
     #[test]
-    fn incremental_matches_recompute_under_random_interleavings(
+    fn on_demand_matches_recompute_under_random_interleavings(
         ((qubits, gates, seed), actions) in (
             (40..96usize, 30..240usize, 0..512u64),
             proptest::collection::vec(0..4usize, 10..120),
