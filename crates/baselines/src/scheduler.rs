@@ -250,12 +250,8 @@ impl GridScheduler<'_> {
         *self.executable = executable;
         self.candidates.clear();
         debug_assert!(
-            self.executable.iter().copied().eq(self
-                .dag
-                .front()
-                .iter()
-                .copied()
-                .filter(|&n| self.is_executable(n))),
+            self.dag
+                .is_filtered_front(self.executable, |n| self.is_executable(n)),
             "candidate-derived executable set diverged from a full front scan"
         );
     }

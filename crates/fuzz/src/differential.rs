@@ -180,15 +180,15 @@ pub fn check_dag_oracle(circuit: &Circuit, salt: u64) -> Result<(), String> {
     loop {
         let front = dag.front_layer();
         ensure_eq!(
-            front.as_slice(),
-            dag.front(),
-            "front()/front_layer() at step {step} of '{}'",
-            circuit.name()
-        );
-        ensure_eq!(
             front,
             naive.front_layer(),
             "front layer at step {step} of '{}'",
+            circuit.name()
+        );
+        ensure_eq!(
+            dag.front_gate(),
+            front.first().copied(),
+            "front_gate() at step {step} of '{}'",
             circuit.name()
         );
         for k in [0usize, 1, K] {
@@ -402,7 +402,7 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
             // Retire a random ready gate, poking a window query in between
             // so the probe's memo is warm across retirements.
             0 | 1 => {
-                let front = dag.front();
+                let front = dag.front_layer();
                 if !front.is_empty() {
                     let node = front[rng.gen_range(0..front.len())];
                     dag.mark_executed(node);

@@ -7,18 +7,22 @@
 //! from scratch (each scheduler step costs `O(Δ)` — proportional to what
 //! changed — instead of `O(n)` in the number of gates):
 //!
-//! * [`front`](DependencyDag::front) — `O(1)`: a borrowed slice of the
-//!   maintained, program-ordered ready list; no allocation, no scan.
+//! * [`front_gate`](DependencyDag::front_gate) — `O(1)`: the oldest ready
+//!   gate is the lowest-numbered unexecuted gate (ids are program order and
+//!   edges point from lower ids to higher ones), read off a cursor.
 //! * [`ready_on`](DependencyDag::ready_on) — `O(1)`: the ready gate acting
-//!   on a qubit, from a qubit-indexed view of the ready list. With it a
-//!   scheduler re-examines only the front gates whose operands moved instead
-//!   of rescanning the whole front layer every step.
+//!   on a qubit, from the qubit-indexed table that is the DAG's only
+//!   representation of the front. With it a scheduler re-examines only the
+//!   front gates whose operands moved instead of rescanning the front.
 //! * [`mark_executed_into`](DependencyDag::mark_executed_into) —
-//!   `O(out-degree + |front|)` worst case (ordered insertion into the ready
-//!   list): retiring a gate touches only its direct successors and appends
+//!   `O(out-degree)` amortised (the cursor advances at most `n` steps per
+//!   pass): retiring a gate touches only its direct successors and appends
 //!   newly-ready nodes to a caller-supplied buffer, so the scheduling loop
-//!   allocates nothing in steady state. `ready_on` and the per-qubit gate
-//!   cursors are updated in `O(1)` per retired or newly-ready gate.
+//!   allocates nothing in steady state; nothing is kept sorted.
+//! * [`ready_gates`](DependencyDag::ready_gates) /
+//!   [`front_layer`](DependencyDag::front_layer) — the whole front from
+//!   `ready_on`: `O(qubits)` unordered, or `O(qubits + |front| log |front|)`
+//!   in program order (allocating; cold paths and tests).
 //! * [`next_use_depth`](DependencyDag::next_use_depth) /
 //!   [`count_window_partners`](DependencyDag::count_window_partners) /
 //!   [`for_each_window_partner`](DependencyDag::for_each_window_partner) —
@@ -264,10 +268,11 @@ impl DepthProbe {
 /// The DAG supports the operations the schedulers need (see the module-level
 /// *Performance* section for the complexity contract of each):
 ///
-/// * [`front`](DependencyDag::front) — gates with no unexecuted predecessor,
-///   in program order (for FCFS tie-breaking), as a borrowed slice of the
-///   maintained ready list ([`front_layer`](DependencyDag::front_layer) is
-///   the allocating wrapper);
+/// * [`front_gate`](DependencyDag::front_gate) and
+///   [`ready_on`](DependencyDag::ready_on) — the oldest ready gate (for FCFS
+///   routing) and the ready gate on a qubit
+///   ([`front_layer`](DependencyDag::front_layer) is the allocating,
+///   program-ordered view of the whole front);
 /// * [`mark_executed_into`](DependencyDag::mark_executed_into) — retire a
 ///   gate and append newly-ready successors to a caller-supplied buffer
 ///   ([`mark_executed`](DependencyDag::mark_executed) is the allocating
@@ -309,15 +314,14 @@ pub struct DependencyDag {
     executed: Vec<bool>,
     remaining: usize,
     num_qubits: usize,
-    /// Maintained front layer: unexecuted nodes with no unexecuted
-    /// predecessor, kept sorted ascending (= program order, since ids are
-    /// program order). A plain sorted `Vec` so [`front`](DependencyDag::front)
-    /// is a borrowed slice and insert/remove never allocate in steady state.
-    ready: Vec<DagNodeId>,
+    /// The lowest-numbered unexecuted node (`gates.len()` once all are
+    /// executed). It is always ready: every edge points from a lower id to a
+    /// higher one, so all of its predecessors are executed.
+    oldest: usize,
     /// `ready_on[q]` is the ready node acting on qubit `q`, if any: the
-    /// qubit-indexed view of `ready`. Two ready gates never share a qubit
+    /// front layer, indexed by qubit. Two ready gates never share a qubit
     /// (the later one would depend on the earlier), so one slot per qubit
-    /// suffices; maintained in `O(1)` per change alongside `ready`.
+    /// suffices; maintained in `O(1)` per change.
     ready_on: Vec<Option<DagNodeId>>,
     /// Per-qubit gate lists in the current orientation (CSR payload): the
     /// nodes acting on qubit `q`, ascending, are
@@ -358,7 +362,7 @@ impl DependencyDag {
             executed: vec![false; n], // lint: allow (one-time construction, not the scheduling loop)
             remaining: n,
             num_qubits: circuit.num_qubits(),
-            ready: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
+            oldest: 0,
             ready_on: vec![None; circuit.num_qubits()], // lint: allow (one-time construction, not the scheduling loop)
             qubit_gates: Vec::with_capacity(2 * n), // lint: allow (one-time construction, not the scheduling loop)
             qubit_starts: Vec::new(), // lint: allow (one-time construction, not the scheduling loop)
@@ -432,10 +436,9 @@ impl DependencyDag {
     }
 
     /// Restores the DAG to its freshly-built state — every gate unexecuted,
-    /// the ready list back to the zero-predecessor gates, the per-qubit
-    /// cursors at their list heads, every memoised probe depth invalidated —
-    /// while keeping every allocation (edge lists, probe scratch, per-qubit
-    /// indexes).
+    /// the front back to the zero-predecessor gates, every cursor at its
+    /// head, every memoised probe depth invalidated — while keeping every
+    /// allocation (edge lists, probe scratch, per-qubit indexes).
     ///
     /// `O(n)` in the number of gates; this is what lets the SABRE two-fold
     /// search and the final scheduling pass share one DAG instead of
@@ -447,16 +450,12 @@ impl DependencyDag {
             self.unexecuted_preds[i] = preds.len();
         }
         self.remaining = self.gates.len();
-        self.ready.clear();
-        let unexecuted_preds = &self.unexecuted_preds;
-        self.ready.extend(
-            (0..self.gates.len())
-                .filter(|&i| unexecuted_preds[i] == 0)
-                .map(DagNodeId),
-        );
+        self.oldest = 0;
         self.ready_on.fill(None);
-        for i in 0..self.ready.len() {
-            self.set_ready_on(self.ready[i]);
+        for i in 0..self.gates.len() {
+            if self.unexecuted_preds[i] == 0 {
+                self.set_ready_on(DagNodeId(i));
+            }
         }
         self.qubit_cursor
             .copy_from_slice(&self.qubit_starts[..self.num_qubits]);
@@ -537,34 +536,61 @@ impl DependencyDag {
         self.executed[node.0]
     }
 
-    /// Nodes with no unexecuted predecessors, in program order (FCFS order),
-    /// as a borrowed slice of the maintained ready list.
-    ///
-    /// `O(1)`, allocation-free: this is the scheduling hot loop's view of the
-    /// front layer.
-    pub fn front(&self) -> &[DagNodeId] {
-        &self.ready
-    }
-
     /// Nodes with no unexecuted predecessors, in program order (FCFS order).
     ///
-    /// Thin allocating wrapper over [`front`](DependencyDag::front); prefer
-    /// the borrowed slice on hot paths.
+    /// Cold and allocating: collects [`ready_gates`](DependencyDag::ready_gates)
+    /// and sorts them, `O(qubits + |front| log |front|)`. Hot paths use
+    /// [`front_gate`](DependencyDag::front_gate) and
+    /// [`ready_on`](DependencyDag::ready_on).
     pub fn front_layer(&self) -> Vec<DagNodeId> {
-        self.front().to_vec() // lint: allow (documented allocating wrapper; hot paths use the pooled form)
+        let mut front: Vec<DagNodeId> = self.ready_gates().collect();
+        front.sort_unstable();
+        front
+    }
+
+    /// Every ready (front-layer) node, once each, in no particular order.
+    ///
+    /// `O(qubits)`, allocation-free: each ready gate is reported from its
+    /// first operand's [`ready_on`](DependencyDag::ready_on) slot. Meant for
+    /// debug cross-checks of a scheduler's executable set.
+    pub fn ready_gates(&self) -> impl Iterator<Item = DagNodeId> + '_ {
+        self.ready_on
+            .iter()
+            .enumerate()
+            .filter_map(move |(q, &node)| node.filter(|&n| self.operands(n).0.index() == q))
+    }
+
+    /// `true` iff `nodes` is exactly the ready gates accepted by `accept`, in
+    /// program order.
+    ///
+    /// `O(qubits)`, allocation-free: `nodes` must be strictly ascending and
+    /// each entry ready and accepted, and as many ready gates must be
+    /// accepted as `nodes` holds. The schedulers' per-step debug check of
+    /// their candidate-derived executable set against the whole front.
+    pub fn is_filtered_front(
+        &self,
+        nodes: &[DagNodeId],
+        mut accept: impl FnMut(DagNodeId) -> bool,
+    ) -> bool {
+        nodes.windows(2).all(|w| w[0] < w[1])
+            && nodes
+                .iter()
+                .all(|&n| self.ready_on(self.operands(n).0) == Some(n) && accept(n))
+            && self.ready_gates().filter(|&n| accept(n)).count() == nodes.len()
     }
 
     /// The oldest (program-order first) ready node, if any.
     ///
-    /// `O(1)`; equivalent to `front().first()`.
+    /// `O(1)`: the lowest-numbered unexecuted node, which is always ready
+    /// (see the `oldest` cursor). Equivalent to `front_layer().first()`.
     pub fn front_gate(&self) -> Option<DagNodeId> {
-        self.ready.first().copied()
+        (self.oldest < self.gates.len()).then_some(DagNodeId(self.oldest))
     }
 
     /// The ready (front-layer) node acting on `qubit`, or `None` if no ready
     /// gate touches it (or the qubit is outside the register).
     ///
-    /// `O(1)`: a read of the maintained qubit-indexed view of the ready list.
+    /// `O(1)`: a read of the maintained qubit-indexed front table.
     /// At most one ready node can act on a qubit — two front-layer gates
     /// never share one (the later would depend on the earlier). Schedulers
     /// use this to re-examine only the front gates whose operands moved.
@@ -599,10 +625,10 @@ impl DependencyDag {
     /// that became ready (front-layer members) as a result are **appended**
     /// to `newly_ready` (the buffer is not cleared, so callers can pool it).
     ///
-    /// `O(out-degree + |front|)` worst case (ordered ready-list insertion),
-    /// allocation-free in steady state; also advances both operands'
-    /// per-qubit cursors and invalidates the probe's memoised depths in
-    /// `O(1)`.
+    /// `O(out-degree)` amortised, allocation-free in steady state: also
+    /// advances both operands' per-qubit cursors, moves the oldest-gate
+    /// cursor past executed nodes (at most `n` steps per pass in total) and
+    /// invalidates the probe's memoised depths in `O(1)`.
     ///
     /// # Panics
     ///
@@ -616,11 +642,9 @@ impl DependencyDag {
         );
         self.executed[node.0] = true;
         self.remaining -= 1;
-        let pos = self
-            .ready
-            .binary_search(&node)
-            .expect("a zero-predecessor unexecuted node is in the ready list");
-        self.ready.remove(pos);
+        while self.oldest < self.executed.len() && self.executed[self.oldest] {
+            self.oldest += 1;
+        }
         let (a, b) = self.operands(node);
         for q in [a.index(), b.index()] {
             self.ready_on[q] = None;
@@ -632,12 +656,14 @@ impl DependencyDag {
             let succ = self.successors[node.0][i];
             self.unexecuted_preds[succ.0] -= 1;
             if self.unexecuted_preds[succ.0] == 0 && !self.executed[succ.0] {
-                let pos = self.ready.partition_point(|&r| r < succ);
-                self.ready.insert(pos, succ);
                 self.set_ready_on(succ);
                 newly_ready.push(succ);
             }
         }
+        debug_assert!(
+            self.oldest == self.executed.len() || self.unexecuted_preds[self.oldest] == 0,
+            "the lowest unexecuted node is ready"
+        );
         self.probe.get_mut().invalidate();
     }
 
@@ -913,7 +939,7 @@ impl NaiveDag {
                         predecessors[i].push(prev);
                     }
                 }
-                last_user.insert(q, i);
+                last_user.insert(q, i); // lint: allow (NaiveDag reference implementation; a hash-map insert, no shift)
             }
         }
         let unexecuted_preds = predecessors.iter().map(Vec::len).collect();
@@ -1271,15 +1297,28 @@ mod tests {
     }
 
     #[test]
-    fn front_is_a_borrowed_view_of_front_layer() {
+    fn front_layer_is_program_ordered_and_led_by_front_gate() {
         let mut c = Circuit::new(6);
-        c.cx(0, 1).cx(2, 3).cx(4, 5).cx(1, 2);
-        let dag = DependencyDag::from_circuit(&c);
-        let front: &[DagNodeId] = dag.front();
-        assert_eq!(front, dag.front_layer().as_slice());
-        assert_eq!(front.first().copied(), dag.front_gate());
-        // Program order (= ascending node ids) is maintained.
-        assert!(front.windows(2).all(|w| w[0] < w[1]));
+        c.cx(4, 5).cx(2, 3).cx(0, 1).cx(1, 2).cx(3, 4);
+        let mut dag = DependencyDag::from_circuit(&c);
+        let ids = |v: &[DagNodeId]| v.iter().map(|n| n.index()).collect::<Vec<_>>();
+        // Gates on high qubits come first in program order: the ordered view
+        // must not follow the qubit-indexed table's order.
+        assert_eq!(ids(&dag.front_layer()), [0, 1, 2]);
+        assert_eq!(dag.front_gate(), Some(DagNodeId(0)));
+        let mut unordered: Vec<DagNodeId> = dag.ready_gates().collect();
+        unordered.sort_unstable();
+        assert_eq!(unordered, dag.front_layer());
+        // Retiring out of program order: the oldest ready gate stays put
+        // until it retires itself, then the cursor skips executed nodes.
+        dag.mark_executed(DagNodeId(1));
+        dag.mark_executed(DagNodeId(2));
+        assert_eq!(ids(&dag.front_layer()), [0, 3]);
+        assert_eq!(dag.front_gate(), Some(DagNodeId(0)));
+        dag.mark_executed(DagNodeId(0));
+        assert_eq!(ids(&dag.front_layer()), [3, 4]);
+        assert_eq!(dag.front_gate(), Some(DagNodeId(3)));
+        assert_eq!(dag.ready_gates().count(), 2);
     }
 
     #[test]
@@ -1294,7 +1333,7 @@ mod tests {
             dag.mark_executed_into(node, &mut buf);
             let newly = twin.mark_executed(node);
             assert_eq!(&buf[before..], newly.as_slice());
-            assert_eq!(dag.front(), twin.front());
+            assert_eq!(dag.front_layer(), twin.front_layer());
         }
         assert_eq!(buf[0], DagNodeId(99), "existing entries stay in place");
         assert!(dag.all_executed());
@@ -1345,7 +1384,7 @@ mod tests {
     fn assert_dags_equivalent(a: &mut DependencyDag, b: &mut DependencyDag) {
         assert_eq!(a.len(), b.len());
         loop {
-            assert_eq!(a.front(), b.front());
+            assert_eq!(a.front_layer(), b.front_layer());
             assert_eq!(a.lookahead_layers(8), b.lookahead_layers(8));
             assert_eq!(a.remaining(), b.remaining());
             for q in 0..a.num_qubits() {

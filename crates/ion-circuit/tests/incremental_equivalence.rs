@@ -1,5 +1,6 @@
-//! Equivalence suite: the incremental [`DependencyDag`] (ready-set front
-//! layer, on-demand look-ahead probe, per-qubit gate cursors) must answer
+//! Equivalence suite: the incremental [`DependencyDag`] (qubit-indexed
+//! front, oldest-gate cursor, on-demand look-ahead probe, per-qubit gate
+//! cursors) must answer
 //! every query identically to the retained naive reference implementation
 //! ([`NaiveDag`]) at every step of execution, across the generator suite,
 //! several execution orders and both edge orientations.
@@ -45,20 +46,11 @@ fn assert_equivalent_drain(circuit: &Circuit, salt: u64) {
     let mut step = 0usize;
     let mut newly_ready_buf = Vec::new();
     loop {
-        // The borrowed ready-list slice and its allocating wrapper must agree
-        // with each other and with the naive scan.
         let front = dag.front_layer();
-        assert_eq!(
-            front.as_slice(),
-            dag.front(),
-            "front()/front_layer() diverged at step {step} of {}",
-            circuit.name()
-        );
-        assert_eq!(
-            front,
-            naive.front_layer(),
-            "front layer diverged at step {step} of {}",
-            circuit.name()
+        assert_front_matches(
+            &dag,
+            &naive,
+            &format!("at step {step} of {}", circuit.name()),
         );
         assert_ready_on_matches(&dag, &naive, circuit, step);
         for &k in &ks {
@@ -105,8 +97,8 @@ fn assert_equivalent_drain(circuit: &Circuit, salt: u64) {
         expected_front.extend(newly_ready_buf.iter().copied());
         expected_front.sort_unstable();
         assert_eq!(
-            dag.front(),
-            expected_front.as_slice(),
+            dag.front_layer(),
+            expected_front,
             "newly-ready nodes diverged at step {step} of {}",
             circuit.name()
         );
@@ -115,6 +107,26 @@ fn assert_equivalent_drain(circuit: &Circuit, salt: u64) {
     }
     assert!(dag.all_executed());
     assert!(naive.all_executed());
+}
+
+/// The front views must match the naive full scan: `front_layer` exactly
+/// (program order), `front_gate` as its first entry — the oldest-gate cursor
+/// — and `ready_gates` as the same set, once each.
+fn assert_front_matches(dag: &DependencyDag, naive: &NaiveDag, context: &str) {
+    let expected = naive.front_layer();
+    assert_eq!(
+        dag.front_layer(),
+        expected,
+        "front layer diverged {context}"
+    );
+    assert_eq!(
+        dag.front_gate(),
+        expected.first().copied(),
+        "front_gate diverged {context}"
+    );
+    let mut ready: Vec<DagNodeId> = dag.ready_gates().collect();
+    ready.sort_unstable();
+    assert_eq!(ready, expected, "ready_gates diverged {context}");
 }
 
 /// The qubit-indexed ready view must name, for every qubit, exactly the
@@ -137,7 +149,7 @@ fn incremental_dag_matches_naive_reference_fcfs() {
         let mut dag = DependencyDag::from_circuit(&circuit);
         let mut naive = NaiveDag::from_circuit(&circuit);
         while !dag.all_executed() {
-            assert_eq!(dag.front_layer(), naive.front_layer(), "{}", circuit.name());
+            assert_front_matches(&dag, &naive, circuit.name());
             assert_eq!(
                 dag.lookahead_layers(8),
                 naive.lookahead_layers(8),
@@ -175,7 +187,7 @@ fn reset_reversed_matches_naive_reference_of_the_reversed_circuit() {
         let mut naive = NaiveDag::from_circuit(&circuit.reversed());
         let mut step = 0;
         while !dag.all_executed() {
-            assert_eq!(dag.front_layer(), naive.front_layer(), "{}", circuit.name());
+            assert_front_matches(&dag, &naive, circuit.name());
             assert_ready_on_matches(&dag, &naive, &circuit, step);
             step += 1;
             assert_eq!(
@@ -195,17 +207,71 @@ fn reset_reversed_matches_naive_reference_of_the_reversed_circuit() {
         dag.reset_reversed();
         let mut forward = NaiveDag::from_circuit(&circuit);
         while !dag.all_executed() {
-            assert_eq!(
-                dag.front_layer(),
-                forward.front_layer(),
-                "{}",
-                circuit.name()
-            );
+            assert_front_matches(&dag, &forward, circuit.name());
             assert_ready_on_matches(&dag, &forward, &circuit, step);
             step += 1;
             let node = dag.front_gate().expect("non-empty DAG has a ready gate");
             dag.mark_executed(node);
             forward.mark_executed(node);
+        }
+    }
+}
+
+/// Retires up to `steps` gates of `dag` and `naive` in lockstep under the
+/// pseudo-random order, checking the front views before every retirement
+/// and once more at the end.
+fn drain_checking_front(
+    dag: &mut DependencyDag,
+    naive: &mut NaiveDag,
+    steps: usize,
+    salt: u64,
+    context: &str,
+) {
+    for step in 0..steps {
+        assert_front_matches(dag, naive, &format!("at step {step} {context}"));
+        let front = dag.front_layer();
+        if front.is_empty() {
+            return;
+        }
+        let node = pick(&front, step, salt);
+        dag.mark_executed(node);
+        naive.mark_executed(node);
+    }
+    assert_front_matches(dag, naive, &format!("after {steps} steps {context}"));
+}
+
+/// The oldest-gate cursor across rewinds: partial drains under random retire
+/// orders interleaved with `reset` (same orientation) and `reset_reversed`
+/// (flip), each followed by a fresh naive oracle of the circuit the DAG now
+/// represents.
+#[test]
+fn front_cursor_matches_naive_across_resets() {
+    for circuit in suite() {
+        let reversed = circuit.reversed();
+        let mut dag = DependencyDag::from_circuit(&circuit);
+        let n = dag.len();
+        for salt in [3u64, 77_777] {
+            // (flip orientation on rewind, source circuit, gates to retire)
+            let phases = [
+                (false, &circuit, n / 2),
+                (false, &circuit, n / 3),
+                (true, &reversed, n),
+                (false, &reversed, 2 * n / 3),
+                (true, &circuit, n),
+            ];
+            for (phase, (flip, source, steps)) in phases.into_iter().enumerate() {
+                if flip {
+                    dag.reset_reversed();
+                } else {
+                    dag.reset();
+                }
+                let mut naive = NaiveDag::from_circuit(source);
+                let context = format!("of {} (phase {phase}, salt {salt})", circuit.name());
+                drain_checking_front(&mut dag, &mut naive, steps, salt, &context);
+            }
+            // The last phase drained the forward orientation completely.
+            assert!(dag.all_executed());
+            assert_eq!(dag.front_gate(), None);
         }
     }
 }
@@ -360,8 +426,8 @@ fn assert_probe_matches_naive(circuit: &Circuit, salt: u64) {
             for k in PROBE_KS {
                 assert_window_matches_naive(&dag, &naive, k, &context);
             }
+            assert_front_matches(&dag, &naive, &context);
             let front = dag.front_layer();
-            assert_eq!(front, naive.front_layer(), "front diverged {context}");
             if front.is_empty() {
                 break;
             }

@@ -5,7 +5,8 @@
 //!
 //! * **hot-path** — the zero-steady-state-allocation contract (ROADMAP
 //!   performance contracts, PRs 1–5): files annotated `lint: hot-path` may
-//!   not use allocating idioms outside their `#[cfg(test)]` module.
+//!   not use allocating idioms, nor `insert`/`remove` shifts whose cost
+//!   grows with the container, outside their `#[cfg(test)]` module.
 //! * **no-panic** — the untrusted-input contract (PRs 6 and 8): files
 //!   annotated `lint: no-panic` (the QASM front-end, the schedule verifier)
 //!   may not use panicking idioms outside tests — `qasm::parse` and
@@ -44,16 +45,20 @@ const ALLOW_MARKER: &str = "lint: allow";
 /// own or the preceding line.
 const SYNC_JUSTIFICATION: &str = "// sync:";
 
-/// Allocating idioms denied in hot-path files and why. `.mark_executed(`
-/// does not match `.mark_executed_into(` and `.clone()` does not match
-/// `.cloned()` — the boundary-aware substring search in [`contains_token`]
-/// is exact enough for this vocabulary.
+/// Allocating idioms, and `Vec` shifts that cost `O(len)` per call, denied
+/// in hot-path files and why. `.mark_executed(` does not match
+/// `.mark_executed_into(` and `.clone()` does not match `.cloned()` — the
+/// boundary-aware substring search in [`contains_token`] is exact enough for
+/// this vocabulary.
 const HOT_PATH_DENIED: &[(&str, &str)] = &[
     ("HashMap", "use flat Vec-indexed tables on hot paths"),
     ("BTreeMap", "use flat Vec-indexed tables on hot paths"),
     ("format!", "allocates a String per call"),
     (".clone()", "allocates; restructure to borrow or Copy"),
-    (".front_layer(", "allocates a Vec; use front()"),
+    (
+        ".front_layer(",
+        "allocates and sorts a Vec; use front_gate() / ready_on()",
+    ),
     (
         ".mark_executed(",
         "allocates a Vec; use mark_executed_into()",
@@ -74,7 +79,13 @@ const HOT_PATH_DENIED: &[(&str, &str)] = &[
     ),
     ("Box::new(", "heap-allocates; keep hot-path state inline"),
     (".to_vec()", "allocates a copy; borrow the slice instead"),
+    (".insert(", SHIFT_HINT),
+    (".remove(", SHIFT_HINT),
 ];
+
+/// Why `insert`/`remove` are denied: on a `Vec` each shifts every later
+/// element, an `O(len)` memmove per call.
+const SHIFT_HINT: &str = "shifts every later element; use a cursor or an index";
 
 /// Panicking idioms denied in no-panic files and why. The boundary-aware
 /// match keeps `debug_assert!` (compiled out of release builds) from
@@ -473,6 +484,18 @@ pub fn self_test() -> Result<(), String> {
             "cfg(test) import: expected the format! after it to be caught, got {} finding(s)",
             findings.len()
         ));
+    }
+
+    // The shift rule: a sorted-list retirement is caught at both calls.
+    let shifting = format!(
+        "{}\nfn retire() {{ ready.remove(at); ready.insert(to, n); }}\n",
+        Pass::HotPath.marker()
+    );
+    let mut findings = Vec::new();
+    scan_source(Path::new("shifting.rs"), &shifting, &mut findings);
+    let tokens: Vec<&str> = findings.iter().map(|f| f.token).collect();
+    if tokens != [".insert(", ".remove("] {
+        return Err(format!("hot-path pass: seeded shifts caught {tokens:?}"));
     }
 
     let unannotated = "use std::collections::HashMap;\nfn f() { x.unwrap(); }\n";

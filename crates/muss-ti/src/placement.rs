@@ -267,7 +267,7 @@ impl PlacementState {
         for _ in 0..moves_to_edge {
             ops.push_op(ScheduledOp::ChainRearrange { zone: from.index() });
         }
-        chain.remove(idx);
+        chain.remove(idx); // lint: allow (a chain holds at most one zone's capacity of ions)
 
         ops.push_op(ScheduledOp::Shuttle {
             qubit,

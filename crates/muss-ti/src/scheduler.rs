@@ -332,8 +332,8 @@ impl<S: OpSink> Scheduler<'_, S> {
     fn run(&mut self) -> Result<(), CompileError> {
         while !self.dag.all_executed() {
             debug_assert!(
-                !self.dag.front().is_empty(),
-                "a non-empty DAG always has a front layer"
+                self.dag.front_gate().is_some(),
+                "a non-empty DAG always has a ready gate"
             );
 
             // Prioritise gates that are executable right away (Section 3.2),
@@ -399,12 +399,8 @@ impl<S: OpSink> Scheduler<'_, S> {
         self.exec_checks += self.candidates.len() as u64;
         self.candidates.clear();
         debug_assert!(
-            self.executable.iter().copied().eq(self
-                .dag
-                .front()
-                .iter()
-                .copied()
-                .filter(|&n| self.is_executable(n))),
+            self.dag
+                .is_filtered_front(self.executable, |n| self.is_executable(n)),
             "candidate-derived executable set diverged from a full front scan"
         );
     }

@@ -69,7 +69,7 @@ fn drive_interleaving(num_qubits: usize, gates: usize, seed: u64, actions: &[usi
             // poke a window query so the probe's memo is warm across
             // retirements.
             0 | 1 => {
-                let front = dag.front();
+                let front = dag.front_layer();
                 if !front.is_empty() {
                     let node = front[(step * 13 + action) % front.len()];
                     dag.mark_executed(node);
