@@ -8,12 +8,15 @@
 //! ```
 //!
 //! `--smoke` runs a single iteration per (circuit, compiler) pair — the CI
-//! configuration; the default is 3 iterations. `--check-against` reads a
-//! committed baseline report *before* running (the out path may overwrite
-//! it) and exits non-zero if MUSS-TI's qft(48), qft(96), ran(128),
-//! ran(1024) **or** ran(4096) `wall_ms_mean` regressed by more than
-//! `--max-regression` (default 2.0×) — the CI bench-delta gate over the
-//! acceptance spot value and the scaling/stress workloads.
+//! configuration; the default is 3 iterations. Each iteration also times ten
+//! interleaved parses of each `qasm_parse` source (RAN_1024, SQRT_299,
+//! QFT_192), reported as medians. `--check-against` reads a committed
+//! baseline report *before* running (the out path may overwrite it) and
+//! exits non-zero if MUSS-TI's qft(48), qft(96), ran(128), ran(1024) **or**
+//! ran(4096) `wall_ms_mean`, or any source's median parse
+//! `ns_per_statement`, regressed by more than `--max-regression` (default
+//! 2.0×) — the CI bench-delta gate over the acceptance spot value, the
+//! scaling/stress workloads and the QASM front-end.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -12,13 +12,15 @@
 //! context (the sequential-session serving path), and the report additionally
 //! measures multi-threaded [`compile_batch_with_threads`] throughput over the
 //! whole workload set (circuits/second) — both paths the ROADMAP's
-//! heavy-traffic serving story cares about.
+//! heavy-traffic serving story cares about — and the QASM front-end's parse
+//! speed on the sources of [`parse_workloads`], the layer in front of every
+//! compile.
 
 use std::time::Instant;
 
 use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
 use eml_qccd::{compile_batch_with_threads, CompileError, Compiler, DeviceConfig, StagedCompiler};
-use ion_circuit::{generators, Circuit};
+use ion_circuit::{generators, qasm, Circuit};
 use muss_ti::{MussTiCompiler, MussTiOptions, PhaseTimings};
 use serde::{Deserialize, Serialize};
 
@@ -95,6 +97,23 @@ pub struct BatchThroughput {
     pub circuits_per_sec: f64,
 }
 
+/// Parse speed of one QASM source: medians over interleaved repetitions.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ParseRow {
+    /// Source label, e.g. `"RAN_1024"`.
+    pub source: String,
+    /// Source length in bytes.
+    pub bytes: usize,
+    /// Statements in the source (one `;` each).
+    pub statements: usize,
+    /// Timed parses of this source.
+    pub repetitions: usize,
+    /// Median parse speed, in MB (10^6 bytes) per second.
+    pub mb_per_s: f64,
+    /// Median parse time per statement, in nanoseconds.
+    pub ns_per_statement: f64,
+}
+
 /// A full benchmark run: configuration plus every row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchReport {
@@ -108,6 +127,8 @@ pub struct BenchReport {
     /// scenario), measured once per entry of [`BATCH_THREAD_COUNTS`] so the
     /// report keys throughput by worker count.
     pub batch: Vec<BatchThroughput>,
+    /// `qasm::parse` speed on each source of [`parse_workloads`].
+    pub qasm_parse: Vec<ParseRow>,
 }
 
 /// Worker counts the batch-throughput section is measured at: the
@@ -136,6 +157,61 @@ pub fn workloads() -> Vec<Circuit> {
         generators::random_circuit(1024, 8192, 25),
         generators::random_circuit(4096, 32768, 25),
     ]
+}
+
+/// The QASM sources whose parse speed the report tracks: the `to_qasm` text
+/// of two gate-dense circuits with short statements (`RAN_1024`'s
+/// `rxx(pi/2) q[a],q[b];`, `SQRT_299`'s `cx q[a],q[b];`) and of `QFT_192`,
+/// whose 17–19 digit angle literals dominate its parse.
+pub fn parse_workloads() -> Vec<(&'static str, String)> {
+    vec![
+        (
+            "RAN_1024",
+            qasm::to_qasm(&generators::random_circuit(1024, 8192, 25)),
+        ),
+        ("SQRT_299", qasm::to_qasm(&generators::sqrt(299))),
+        ("QFT_192", qasm::to_qasm(&generators::qft(192))),
+    ]
+}
+
+/// Timed parses of each [`parse_workloads`] source per benchmark iteration.
+pub const PARSE_REPETITIONS_PER_ITERATION: usize = 10;
+
+/// Times `qasm::parse` on each source `repetitions` times, interleaving the
+/// sources so host drift hits all of them alike, and reports medians.
+///
+/// # Panics
+///
+/// Panics if a source does not parse or `repetitions` is zero.
+pub fn measure_parse(sources: &[(&str, String)], repetitions: usize) -> Vec<ParseRow> {
+    assert!(repetitions > 0, "at least one timed parse is required");
+    let mut samples_s = vec![Vec::with_capacity(repetitions); sources.len()];
+    for _ in 0..repetitions {
+        for ((label, source), samples) in sources.iter().zip(&mut samples_s) {
+            let start = Instant::now();
+            let parsed = qasm::parse(std::hint::black_box(source));
+            samples.push(start.elapsed().as_secs_f64());
+            let circuit = parsed.unwrap_or_else(|e| panic!("{label} does not parse: {e}"));
+            std::hint::black_box(circuit);
+        }
+    }
+    sources
+        .iter()
+        .zip(samples_s)
+        .map(|((label, source), mut samples)| {
+            samples.sort_by(f64::total_cmp);
+            let median = samples[samples.len() / 2].max(1e-12);
+            let statements = source.matches(';').count().max(1);
+            ParseRow {
+                source: (*label).to_string(),
+                bytes: source.len(),
+                statements,
+                repetitions,
+                mb_per_s: source.len() as f64 / median / 1e6,
+                ns_per_statement: median * 1e9 / statements as f64,
+            }
+        })
+        .collect()
 }
 
 /// Runs the benchmark over [`workloads`] with `iterations` timed runs per
@@ -232,10 +308,15 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
         }
     }
     let batch = measure_batch_throughput(circuits, iterations);
+    let qasm_parse = measure_parse(
+        &parse_workloads(),
+        iterations * PARSE_REPETITIONS_PER_ITERATION,
+    );
     BenchReport {
         iterations,
         rows,
         batch,
+        qasm_parse,
     }
 }
 
@@ -317,6 +398,20 @@ impl BenchReport {
                 if i + 1 < self.batch.len() { "," } else { "" },
             ));
         }
+        out.push_str("  ],\n");
+        out.push_str("  \"qasm_parse\": [\n");
+        for (i, p) in self.qasm_parse.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"source\": {}, \"bytes\": {}, \"statements\": {}, \"repetitions\": {}, \"mb_per_s\": {:.1}, \"ns_per_statement\": {:.1}}}{}\n",
+                json_string(&p.source),
+                p.bytes,
+                p.statements,
+                p.repetitions,
+                p.mb_per_s,
+                p.ns_per_statement,
+                if i + 1 < self.qasm_parse.len() { "," } else { "" },
+            ));
+        }
         out.push_str("  ]\n");
         out.push_str("}\n");
         out
@@ -384,6 +479,29 @@ impl BenchReport {
                 b.circuits, b.runs, b.threads, b.wall_ms, b.circuits_per_sec,
             ));
         }
+        let mut parse_table = crate::report::Table::new(
+            "QASM parse (median over interleaved repetitions)",
+            &[
+                "Source",
+                "Bytes",
+                "Statements",
+                "Reps",
+                "MB/s",
+                "ns/statement",
+            ],
+        );
+        for p in &self.qasm_parse {
+            parse_table.push_row(vec![
+                p.source.clone(),
+                p.bytes.to_string(),
+                p.statements.to_string(),
+                p.repetitions.to_string(),
+                format!("{:.1}", p.mb_per_s),
+                format!("{:.1}", p.ns_per_statement),
+            ]);
+        }
+        out.push('\n');
+        out.push_str(&parse_table.render());
         out
     }
 }
@@ -397,6 +515,9 @@ impl BenchReport {
 /// — a regression in any of them fails CI.
 const GATE_CIRCUITS: [&str; 5] = ["QFT_48", "QFT_96", "RAN_128", "RAN_1024", "RAN_4096"];
 const GATE_COMPILER: &str = "MUSS-TI";
+/// The parse rows the gate watches: every source of [`parse_workloads`],
+/// by median nanoseconds per statement.
+const GATE_PARSE_SOURCES: [&str; 3] = ["RAN_1024", "SQRT_299", "QFT_192"];
 
 impl BenchReport {
     /// This run's MUSS-TI mean wall-clock for `circuit`, a bench-delta
@@ -414,11 +535,21 @@ impl BenchReport {
         self.gate_metric_for(GATE_CIRCUITS[0])
     }
 
+    /// This run's median parse nanoseconds per statement for `source`, a
+    /// bench-delta metric.
+    pub fn parse_metric_for(&self, source: &str) -> Option<f64> {
+        self.qasm_parse
+            .iter()
+            .find(|p| p.source == source)
+            .map(|p| p.ns_per_statement)
+    }
+
     /// Bench-delta smoke gate: compares this run's MUSS-TI qft(48), qft(96),
-    /// ran(128), ran(1024) and ran(4096) means against the committed baseline
-    /// report and fails when any of them regressed by more than `max_ratio`×
-    /// (the CI threshold is 2×, loose enough for shared-runner noise, tight
-    /// enough to catch a real hot-path regression).
+    /// ran(128), ran(1024) and ran(4096) means, and the median parse time per
+    /// statement of each [`parse_workloads`] source, against the committed
+    /// baseline report and fails when any of them regressed by more than
+    /// `max_ratio`× (the CI threshold is 2×, loose enough for shared-runner
+    /// noise, tight enough to catch a real hot-path regression).
     ///
     /// # Errors
     ///
@@ -448,6 +579,24 @@ impl BenchReport {
                  <= {max_ratio:.1}x committed baseline {baseline:.3} ms"
             ));
         }
+        for source in GATE_PARSE_SOURCES {
+            let baseline = parse_parse_metric_for(baseline_json, source).ok_or_else(|| {
+                format!("baseline report has no qasm_parse {source} ns_per_statement row")
+            })?;
+            let current = self
+                .parse_metric_for(source)
+                .ok_or_else(|| format!("this run produced no qasm_parse {source} row"))?;
+            if current > baseline * max_ratio {
+                return Err(format!(
+                    "bench-delta gate failed: qasm_parse {source} ns_per_statement {current:.1} \
+                     > {max_ratio:.1}x committed baseline {baseline:.1}"
+                ));
+            }
+            lines.push(format!(
+                "bench-delta gate passed: qasm_parse {source} ns_per_statement {current:.1} \
+                 <= {max_ratio:.1}x committed baseline {baseline:.1}"
+            ));
+        }
         Ok(lines.join("\n"))
     }
 }
@@ -467,6 +616,16 @@ pub fn parse_gate_metric_for(json: &str, circuit: &str) -> Option<f64> {
             let end = rest.find([',', '}'])?;
             rest[..end].trim().parse().ok()
         })
+}
+
+/// Extracts a gated parse `ns_per_statement` from a serialised report: every
+/// `qasm_parse` row is emitted on one line by [`BenchReport::to_json`].
+pub fn parse_parse_metric_for(json: &str, source: &str) -> Option<f64> {
+    let source_key = format!("\"source\": \"{source}\"");
+    let line = json.lines().find(|line| line.contains(&source_key))?;
+    let key = "\"ns_per_statement\": ";
+    let rest = &line[line.find(key)? + key.len()..];
+    rest[..rest.find([',', '}'])?].trim().parse().ok()
 }
 
 /// [`parse_gate_metric_for`] on the original qft(48) gate row.
@@ -670,6 +829,17 @@ mod tests {
                 wall_ms: 1.0,
                 circuits_per_sec: 1000.0,
             }],
+            qasm_parse: GATE_PARSE_SOURCES
+                .iter()
+                .map(|source| ParseRow {
+                    source: (*source).to_string(),
+                    bytes: 1000,
+                    statements: 10,
+                    repetitions: 1,
+                    mb_per_s: 100.0,
+                    ns_per_statement: 50.0,
+                })
+                .collect(),
         }
     }
 
@@ -746,6 +916,44 @@ mod tests {
         report.rows[5].wall_ms_mean = 2.1;
         let err = report.check_against_baseline(&baseline, 2.0).unwrap_err();
         assert!(err.contains("RAN_4096"), "{err}");
+    }
+
+    #[test]
+    fn parse_rows_are_medians_keyed_by_source_and_serialised() {
+        let sources = [("GHZ_16", qasm::to_qasm(&generators::ghz(16)))];
+        let rows = measure_parse(&sources, 5);
+        assert_eq!(rows.len(), 1);
+        let row = rows[0].clone();
+        assert_eq!((row.source.as_str(), row.repetitions), ("GHZ_16", 5));
+        assert_eq!(row.statements, sources[0].1.matches(';').count());
+        assert!(row.mb_per_s > 0.0 && row.ns_per_statement > 0.0);
+        let mut report = gated_report(1.0, 1.0);
+        report.qasm_parse = rows;
+        let json = report.to_json();
+        assert!(json.contains("\"qasm_parse\": ["));
+        let parsed = parse_parse_metric_for(&json, "GHZ_16").expect("parse row is serialised");
+        assert!((parsed - row.ns_per_statement).abs() < 0.06, "{parsed}");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(report.render().contains("QASM parse"));
+    }
+
+    #[test]
+    fn baseline_check_gates_the_parse_rows_too() {
+        let mut report = gated_report(1.0, 1.0);
+        let baseline = report.to_json();
+        assert!(report.check_against_baseline(&baseline, 2.0).is_ok());
+        report.qasm_parse[1].ns_per_statement = 101.0;
+        let err = report.check_against_baseline(&baseline, 2.0).unwrap_err();
+        assert!(err.contains("qasm_parse SQRT_299"), "{err}");
+        // A baseline without parse rows is rejected, not skipped.
+        let report = gated_report(1.0, 1.0);
+        let stripped: String = baseline
+            .lines()
+            .filter(|l| !l.contains("\"source\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let err = report.check_against_baseline(&stripped, 2.0).unwrap_err();
+        assert!(err.contains("no qasm_parse RAN_1024"), "{err}");
     }
 
     #[test]

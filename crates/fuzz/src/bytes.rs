@@ -2,8 +2,9 @@
 //!
 //! Three families, from unstructured to structure-aware: raw bytes (lossy
 //! UTF-8), token soup assembled from the QASM vocabulary, and mutations of
-//! valid programs. All are driven by the deterministic `rand` shim so every
-//! campaign case replays from its seed.
+//! valid programs, including rewrites of one statement at the edge of what
+//! the parser's statement fast path accepts. All are driven by the
+//! deterministic `rand` shim so every campaign case replays from its seed.
 
 use ion_circuit::{generators, qasm};
 use rand::rngs::StdRng;
@@ -104,14 +105,15 @@ pub fn token_soup(rng: &mut StdRng, max_tokens: usize) -> String {
 }
 
 /// A structure-aware mutation of a valid program: truncation, character
-/// flips, line splicing from another program, numeric inflation, or a
-/// parenthesis bomb in a parameter position.
+/// flips, line splicing from another program, numeric inflation, a
+/// parenthesis bomb in a parameter position, or a rewrite of one statement
+/// at the edge of the parser's statement fast path.
 pub fn mutated_qasm(rng: &mut StdRng) -> String {
     let corpus = base_corpus();
     let mut source = corpus[rng.gen_range(0..corpus.len())].clone();
     let mutations = rng.gen_range(1..4usize);
     for _ in 0..mutations {
-        source = match rng.gen_range(0..5usize) {
+        source = match rng.gen_range(0..6usize) {
             // Truncate mid-token.
             0 => {
                 let mut cut = rng.gen_range(0..source.len().max(1)).min(source.len());
@@ -145,6 +147,8 @@ pub fn mutated_qasm(rng: &mut StdRng) -> String {
             3 => source
                 .replace("q[0]", &format!("q[{}]", rng.gen_range(0..1u64 << 40)))
                 .replace("qreg q[", "qreg q[9"),
+            // Rewrite one gate statement.
+            4 => mutated_statement(rng, &source),
             // Insert a parenthesis bomb into a parameter list.
             _ => {
                 let depth = rng.gen_range(1..200usize);
@@ -154,6 +158,117 @@ pub fn mutated_qasm(rng: &mut StdRng) -> String {
         };
     }
     source
+}
+
+/// Spellings of a parameter that the statement fast path reads exactly, or
+/// must leave to the token path.
+const PARAMS: &[&str] = &[
+    "-pi/2", "pi*2", "2*pi", "--pi", "-(pi)", "pi/0", "1e309", "1e-400", ".5", "5.", "1.2.3",
+    "- pi / 4", "pi/-2", "pi//2\n", "0.1,0.2", "", "pi+1",
+];
+
+/// Spellings of a qubit operand's index, in and out of a register of 6 or
+/// more qubits.
+const INDICES: &[&str] = &[
+    "[007]",
+    "[ 3 ]",
+    "[3.0]",
+    "[1e1]",
+    "[18446744073709551616]",
+    "[9007199254740993]",
+    "[6]",
+    "[\n1\t]",
+    "[.5]",
+    "[]",
+];
+
+/// What a statement's name may become: other case, keywords, conditions,
+/// names the subset does not know.
+const NAMES: &[&str] = &[
+    "CX",
+    "U",
+    "cx",
+    "ccx",
+    "h",
+    "hh",
+    "h.x",
+    "measure",
+    "barrier",
+    "if (c==1) cx",
+    "if(c==0) h",
+    "gate",
+    "qreg",
+    "pi",
+];
+
+/// Whitespace and comments to put between two tokens.
+const GAPS: &[&str] = &["\n", "\t", " // note\n", "  ", "\r\n", "/**/"];
+
+/// Rewrites one gate statement of `source` at the edge of what the statement
+/// fast path accepts: whitespace or a comment between two of its tokens, a
+/// boundary spelling of a parameter or an index, another name, a repeated
+/// operand, or no final `;`.
+fn mutated_statement(rng: &mut StdRng, source: &str) -> String {
+    let mut lines: Vec<String> = source.lines().map(str::to_string).collect();
+    let statements: Vec<usize> = (0..lines.len())
+        .filter(|&i| {
+            let line = &lines[i];
+            line.ends_with(';')
+                && !["OPENQASM", "include", "qreg", "creg", "//"]
+                    .iter()
+                    .any(|k| line.starts_with(k))
+        })
+        .collect();
+    if statements.is_empty() {
+        return source.to_string();
+    }
+    let at = statements[rng.gen_range(0..statements.len())];
+    let line = lines[at].clone();
+    let pick = |rng: &mut StdRng, list: &[&'static str]| list[rng.gen_range(0..list.len())];
+    let name_end = line.find([' ', '(']).unwrap_or(0);
+    lines[at] = match rng.gen_range(0..6usize) {
+        0 => {
+            let cuts: Vec<usize> = line
+                .char_indices()
+                .filter(|&(_, c)| " ,()[]-;".contains(c))
+                .map(|(i, _)| i)
+                .collect();
+            let cut = cuts[rng.gen_range(0..cuts.len())];
+            format!("{}{}{}", &line[..cut], pick(rng, GAPS), &line[cut..])
+        }
+        1 => {
+            let param = pick(rng, PARAMS);
+            match (line.find('('), line.find(')')) {
+                (Some(open), Some(close)) => {
+                    format!("{}{param}{}", &line[..=open], &line[close..])
+                }
+                _ => format!("{}({param}){}", &line[..name_end], &line[name_end..]),
+            }
+        }
+        2 => match (line.find('['), line.find(']')) {
+            (Some(open), Some(close)) => {
+                format!(
+                    "{}{}{}",
+                    &line[..open],
+                    pick(rng, INDICES),
+                    &line[close + 1..]
+                )
+            }
+            _ => line,
+        },
+        3 => format!("{}{}", pick(rng, NAMES), &line[name_end..]),
+        4 => match line.rfind(' ') {
+            // The first operand again, in front of the list.
+            Some(space) => {
+                let operands = &line[space + 1..line.len() - 1];
+                let first = operands.split(',').next().unwrap_or(operands);
+                format!("{} {first},{operands};", &line[..space])
+            }
+            None => line,
+        },
+        _ => line.trim_end_matches(';').to_string(),
+    };
+    lines.join("\n") + "\n"
 }
 
 /// One adversarial source drawn from all the families above.
@@ -224,6 +339,36 @@ mod tests {
             }
         }
         assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
+    }
+
+    #[test]
+    fn statement_rewrites_change_one_statement() {
+        let source = qasm::to_qasm(&generators::qaoa(6));
+        let mut changed = 0;
+        for i in 0..200 {
+            let mutated = mutated_statement(&mut case_rng(11, i), &source);
+            assert_eq!(mutated, mutated_statement(&mut case_rng(11, i), &source));
+            let before: Vec<&str> = source.lines().collect();
+            let after: Vec<&str> = mutated.lines().collect();
+            // Only one line differs, unless a gap split it in two.
+            let same_prefix = before
+                .iter()
+                .zip(&after)
+                .take_while(|(a, b)| a == b)
+                .count();
+            let same_suffix = before
+                .iter()
+                .rev()
+                .zip(after.iter().rev())
+                .take_while(|(a, b)| a == b)
+                .count();
+            assert!(same_prefix + same_suffix + 1 >= before.len(), "{mutated}");
+            changed += usize::from(mutated != source);
+        }
+        assert!(
+            changed > 150,
+            "{changed} of 200 rewrites changed the source"
+        );
     }
 
     #[test]

@@ -33,6 +33,18 @@ macro_rules! ensure_eq {
     }};
 }
 
+/// [`ensure_eq!`] that also accepts values whose `Debug` text is equal, so a
+/// NaN a diagnostic carries (`rz(0/0)`) equals itself. The text is only
+/// rendered when `==` fails.
+macro_rules! ensure_same_debug {
+    ($a:expr, $b:expr, $($ctx:tt)+) => {{
+        let (lhs, rhs) = (&$a, &$b);
+        if lhs != rhs && format!("{lhs:?}") != format!("{rhs:?}") {
+            return Err(format!("{}: {lhs:?} != {rhs:?}", format_args!($($ctx)+)));
+        }
+    }};
+}
+
 /// FNV-1a over a byte slice: a tiny stable fingerprint for comparing op
 /// streams without holding both programs' debug strings in the report.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -92,7 +104,7 @@ pub fn check_qasm_oracle(source: &str, limits: &ParseLimits) -> Result<(), Strin
             .any(|d| matches!(d.kind, DiagnosticKind::TooManyGates { .. }))
     };
     if oracle.len() < cap && !too_many_gates(&oracle) {
-        ensure_eq!(got, oracle.as_slice(), "diagnostics");
+        ensure_same_debug!(got, oracle.as_slice(), "diagnostics");
         return Ok(());
     }
     let uncapped = ParseLimits {
@@ -112,7 +124,7 @@ pub fn check_qasm_oracle(source: &str, limits: &ParseLimits) -> Result<(), Strin
             got.len()
         ));
     }
-    ensure_eq!(got.first(), full.first(), "first diagnostic");
+    ensure_same_debug!(got.first(), full.first(), "first diagnostic");
     let head = &full[..cap.min(full.len())];
     ensure_eq!(
         too_many_gates(got),
@@ -120,7 +132,7 @@ pub fn check_qasm_oracle(source: &str, limits: &ParseLimits) -> Result<(), Strin
         "gate limit reported"
     );
     if !too_many_gates(&full) && cap <= qasm_oracle::MAX_LEX_DIAGNOSTICS {
-        ensure_eq!(got, head, "first {cap} diagnostics");
+        ensure_same_debug!(got, head, "first {cap} diagnostics");
     }
     Ok(())
 }

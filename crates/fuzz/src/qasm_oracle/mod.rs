@@ -4,7 +4,9 @@
 //! the front-end it replaced, moved here unchanged apart from its imports: a
 //! lexer that materialises every token, then a parser over that vector. It
 //! uses only public `ion_circuit` types, and [`parse_with_limits`] returns the
-//! diagnostics as a plain `Vec`.
+//! diagnostics as a plain `Vec`. Since then it has changed only to mirror
+//! deliberate grammar changes made in both front-ends: `if (c==n)` keeps the
+//! statement it guards instead of dropping it.
 //!
 //! The fuzz campaign parses every case with both front-ends and compares
 //! verdicts, circuits and diagnostics (see

@@ -220,6 +220,17 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_statement(&mut self, token: &Token) -> Result<(), Diagnostic> {
+        let mut token = token.clone();
+        // `if (c==n)` prefixes are peeled in a loop, not by recursion, so a
+        // long chain of them cannot overflow the stack.
+        while matches!(&token.kind, TokenKind::Ident(word) if word == "if") {
+            self.next();
+            self.parse_condition()?;
+            token = match self.peek() {
+                Some(t) => t.clone(),
+                None => return Err(self.eof_diag()),
+            };
+        }
         match &token.kind {
             TokenKind::Ident(word) => match word.as_str() {
                 "OPENQASM" | "include" | "creg" => {
@@ -228,13 +239,6 @@ impl<'a> Parser<'a> {
                 }
                 "gate" | "opaque" => {
                     self.skip_block_or_statement();
-                    Ok(())
-                }
-                "if" => {
-                    // `if (c==0) gate ...;` — drop the condition, keep nothing
-                    // (conditioned gates are rare in the benchmarks and do not
-                    // change shuttle scheduling structure).
-                    self.skip_to_semicolon();
                     Ok(())
                 }
                 "qreg" => {
@@ -261,9 +265,19 @@ impl<'a> Parser<'a> {
             }
             _ => {
                 self.next();
-                Err(self.unexpected(token, "statement"))
+                Err(self.unexpected(&token, "statement"))
             }
         }
+    }
+
+    /// `( creg == n )` after `if`. The condition is dropped but the statement
+    /// it guards is kept: routing must serve its gates either way.
+    fn parse_condition(&mut self) -> Result<(), Diagnostic> {
+        self.expect_kind(TokenKind::LParen, "(")?;
+        self.expect_ident()?;
+        self.expect_kind(TokenKind::EqEq, "==")?;
+        self.expect_index()?;
+        self.expect_kind(TokenKind::RParen, ")")
     }
 
     /// Consumes a number token and checks it denotes a non-negative integer

@@ -4,8 +4,10 @@
 //! This module provides a small, dependency-free importer/exporter covering
 //! the subset those files use: a single quantum register, the `qelib1.inc`
 //! standard gates (`h x y z s sdg t tdg rx ry rz u1 u2 u3 cx cz cp cu1 swap
-//! rzz ccx`), `measure` and `barrier`. Classical registers and `if`
-//! statements are parsed but ignored for scheduling purposes.
+//! rzz ccx`), `measure` and `barrier`. Classical registers are parsed but
+//! ignored for scheduling purposes, and an `if (c==n)` condition is dropped
+//! while the statement it guards is kept: routing must serve its gates
+//! whichever way the condition goes.
 //!
 //! The front-end is built for untrusted input: [`parse`] never panics, the
 //! parser recovers at statement boundaries and reports what it finds with
@@ -15,16 +17,33 @@
 //!
 //! # Design
 //!
-//! Parsing is one pass. A byte scanner hands the parser one token at a time;
-//! identifiers and strings are borrowed `&str` slices of the source, decimal
-//! integers (qubit indices, register sizes) are read without float text
-//! parsing, and positions are byte offsets. The parser builds the gate list
-//! as it goes, reusing one parameter buffer and one operand buffer across
-//! statements and looking registers up in a small, linearly scanned list.
-//! No token vector or per-token string is ever built: parsing a QFT_96
-//! source allocates 16 times, almost all of it the growing gate list
-//! (`tests/qasm_alloc.rs` bounds it at 64). Line, column and the source excerpt are computed from the offsets
-//! only when a [`Diagnostic`] is built.
+//! Parsing is one pass with two ways to read a statement, and the token path
+//! is the specification:
+//!
+//! - **The token path** parses every statement the grammar allows. A byte
+//!   scanner hands a recursive-descent parser one token at a time;
+//!   identifiers and strings are borrowed `&str` slices of the source,
+//!   decimal integers are read without float text parsing, and positions are
+//!   byte offsets. Every diagnostic comes from this path.
+//! - **The statement fast path** runs first at each statement boundary. It
+//!   reads the common statement straight from the bytes: a built-in gate
+//!   call `name[(p, …)] reg[i], …;`, whose parameters are each
+//!   `[-]atom[(*|/)atom]` with an atom a literal or `pi`, or `measure reg[i]
+//!   -> creg[j];`, with whitespace between any two items. It is accept-only:
+//!   on any doubt (a keyword or unknown name, a comment inside the
+//!   statement, a longer expression, a non-finite value, an index out of
+//!   range or not plain digits, an unknown register, a repeated operand) it
+//!   consumes nothing and the token path parses the statement. When it
+//!   accepts, it yields the gates, values and positions the token path would.
+//!
+//! Both paths resolve a statement's first word once, in one table of
+//! keywords and gate names. The gate list grows as the parser goes; one
+//! parameter buffer and one operand buffer are reused across statements, and
+//! registers are looked up in a small, linearly scanned list. No token vector
+//! or per-statement allocation is ever made: `tests/qasm_alloc.rs` bounds the
+//! allocations of parsing QFT_96, RAN_1024 and SQRT_299 at 64 each, almost
+//! all of them the growing gate list. Line, column and the source excerpt are
+//! computed from the offsets only when a [`Diagnostic`] is built.
 //!
 //! # Diagnostics contract
 //!

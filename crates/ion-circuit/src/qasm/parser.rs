@@ -1,14 +1,21 @@
-//! Single-pass recursive-descent parser for the OpenQASM 2.0 subset.
+//! Single-pass parser for the OpenQASM 2.0 subset.
 //!
-//! The parser pulls tokens from the byte [`Scanner`] one at a time and builds
-//! the gate list as it goes. It is hardened against untrusted input: it
-//! recovers at statement boundaries and reports the first
-//! [`ParseLimits::max_diagnostics`] problems in source order instead of
-//! stopping at the first, every diagnostic carries a line/column span plus a
-//! source excerpt, and explicit resource limits bound register width, gate
-//! count and expression nesting so adversarial input (`qreg q[999999999];`,
-//! kilobyte-deep parentheses) is rejected with an error instead of
-//! exhausting memory or the stack.
+//! At each statement boundary the parser first tries the statement fast path
+//! (`Parser::fast_statement`): one byte pass over a built-in gate call or a
+//! `measure`, through a read-only [`Cursor`]. It accepts only what the token
+//! path would parse without a problem into the same gates, and otherwise
+//! consumes nothing. The token path is the recursive-descent parser over
+//! tokens pulled from the byte [`Scanner`] one at a time. It parses the whole
+//! grammar and reports every problem. Both paths dispatch on one table of
+//! statement words (`Word`) and append gates through one function.
+//!
+//! The parser is hardened against untrusted input: it recovers at statement
+//! boundaries and reports the first [`ParseLimits::max_diagnostics`] problems
+//! in source order instead of stopping at the first, every diagnostic carries
+//! a line/column span plus a source excerpt, and explicit resource limits
+//! bound register width, gate count and expression nesting so adversarial
+//! input (`qreg q[999999999];`, kilobyte-deep parentheses) is rejected with
+//! an error instead of exhausting memory or the stack.
 
 // lint: no-panic
 // lint: hot-path
@@ -19,7 +26,7 @@ use std::fmt;
 
 use crate::{Circuit, Gate, QubitId};
 
-use super::lexer::{Scanner, Token, TokenKind};
+use super::lexer::{Cursor, Scanner, Token, TokenKind};
 
 /// Resource limits applied while parsing untrusted OpenQASM source.
 ///
@@ -266,9 +273,11 @@ impl Error for QasmError {}
 /// limits](ParseLimits::default).
 ///
 /// Multiple quantum registers are flattened into one contiguous register in
-/// declaration order. Classical registers, `if` conditions and custom `gate`
-/// definitions are skipped (custom gate *bodies* are ignored; *calls* to
-/// unknown gates are an error so silent mis-parses cannot occur).
+/// declaration order. Classical registers and custom `gate` definitions are
+/// skipped (custom gate *bodies* are ignored; *calls* to unknown gates are an
+/// error so silent mis-parses cannot occur). An `if (c==n)` condition is
+/// dropped, but the statement it guards is kept: the condition is only known
+/// at run time, and routing must serve the gate either way.
 ///
 /// # Errors
 ///
@@ -427,6 +436,9 @@ struct Parser<'s, 'l> {
     gates: Vec<Gate>,
     params: Vec<f64>,
     operands: Vec<Operand>,
+    /// Statements the token path parsed (the fast path took the rest).
+    #[cfg(test)]
+    token_statements: usize,
 }
 
 impl<'s, 'l> Parser<'s, 'l> {
@@ -443,6 +455,8 @@ impl<'s, 'l> Parser<'s, 'l> {
             gates: Vec::new(),    // lint: allow (the parsed circuit's gate list)
             params: Vec::new(),   // lint: allow (reused across statements)
             operands: Vec::new(), // lint: allow (reused across statements)
+            #[cfg(test)]
+            token_statements: 0,
         }
     }
 
@@ -504,22 +518,39 @@ impl<'s, 'l> Parser<'s, 'l> {
     }
 
     fn run(&mut self) -> Option<Circuit> {
-        while let Some(token) = self.peek() {
+        loop {
             if self.problems.capped() {
                 return None;
             }
-            if let Err(problem) = self.statement(token) {
-                self.problems.push(problem);
-                // Resynchronise at the next statement boundary, unless the
-                // error was at the boundary itself.
-                if !self.after_semicolon {
-                    self.skip_to_semicolon();
+            let at = match self.fast_statement() {
+                Some(at) => at,
+                None => {
+                    let Some(token) = self.peek() else {
+                        break;
+                    };
+                    // Peeking may have reported problems before the token.
+                    if self.problems.capped() {
+                        return None;
+                    }
+                    #[cfg(test)]
+                    {
+                        self.token_statements += 1;
+                    }
+                    if let Err(problem) = self.statement(token) {
+                        self.problems.push(problem);
+                        // Resynchronise at the next statement boundary,
+                        // unless the error was at the boundary itself.
+                        if !self.after_semicolon {
+                            self.skip_to_semicolon();
+                        }
+                    }
+                    token.offset
                 }
-            }
+            };
             if self.gates.len() > self.limits.max_gates {
                 let max_gates = self.limits.max_gates;
                 self.problems
-                    .report(token.offset, DiagnosticKind::TooManyGates { max_gates });
+                    .report(at, DiagnosticKind::TooManyGates { max_gates });
                 return None;
             }
         }
@@ -541,50 +572,161 @@ impl<'s, 'l> Parser<'s, 'l> {
         Some(Circuit::from_gates("qasm", self.total_qubits, gates))
     }
 
-    fn statement(&mut self, token: Token<'s>) -> Result<(), Problem> {
-        let TokenKind::Ident(word) = token.kind else {
-            self.next();
-            return match token.kind {
-                TokenKind::Semicolon => Ok(()),
-                _ => Err(Problem::unexpected(token, "statement")),
-            };
-        };
-        match word {
-            // `if (c==0) gate ...;` drops the condition and keeps nothing
-            // (conditioned gates are rare in the benchmarks and do not
-            // change shuttle scheduling structure).
-            "OPENQASM" | "include" | "creg" | "if" => self.skip_to_semicolon(),
-            "gate" | "opaque" => self.skip_block_or_statement(),
-            "qreg" => {
-                self.next();
-                return self.qreg(token.offset);
+    /// The statement fast path: one gate call `name[(p, …)] reg[i], …;` or
+    /// `measure reg[i] -> creg[j];` read straight from the bytes, where a
+    /// parameter is `[-]atom[(*|/)atom]` and an atom a literal or `pi`.
+    /// Returns the statement's offset. It accepts only statements the token
+    /// path would parse without a problem into the same gates; on any doubt
+    /// it returns `None` having consumed nothing, and the token path parses
+    /// the statement (and reports whatever is wrong with it).
+    fn fast_statement(&mut self) -> Option<usize> {
+        if self.lookahead.is_some() {
+            return None;
+        }
+        let mut cur = self.scanner.cursor();
+        cur.skip_space(true);
+        let at = cur.pos();
+        match Word::of(cur.ident()?) {
+            Word::Gate(Some(kind)) => self.fast_gate(&mut cur, kind)?,
+            Word::Measure => self.fast_measure(&mut cur)?,
+            _ => return None,
+        }
+        // The statement's last byte is its `;`.
+        self.scanner.advance_to(&cur, cur.pos() - 1);
+        self.after_semicolon = true;
+        Some(at)
+    }
+
+    /// The rest of a fast-path gate call, after its name.
+    #[inline(always)]
+    fn fast_gate(&mut self, cur: &mut Cursor<'s>, kind: GateKind) -> Option<()> {
+        self.params.clear();
+        if cur.eat(b"(") {
+            // A negated atom is two levels deep in the expression parser.
+            if self.limits.max_expr_depth < 2 {
+                return None;
             }
-            "measure" => {
-                self.next();
-                let (start, len) = self.argument()?;
-                // Skip the classical target.
-                self.skip_to_semicolon();
-                let measures = (start..start + len).map(|q| Gate::Measure(QubitId::new(q)));
-                self.gates.extend(measures);
-            }
-            "barrier" => {
-                self.next();
-                let mut qubits = Vec::new(); // lint: allow (the barrier gate owns its qubit list)
-                loop {
-                    let (start, len) = self.argument()?;
-                    qubits.extend((start..start + len).map(QubitId::new));
-                    if !self.list_continues()? {
-                        break;
-                    }
+            loop {
+                self.params.push(fast_param(cur)?);
+                match cur.next_byte()? {
+                    b',' => {}
+                    b')' => break,
+                    _ => return None,
                 }
-                self.gates.push(Gate::Barrier(qubits));
-            }
-            name => {
-                self.next();
-                return self.gate(name, token.offset);
             }
         }
-        Ok(())
+        self.operands.clear();
+        loop {
+            let operand = self.fast_operand(cur)?;
+            self.operands.push(operand);
+            match cur.next_byte()? {
+                b',' => {}
+                b';' => break,
+                _ => return None,
+            }
+        }
+        if self.operands.len() < kind.arity() || repeats(&self.operands) {
+            return None;
+        }
+        push_gates(&mut self.gates, kind, &self.params, &self.operands);
+        Some(())
+    }
+
+    /// The rest of a fast-path `measure`, after the keyword.
+    #[inline(always)]
+    fn fast_measure(&mut self, cur: &mut Cursor<'s>) -> Option<()> {
+        let (start, len) = self.fast_operand(cur)?;
+        if !cur.eat(b"->") || cur.ident().is_none() {
+            return None;
+        }
+        if cur.eat(b"[") && (cur.digits().is_none() || !cur.eat(b"]")) {
+            return None;
+        }
+        if !cur.eat(b";") {
+            return None;
+        }
+        let measures = (start..start + len).map(|q| Gate::Measure(QubitId::new(q)));
+        self.gates.extend(measures);
+        Some(())
+    }
+
+    /// A fast-path operand `reg` or `reg[i]` of a declared register, with
+    /// the index in range.
+    #[inline(always)]
+    fn fast_operand(&self, cur: &mut Cursor<'s>) -> Option<Operand> {
+        let name = cur.ident()?;
+        let &(_, offset, size) = self.qregs.iter().find(|r| r.0 == name)?;
+        if !cur.eat(b"[") {
+            return Some((offset, size));
+        }
+        let index = cur.digits()?;
+        (cur.eat(b"]") && index < size).then_some((offset + index, 1))
+    }
+
+    fn statement(&mut self, mut token: Token<'s>) -> Result<(), Problem> {
+        loop {
+            let TokenKind::Ident(word) = token.kind else {
+                self.next();
+                return match token.kind {
+                    TokenKind::Semicolon => Ok(()),
+                    _ => Err(Problem::unexpected(token, "statement")),
+                };
+            };
+            match Word::of(word) {
+                Word::Skipped => self.skip_to_semicolon(),
+                Word::Definition => self.skip_block_or_statement(),
+                Word::If => {
+                    // The condition is only known at run time, so the
+                    // statement it guards is kept: routing must serve its
+                    // gates either way.
+                    self.next();
+                    self.condition()?;
+                    token = self.peek().ok_or_else(|| self.eof())?;
+                    continue;
+                }
+                Word::Qreg => {
+                    self.next();
+                    return self.qreg(token.offset);
+                }
+                Word::Measure => {
+                    self.next();
+                    let (start, len) = self.argument()?;
+                    // Skip the classical target.
+                    self.skip_to_semicolon();
+                    let measures = (start..start + len).map(|q| Gate::Measure(QubitId::new(q)));
+                    self.gates.extend(measures);
+                }
+                Word::Barrier => {
+                    self.next();
+                    let mut qubits = Vec::new(); // lint: allow (the barrier gate owns its qubit list)
+                    loop {
+                        let (start, len) = self.argument()?;
+                        qubits.extend((start..start + len).map(QubitId::new));
+                        if !self.list_continues()? {
+                            break;
+                        }
+                    }
+                    self.gates.push(Gate::Barrier(qubits));
+                }
+                Word::Gate(kind) => {
+                    self.next();
+                    return self.gate(kind, word, token.offset);
+                }
+            }
+            return Ok(());
+        }
+    }
+
+    /// `( creg == n )` after `if`.
+    fn condition(&mut self) -> Result<(), Problem> {
+        self.expect_kind(TokenKind::LParen, "(")?;
+        let token = self.next().ok_or_else(|| self.eof())?;
+        if !matches!(token.kind, TokenKind::Ident(_)) {
+            return Err(Problem::unexpected(token, "identifier"));
+        }
+        self.expect_kind(TokenKind::EqEq, "==")?;
+        self.index()?;
+        self.expect_kind(TokenKind::RParen, ")")
     }
 
     /// After a list item: `,` continues the list, `;` ends the statement.
@@ -610,19 +752,6 @@ impl<'s, 'l> Parser<'s, 'l> {
             TokenKind::Number(value) => index_value(value, token.offset),
             _ => Err(Problem::unexpected(token, "non-negative integer")),
         }
-    }
-
-    /// [`Scanner::delimited_literal`], run only when no token is peeked (the
-    /// scanner is then already past the bytes it would read).
-    fn fast_literal(&mut self, open: u8, close: u8) -> Option<(f64, usize)> {
-        if self.lookahead.is_some() {
-            return None;
-        }
-        let hit = self.scanner.delimited_literal(open, close);
-        if hit.is_some() {
-            self.after_semicolon = false;
-        }
-        hit
     }
 
     fn qreg(&mut self, keyword: usize) -> Result<(), Problem> {
@@ -659,17 +788,11 @@ impl<'s, 'l> Parser<'s, 'l> {
         })
     }
 
-    fn gate(&mut self, name: &str, at: usize) -> Result<(), Problem> {
+    /// A gate call after its name: `kind` is `None` for a name this subset
+    /// does not support, reported once the operands parse.
+    fn gate(&mut self, kind: Option<GateKind>, name: &str, at: usize) -> Result<(), Problem> {
         self.params.clear();
-        // A lone literal skips the expression parser unless even depth 0 is
-        // too deep.
-        let lone = match self.limits.max_expr_depth {
-            0 => None,
-            _ => self.fast_literal(b'(', b')'),
-        };
-        if let Some((value, _)) = lone {
-            self.params.push(value);
-        } else if let Some(Token {
+        if let Some(Token {
             kind: TokenKind::LParen,
             ..
         }) = self.peek()
@@ -695,27 +818,21 @@ impl<'s, 'l> Parser<'s, 'l> {
                 break;
             }
         }
-        // Arguments must be distinct qubits at every broadcast position.
-        // Registers are disjoint ranges, so two operands name a common qubit
-        // somewhere exactly when their ranges intersect.
-        let ops = &self.operands;
-        let overlaps = |j: usize| {
-            let (start, len) = ops[j];
-            ops[..j]
-                .iter()
-                .any(|&(s, l)| s < start + len && start < s + l)
-        };
-        if (1..ops.len()).any(overlaps) {
+        if repeats(&self.operands) {
             return Err(Problem::at(at, DiagnosticKind::RepeatedOperand));
         }
-        // Broadcast over whole-register operands (single-qubit operands are
-        // repeated). Registers are never empty, so every operand has at
-        // least one qubit.
-        let broadcast = self.operands.iter().map(|o| o.1).max().unwrap_or(1);
-        for i in 0..broadcast {
-            push_gate(&mut self.gates, name, &self.params, &self.operands, i)
-                .map_err(|kind| Problem::at(at, kind))?;
+        let Some(kind) = kind else {
+            let name = name.to_string();
+            return Err(Problem::at(at, DiagnosticKind::UnsupportedGate { name }));
+        };
+        if self.operands.len() < kind.arity() {
+            let kind = DiagnosticKind::Unexpected {
+                found: "end of operands".to_string(),
+                expected: "qubit operand",
+            };
+            return Err(Problem::at(at, kind));
         }
+        push_gates(&mut self.gates, kind, &self.params, &self.operands);
         Ok(())
     }
 
@@ -813,22 +930,16 @@ impl<'s, 'l> Parser<'s, 'l> {
             let kind = DiagnosticKind::UnknownRegister { name };
             return Err(Problem::at(token.offset, kind));
         };
-        let index = match self.fast_literal(b'[', b']') {
-            Some((value, at)) => index_value(value, at)?,
-            None => {
-                let Some(Token {
-                    kind: TokenKind::LBracket,
-                    ..
-                }) = self.peek()
-                else {
-                    return Ok((offset, size));
-                };
-                self.next();
-                let index = self.index()?;
-                self.expect_kind(TokenKind::RBracket, "]")?;
-                index
-            }
+        let Some(Token {
+            kind: TokenKind::LBracket,
+            ..
+        }) = self.peek()
+        else {
+            return Ok((offset, size));
         };
+        self.next();
+        let index = self.index()?;
+        self.expect_kind(TokenKind::RBracket, "]")?;
         if index >= size {
             let name = name.to_string();
             let kind = DiagnosticKind::IndexOutOfRange { name, index, size };
@@ -853,88 +964,215 @@ fn index_value(value: f64, offset: usize) -> Result<usize, Problem> {
     }
 }
 
-/// Appends gate `name` at broadcast position `i` of `operands`.
-fn push_gate(
-    gates: &mut Vec<Gate>,
-    name: &str,
-    params: &[f64],
-    operands: &[Operand],
-    i: usize,
-) -> Result<(), DiagnosticKind> {
-    let op = |idx: usize| match operands.get(idx) {
-        Some(&(start, len)) => Ok(QubitId::new(start + i.min(len.saturating_sub(1)))),
-        None => Err(DiagnosticKind::Unexpected {
-            found: "end of operands".to_string(),
-            expected: "qubit operand",
-        }),
-    };
+/// One parameter of the fast path, `[-]atom[(*|/)atom]`, computed by the
+/// operations the token path applies, in its order (`(-a) / b`). `None`
+/// for anything longer or a non-finite value.
+#[inline(always)]
+fn fast_param(cur: &mut Cursor<'_>) -> Option<f64> {
+    let negative = cur.eat(b"-");
+    let mut value = fast_atom(cur)?;
+    if negative {
+        value = -value;
+    }
+    if cur.eat(b"*") {
+        value *= fast_atom(cur)?;
+    } else if cur.eat(b"/") {
+        value /= fast_atom(cur)?;
+    }
+    value.is_finite().then_some(value)
+}
+
+/// A literal or `pi`.
+#[inline(always)]
+fn fast_atom(cur: &mut Cursor<'_>) -> Option<f64> {
+    let mut word = *cur;
+    if word.ident() == Some("pi") {
+        *cur = word;
+        return Some(PI);
+    }
+    cur.literal()
+}
+
+/// Whether two operands name a common qubit at some broadcast position.
+/// OpenQASM 2 requires a gate's qubit arguments to be distinct. Registers
+/// are disjoint ranges, so two operands share a qubit exactly when their
+/// ranges intersect.
+fn repeats(ops: &[Operand]) -> bool {
+    (1..ops.len()).any(|j| {
+        let (start, len) = ops[j];
+        ops[..j]
+            .iter()
+            .any(|&(s, l)| s < start + len && start < s + l)
+    })
+}
+
+/// A gate this subset supports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GateKind {
+    Ccx,
+    H,
+    X,
+    Y,
+    Z,
+    S,
+    Sdg,
+    T,
+    Tdg,
+    Id,
+    Rx,
+    Ry,
+    Rz,
+    U2,
+    U3,
+    Cx,
+    Cz,
+    Cp,
+    Rzz,
+    Swap,
+    Ms,
+}
+
+impl GateKind {
+    /// Qubit operands the gate reads.
+    fn arity(self) -> usize {
+        match self {
+            GateKind::Ccx => 3,
+            GateKind::Cx
+            | GateKind::Cz
+            | GateKind::Cp
+            | GateKind::Rzz
+            | GateKind::Swap
+            | GateKind::Ms => 2,
+            _ => 1,
+        }
+    }
+}
+
+/// What a statement's first word names: the one table of keywords and gate
+/// names, resolved once per statement by both paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Word {
+    /// `OPENQASM`, `include`, `creg`: skipped through their `;`.
+    Skipped,
+    /// `gate`, `opaque`: definitions, skipped with their body.
+    Definition,
+    /// `if`: a condition on the statement that follows.
+    If,
+    Qreg,
+    Measure,
+    Barrier,
+    /// A gate call; `None` for a name this subset does not support.
+    Gate(Option<GateKind>),
+}
+
+impl Word {
+    fn of(word: &str) -> Word {
+        let gate = match word {
+            "OPENQASM" | "include" | "creg" => return Word::Skipped,
+            "gate" | "opaque" => return Word::Definition,
+            "if" => return Word::If,
+            "qreg" => return Word::Qreg,
+            "measure" => return Word::Measure,
+            "barrier" => return Word::Barrier,
+            "ccx" => GateKind::Ccx,
+            "h" => GateKind::H,
+            "x" => GateKind::X,
+            "y" => GateKind::Y,
+            "z" => GateKind::Z,
+            "s" => GateKind::S,
+            "sdg" => GateKind::Sdg,
+            "t" => GateKind::T,
+            "tdg" => GateKind::Tdg,
+            "id" => GateKind::Id,
+            "rx" => GateKind::Rx,
+            "ry" => GateKind::Ry,
+            "rz" | "u1" | "p" => GateKind::Rz,
+            "u2" => GateKind::U2,
+            "u3" | "u" => GateKind::U3,
+            "cx" | "CX" => GateKind::Cx,
+            "cz" => GateKind::Cz,
+            "cp" | "cu1" => GateKind::Cp,
+            "rzz" => GateKind::Rzz,
+            "swap" => GateKind::Swap,
+            "ms" | "rxx" => GateKind::Ms,
+            _ => return Word::Gate(None),
+        };
+        Word::Gate(Some(gate))
+    }
+}
+
+/// Appends gate `kind` over `operands`, which hold at least
+/// [`GateKind::arity`] operands, broadcast over whole-register operands
+/// (single-qubit operands are repeated). Registers are never empty, so
+/// every operand has at least one qubit.
+fn push_gates(gates: &mut Vec<Gate>, kind: GateKind, params: &[f64], operands: &[Operand]) {
     let p = |idx: usize| params.get(idx).copied().unwrap_or(0.0);
-    let gate = match name {
-        // Decompose Toffolis here so downstream schedulers only ever see
-        // one- and two-qubit gates.
-        "ccx" => {
-            let (a, b, c) = (op(0)?, op(1)?, op(2)?);
-            gates.extend(toffoli_decomposition(a, b, c));
-            return Ok(());
-        }
-        "h" => Gate::H(op(0)?),
-        "x" => Gate::X(op(0)?),
-        "y" => Gate::Y(op(0)?),
-        "z" => Gate::Z(op(0)?),
-        "s" => Gate::S(op(0)?),
-        "sdg" => Gate::Sdg(op(0)?),
-        "t" => Gate::T(op(0)?),
-        "tdg" => Gate::Tdg(op(0)?),
-        "id" => Gate::Rz {
-            qubit: op(0)?,
-            theta: 0.0,
-        },
-        "rx" => Gate::Rx {
-            qubit: op(0)?,
-            theta: p(0),
-        },
-        "ry" => Gate::Ry {
-            qubit: op(0)?,
-            theta: p(0),
-        },
-        "rz" | "u1" | "p" => Gate::Rz {
-            qubit: op(0)?,
-            theta: p(0),
-        },
-        "u2" => Gate::U {
-            qubit: op(0)?,
-            theta: PI / 2.0,
-            phi: p(0),
-            lambda: p(1),
-        },
-        "u3" | "u" => Gate::U {
-            qubit: op(0)?,
-            theta: p(0),
-            phi: p(1),
-            lambda: p(2),
-        },
-        "cx" | "CX" => Gate::Cx(op(0)?, op(1)?),
-        "cz" => Gate::Cz(op(0)?, op(1)?),
-        "cp" | "cu1" => Gate::Cp {
-            control: op(0)?,
-            target: op(1)?,
-            theta: p(0),
-        },
-        "rzz" => Gate::Rzz {
-            a: op(0)?,
-            b: op(1)?,
-            theta: p(0),
-        },
-        "swap" => Gate::Swap(op(0)?, op(1)?),
-        "ms" | "rxx" => Gate::Ms(op(0)?, op(1)?),
-        other => {
-            return Err(DiagnosticKind::UnsupportedGate {
-                name: other.to_string(),
-            })
-        }
-    };
-    gates.push(gate);
-    Ok(())
+    let broadcast = operands.iter().map(|o| o.1).max().unwrap_or(1);
+    for i in 0..broadcast {
+        let op = |idx: usize| {
+            let (start, len) = operands.get(idx).copied().unwrap_or_default();
+            QubitId::new(start + i.min(len.saturating_sub(1)))
+        };
+        let gate = match kind {
+            // Decompose Toffolis here so downstream schedulers only ever see
+            // one- and two-qubit gates.
+            GateKind::Ccx => {
+                gates.extend(toffoli_decomposition(op(0), op(1), op(2)));
+                continue;
+            }
+            GateKind::H => Gate::H(op(0)),
+            GateKind::X => Gate::X(op(0)),
+            GateKind::Y => Gate::Y(op(0)),
+            GateKind::Z => Gate::Z(op(0)),
+            GateKind::S => Gate::S(op(0)),
+            GateKind::Sdg => Gate::Sdg(op(0)),
+            GateKind::T => Gate::T(op(0)),
+            GateKind::Tdg => Gate::Tdg(op(0)),
+            GateKind::Id => Gate::Rz {
+                qubit: op(0),
+                theta: 0.0,
+            },
+            GateKind::Rx => Gate::Rx {
+                qubit: op(0),
+                theta: p(0),
+            },
+            GateKind::Ry => Gate::Ry {
+                qubit: op(0),
+                theta: p(0),
+            },
+            GateKind::Rz => Gate::Rz {
+                qubit: op(0),
+                theta: p(0),
+            },
+            GateKind::U2 => Gate::U {
+                qubit: op(0),
+                theta: PI / 2.0,
+                phi: p(0),
+                lambda: p(1),
+            },
+            GateKind::U3 => Gate::U {
+                qubit: op(0),
+                theta: p(0),
+                phi: p(1),
+                lambda: p(2),
+            },
+            GateKind::Cx => Gate::Cx(op(0), op(1)),
+            GateKind::Cz => Gate::Cz(op(0), op(1)),
+            GateKind::Cp => Gate::Cp {
+                control: op(0),
+                target: op(1),
+                theta: p(0),
+            },
+            GateKind::Rzz => Gate::Rzz {
+                a: op(0),
+                b: op(1),
+                theta: p(0),
+            },
+            GateKind::Swap => Gate::Swap(op(0), op(1)),
+            GateKind::Ms => Gate::Ms(op(0), op(1)),
+        };
+        gates.push(gate);
+    }
 }
 
 /// Standard six-CNOT Toffoli decomposition (same network as
@@ -1395,6 +1633,160 @@ mod tests {
             DiagnosticKind::EmptyRegister { name: "q".into() }
         );
         assert_eq!((diag.line, diag.col, diag.snippet.as_str()), (1, 4, "qreg"));
+    }
+
+    /// Parses `source` and counts the statements the token path parsed.
+    fn token_statements(source: &str, limits: &ParseLimits) -> (Option<Circuit>, usize) {
+        let mut parser = Parser::new(source, limits);
+        let circuit = parser.run();
+        (circuit, parser.token_statements)
+    }
+
+    #[test]
+    fn canonical_text_takes_the_fast_path() {
+        use crate::generators::{self, BenchmarkScale};
+        let mut circuits: Vec<Circuit> = [
+            BenchmarkScale::Small,
+            BenchmarkScale::Medium,
+            BenchmarkScale::Large,
+        ]
+        .into_iter()
+        .flat_map(BenchmarkScale::apps)
+        .map(|app| app.circuit())
+        .collect();
+        circuits.push(generators::random_circuit(1024, 8192, 25));
+        circuits.push(generators::qft(192));
+        for circuit in circuits {
+            let source = crate::qasm::to_qasm(&circuit);
+            let (parsed, slow) = token_statements(&source, &ParseLimits::default());
+            let parsed = parsed.unwrap_or_else(|| panic!("{} parses", circuit.name()));
+            // `OPENQASM`, `include`, `qreg` and `creg`.
+            assert_eq!(slow, 4, "{}", circuit.name());
+            assert_eq!(
+                format!("{:?}", parsed.gates()),
+                format!("{:?}", circuit.gates()),
+                "{}",
+                circuit.name()
+            );
+        }
+    }
+
+    #[test]
+    fn the_fast_path_leaves_every_doubt_to_the_token_path() {
+        let limits = ParseLimits::default();
+        let fast = [
+            "h q[0];",
+            "cx q[0],q[1];",
+            "CX q[0] ,\n\tq[1] ;",
+            "rz(-pi/2) q[0];",
+            "rz(2*pi) q[0];",
+            "u3(0.5, -1e-3, pi*2) q[0];",
+            "rz(1e-400) q[0];",
+            "rz(.5) q[0];",
+            "rz(5.) q[0];",
+            "h q[007];",
+            "h q[ 3 ];",
+            "h q;",
+            "cx q[0], r;",
+            "measure q[1] -> c[1];",
+            "measure q->c;",
+        ];
+        let slow = [
+            "cx q[0], // why\n q[1];",
+            "rz(--pi) q[0];",
+            "rz(-(pi)) q[0];",
+            "rz(pi/0) q[0];",
+            "rz(1e309) q[0];",
+            "rz(1.2.3) q[0];",
+            "rz(pi+1) q[0];",
+            "rz() q[0];",
+            "h q[3.0];",
+            "h q[1e1];",
+            "h q[18446744073709551616];",
+            "h q[8];",
+            "h s[0];",
+            "cx q[1], q[1];",
+            "cx q, q[2];",
+            "cx q[0];",
+            "foo q[0];",
+            "barrier q;",
+            "if (c==1) x q[0];",
+            "measure q[0] -> c[1.5];",
+            "measure q[0] -> c[0]",
+            "h q[0]",
+        ];
+        for (statements, expected) in [(&fast[..], 4), (&slow[..], 5)] {
+            for statement in statements {
+                let source = format!("{HEADER}qreg q[8];\nqreg r[8];\n{statement}\n");
+                let (_, count) = token_statements(&source, &limits);
+                assert_eq!(count, expected, "{statement}");
+            }
+        }
+        // A negated atom is two levels deep: shallower limits leave every
+        // parameter to the token path.
+        for max_expr_depth in [0, 1] {
+            let limits = ParseLimits {
+                max_expr_depth,
+                ..ParseLimits::default()
+            };
+            let source = format!("{HEADER}qreg q[1];\nrz(0.5) q[0];\nh q[0];\n");
+            assert_eq!(token_statements(&source, &limits).1, 4);
+        }
+    }
+
+    #[test]
+    fn gate_limit_crossed_inside_a_fast_statement_cites_it() {
+        let limits = ParseLimits {
+            max_gates: 5,
+            ..ParseLimits::default()
+        };
+        let src = format!("{HEADER}qreg q[4];\nh q;\n  h q;\nh q[0];\n");
+        let err = parse_with_limits(&src, &limits).unwrap_err();
+        let last = err.diagnostics().last().unwrap();
+        assert_eq!(last.kind, DiagnosticKind::TooManyGates { max_gates: 5 });
+        assert_eq!((last.line, last.col), (5, 3));
+    }
+
+    #[test]
+    fn conditioned_statements_keep_their_gates() {
+        let src = format!(
+            "{HEADER}qreg q[2];\ncreg c[2];\nif (c==1) x q[0];\nif(c==0) cx q[0],q[1];\n\
+             if (c == 3) if (c == 2) measure q[1] -> c[1];\nif (c==1) ;\n"
+        );
+        let circuit = parse(&src).unwrap();
+        assert_eq!(
+            circuit.gates(),
+            [
+                Gate::X(QubitId::new(0)),
+                Gate::Cx(QubitId::new(0), QubitId::new(1)),
+                Gate::Measure(QubitId::new(1)),
+            ]
+        );
+        for (body, kind) in [
+            (
+                "if (c=1) x q[0];",
+                DiagnosticKind::InvalidCharacter { ch: '=' },
+            ),
+            (
+                "if (c==1.5) x q[0];",
+                DiagnosticKind::NonIntegerLiteral { value: 1.5 },
+            ),
+            (
+                "if c==1 x q[0];",
+                DiagnosticKind::Unexpected {
+                    found: "c".into(),
+                    expected: "(",
+                },
+            ),
+            (
+                "if (c==1) foo q[0];",
+                DiagnosticKind::UnsupportedGate { name: "foo".into() },
+            ),
+            ("if (c==1)", DiagnosticKind::UnexpectedEof),
+        ] {
+            let src = format!("{HEADER}qreg q[2];\ncreg c[2];\n{body}");
+            assert_eq!(first_kind(&src), kind, "{body}");
+        }
     }
 
     #[test]

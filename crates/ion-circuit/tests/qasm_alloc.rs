@@ -3,17 +3,18 @@
 //!
 //! A counting global allocator (installed for this test binary only) counts
 //! the calling thread's heap allocations. Parsing QFT_96 (about 4,800
-//! statements) may allocate at most [`MAX_PARSE_ALLOCATIONS`] times: the
-//! growing gate list, the circuit name, the register list and the two
-//! reused parameter and operand buffers. One allocation per identifier,
-//! literal or operand would cost thousands.
+//! statements), RAN_1024 (about 10,000) or SQRT_299 (about 14,000) may
+//! allocate at most [`MAX_PARSE_ALLOCATIONS`] times: the growing gate list,
+//! the circuit name, the register list and the two reused parameter and
+//! operand buffers. One allocation per statement, identifier, literal or
+//! operand would cost thousands.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ion_circuit::{generators, qasm};
 
-/// The bound the front-end must stay under for QFT_96.
+/// The bound the front-end must stay under for each source.
 const MAX_PARSE_ALLOCATIONS: u64 = 64;
 
 thread_local! {
@@ -64,16 +65,29 @@ fn counting_allocator_observes_heap_traffic() {
     assert!(count >= 1);
 }
 
-#[test]
-fn parsing_qft_96_allocates_a_bounded_number_of_times() {
-    let source = qasm::to_qasm(&generators::qft(96));
-    let (parsed, count) = allocations_during(|| qasm::parse(std::hint::black_box(&source)));
-    let circuit = parsed.expect("QFT_96 parses");
-    assert!(circuit.len() > 4_000, "{} gates", circuit.len());
+/// Parses `source` and checks the allocation bound.
+fn assert_bounded(label: &str, source: &str) {
+    let (parsed, count) = allocations_during(|| qasm::parse(std::hint::black_box(source)));
+    let circuit = parsed.unwrap_or_else(|e| panic!("{label} parses: {e}"));
+    assert!(circuit.len() > 4_000, "{label}: {} gates", circuit.len());
     assert!(
         count <= MAX_PARSE_ALLOCATIONS,
-        "parsing QFT_96 ({} bytes, {} gates) allocated {count} times (bound {MAX_PARSE_ALLOCATIONS})",
+        "parsing {label} ({} bytes, {} gates) allocated {count} times (bound {MAX_PARSE_ALLOCATIONS})",
         source.len(),
         circuit.len()
     );
+}
+
+#[test]
+fn parsing_qft_96_allocates_a_bounded_number_of_times() {
+    assert_bounded("QFT_96", &qasm::to_qasm(&generators::qft(96)));
+}
+
+#[test]
+fn parsing_gate_dense_sources_allocates_a_bounded_number_of_times() {
+    // Short statements, almost all on the statement fast path: RAN_1024's
+    // `rxx(pi/2) q[a],q[b];` and SQRT_299's `cx q[a],q[b];`.
+    let ran = generators::random_circuit(1024, 8192, 25);
+    assert_bounded("RAN_1024", &qasm::to_qasm(&ran));
+    assert_bounded("SQRT_299", &qasm::to_qasm(&generators::sqrt(299)));
 }
