@@ -19,6 +19,9 @@
 //!   perfect-gate / perfect-shuttle idealisations.
 //! * [`ScheduleExecutor`] / [`ExecutionMetrics`] — the makespan + fidelity
 //!   evaluator shared by all compilers.
+//! * [`ScheduleDriver`] / [`SchedulePass`] — the event-driven scheduling
+//!   loop every compiler runs, generic over the compiler's executability
+//!   rule, gate emission and routing policy.
 //! * [`Compiler`] / [`CompiledProgram`] — the interface the experiment
 //!   harness drives.
 //! * [`pipeline`] — the staged compilation pipeline: typed stage artifacts,
@@ -54,6 +57,7 @@
 mod compiler;
 mod config;
 mod device;
+mod driver;
 mod error;
 mod executor;
 mod fidelity;
@@ -69,6 +73,7 @@ mod zone;
 pub use compiler::{CompiledProgram, Compiler};
 pub use config::DeviceConfig;
 pub use device::EmlQccdDevice;
+pub use driver::{ScheduleDriver, SchedulePass};
 pub use error::{CompileError, DeviceError};
 pub use executor::{ExecutorScratch, ScheduleExecutor};
 pub use fidelity::{FidelityModel, LogFidelity};

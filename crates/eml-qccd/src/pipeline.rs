@@ -48,7 +48,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use ion_circuit::{Circuit, QubitId};
+use ion_circuit::{Circuit, CircuitError, Gate, QubitId};
 
 use crate::{CompileError, CompiledProgram, Compiler, EmlQccdDevice, QccdGridDevice, ScheduledOp};
 
@@ -95,6 +95,67 @@ pub struct Scheduled<L> {
 pub struct Lowered {
     /// The full scheduled operation sequence.
     pub ops: Vec<ScheduledOp>,
+}
+
+impl Lowered {
+    /// The lowering every compiler runs: each single-qubit gate of `circuit`
+    /// at its qubit's location in `start` (they never force a shuttle and
+    /// cost the same anywhere), then `scheduled`, then each measurement at
+    /// its qubit's location in `end`. A gate on a qubit a placement does not
+    /// hold is dropped.
+    pub fn assemble(
+        circuit: &Circuit,
+        start: impl IntoIterator<Item = (QubitId, usize)>,
+        scheduled: &[ScheduledOp],
+        end: impl IntoIterator<Item = (QubitId, usize)>,
+    ) -> Lowered {
+        let mut ops = Vec::with_capacity(scheduled.len() + circuit.len());
+        let mut location: Vec<Option<usize>> = vec![None; circuit.num_qubits()];
+        for (q, at) in start {
+            location[q.index()] = Some(at);
+        }
+        for gate in circuit.gates() {
+            if !gate.is_single_qubit() {
+                continue;
+            }
+            let qubit = gate
+                .single_qubit_target()
+                .expect("single-qubit gates have a target");
+            if let Some(zone) = location.get(qubit.index()).copied().flatten() {
+                ops.push(ScheduledOp::SingleQubitGate { qubit, zone });
+            }
+        }
+        ops.extend_from_slice(scheduled);
+        location.fill(None);
+        for (q, at) in end {
+            location[q.index()] = Some(at);
+        }
+        for gate in circuit.gates() {
+            if let Gate::Measure(qubit) = *gate {
+                if let Some(zone) = location.get(qubit.index()).copied().flatten() {
+                    ops.push(ScheduledOp::Measurement { qubit, zone });
+                }
+            }
+        }
+        Lowered { ops }
+    }
+}
+
+/// The compile boundary every compiler checks first:
+/// [`Circuit::validate_for`] against the device's effective `capacity`.
+///
+/// # Errors
+///
+/// [`CompileError::DeviceTooSmall`] for a circuit wider than the device,
+/// [`CompileError::InvalidCircuit`] for any other defect.
+pub fn validate(circuit: &Circuit, capacity: usize) -> Result<(), CompileError> {
+    circuit.validate_for(capacity).map_err(|e| match e {
+        CircuitError::WiderThanTarget { num_qubits, .. } => CompileError::DeviceTooSmall {
+            required: num_qubits,
+            capacity,
+        },
+        other => CompileError::InvalidCircuit(other.to_string()),
+    })
 }
 
 /// Wall-clock breakdown of one compilation run, stage by stage, so the

@@ -6,7 +6,10 @@
 //! uses only public `ion_circuit` types, and [`parse_with_limits`] returns the
 //! diagnostics as a plain `Vec`. Since then it has changed only to mirror
 //! deliberate grammar changes made in both front-ends: `if (c==n)` keeps the
-//! statement it guards instead of dropping it.
+//! statement it guards instead of dropping it; a gate call must give exactly
+//! the gate's number of qubit arguments and of parameters; and `measure`
+//! must name a declared classical register (`creg name[size];`, now parsed
+//! rather than skipped) and end in `;`.
 //!
 //! The fuzz campaign parses every case with both front-ends and compares
 //! verdicts, circuits and diagnostics (see

@@ -53,6 +53,8 @@ struct Parser<'a> {
     diagnostics: Vec<Diagnostic>,
     /// name -> (offset, size)
     qregs: HashMap<String, (usize, usize)>,
+    /// name -> (0, size), checked as `measure` targets only.
+    cregs: HashMap<String, (usize, usize)>,
     total_qubits: usize,
     gates: Vec<Gate>,
 }
@@ -65,6 +67,7 @@ impl<'a> Parser<'a> {
             limits,
             diagnostics: lex_diagnostics,
             qregs: HashMap::new(),
+            cregs: HashMap::new(),
             total_qubits: 0,
             gates: Vec::new(),
         }
@@ -233,7 +236,7 @@ impl<'a> Parser<'a> {
         }
         match &token.kind {
             TokenKind::Ident(word) => match word.as_str() {
-                "OPENQASM" | "include" | "creg" => {
+                "OPENQASM" | "include" => {
                     self.skip_to_semicolon();
                     Ok(())
                 }
@@ -244,6 +247,10 @@ impl<'a> Parser<'a> {
                 "qreg" => {
                     self.next();
                     self.parse_qreg(token.line)
+                }
+                "creg" => {
+                    self.next();
+                    self.parse_creg(token.line)
                 }
                 "measure" => {
                     self.next();
@@ -332,11 +339,25 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    fn parse_creg(&mut self, line: usize) -> Result<(), Diagnostic> {
+        let (name, name_col) = self.expect_ident()?;
+        self.expect_kind(TokenKind::LBracket, "[")?;
+        let size = self.expect_index()?;
+        self.expect_kind(TokenKind::RBracket, "]")?;
+        self.expect_semicolon()?;
+        if self.cregs.contains_key(&name) {
+            return Err(self.diag_at(DiagnosticKind::DuplicateRegister { name }, line, name_col));
+        }
+        self.cregs.insert(name, (0, size));
+        Ok(())
+    }
+
     fn parse_measure(&mut self, _line: usize) -> Result<(), Diagnostic> {
         // measure q[i] -> c[i]; | measure q -> c;
         let targets = self.parse_argument()?;
-        // Skip everything up to the semicolon (the classical target).
-        self.skip_to_semicolon();
+        self.expect_kind(TokenKind::Arrow, "->")?;
+        self.parse_register(true)?;
+        self.expect_semicolon()?;
         for q in targets {
             self.gates.push(Gate::Measure(q));
         }
@@ -409,6 +430,25 @@ impl<'a> Parser<'a> {
         all.sort_unstable();
         if all.windows(2).any(|w| w[0] == w[1]) {
             return Err(self.diag_at(DiagnosticKind::RepeatedOperand, line, col));
+        }
+        if let Some((arity, takes)) = signature(name) {
+            let (name, found) = (name.to_string(), operands.len());
+            if found != arity {
+                let kind = DiagnosticKind::OperandCount {
+                    name,
+                    expected: arity,
+                    found,
+                };
+                return Err(self.diag_at(kind, line, col));
+            }
+            if params.len() != takes {
+                let kind = DiagnosticKind::ParameterCount {
+                    name,
+                    expected: takes,
+                    found: params.len(),
+                };
+                return Err(self.diag_at(kind, line, col));
+            }
         }
         // Broadcast over whole-register operands (all operands must then have
         // the same length; single-qubit operands are repeated). Registers are
@@ -628,8 +668,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses `reg` or `reg[i]`, returning the referenced qubits.
+    /// Parses `reg` or `reg[i]` of a quantum register, returning the
+    /// referenced qubits.
     fn parse_argument(&mut self) -> Result<Vec<QubitId>, Diagnostic> {
+        self.parse_register(false)
+    }
+
+    /// Parses `reg` or `reg[i]` of a quantum register, or of a classical
+    /// one if `classical`, returning the referenced positions.
+    fn parse_register(&mut self, classical: bool) -> Result<Vec<QubitId>, Diagnostic> {
         let (name, line, col) = match self.next() {
             Some(Token {
                 kind: TokenKind::Ident(name),
@@ -639,7 +686,8 @@ impl<'a> Parser<'a> {
             Some(t) => return Err(self.unexpected(&t, "register name")),
             None => return Err(self.eof_diag()),
         };
-        let &(offset, size) = self.qregs.get(&name).ok_or_else(|| {
+        let registers = if classical { &self.cregs } else { &self.qregs };
+        let &(offset, size) = registers.get(&name).ok_or_else(|| {
             self.diag_at(
                 DiagnosticKind::UnknownRegister { name: name.clone() },
                 line,
@@ -688,6 +736,21 @@ impl<'a> Parser<'a> {
             None => Err(self.eof_diag()),
         }
     }
+}
+
+/// The qubit arguments and parameters a supported gate takes; `None` for a
+/// name the subset does not support.
+fn signature(name: &str) -> Option<(usize, usize)> {
+    Some(match name {
+        "h" | "x" | "y" | "z" | "s" | "sdg" | "t" | "tdg" | "id" => (1, 0),
+        "rx" | "ry" | "rz" | "u1" | "p" => (1, 1),
+        "u2" => (1, 2),
+        "u3" | "u" => (1, 3),
+        "cx" | "CX" | "cz" | "swap" | "ms" => (2, 0),
+        "cp" | "cu1" | "rzz" | "rxx" => (2, 1),
+        "ccx" => (3, 0),
+        _ => return None,
+    })
 }
 
 /// Standard six-CNOT Toffoli decomposition (same network as

@@ -53,9 +53,39 @@ const STATEMENTS: &[&str] = &[
     "h q[0], q[1];",
     "foo q[0];",
     "hh q[0];",
+    // Operand and parameter counts.
+    "cx q[0], q[1], q[2];",
+    "h q, r;",
+    "h(1,2) q[0];",
+    "h() q[0];",
+    "rz q[0];",
+    "u1 q[0];",
+    "u2(0.5) q[0];",
+    "u2(0.5, 1) q[0];",
+    "u3(1, 2) q[0];",
+    "id(0.5) q[0];",
+    "cp q[0], q[1];",
+    "rxx q[0], q[1];",
+    "rxx(pi/2) q[0], q[1];",
+    "ms q[0], q[1];",
+    "ms(0.5) q[0], q[1];",
     "h.x q[0];",
     "barrier q[0], r;",
     "h s[0];",
+    // Classical targets and declarations.
+    "measure q[0] + 5 ) foo;",
+    "measure q[0];",
+    "measure q[0] -> c[0] foo;",
+    "measure q[0] -> d[0];",
+    "measure q[0] -> c[6];",
+    "measure q[0] -> r[0];",
+    "measure q -> c[0];",
+    "measure q[0] -> c;",
+    "measure q[0] -> 0;",
+    "creg c[2];",
+    "creg d[2];\nmeasure q[0] -> d[1];",
+    "creg d;",
+    "creg d[1.5];",
     // Conditions.
     "if (c==1) x q[0];",
     "if(c==0) cx q[0],q[1];",
@@ -120,6 +150,8 @@ fn cases() -> Vec<String> {
         "qreg pi[2];\nh pi[0];\nrz(pi) pi[1];\ncx pi[0], pi[1];\n",
         "qreg q.a[2];\nqreg b_1[2];\nh q.a[1];\ncx q.a[0], b_1[1];\nmeasure q.a -> c;\n",
         "qreg measure[2];\nh measure[0];\nmeasure measure[1] -> c[0];\n",
+        "qreg q.a[2];\nqreg b_1[2];\ncreg c[2];\nh q.a[1];\ncx q.a[0], b_1[1];\nmeasure q.a -> c;\n",
+        "qreg measure[2];\ncreg c.d[1];\nh measure[0];\nmeasure measure[1] -> c.d[0];\n",
     ] {
         cases.push(format!("OPENQASM 2.0;\n{body}"));
     }

@@ -4,10 +4,12 @@
 //! This module provides a small, dependency-free importer/exporter covering
 //! the subset those files use: a single quantum register, the `qelib1.inc`
 //! standard gates (`h x y z s sdg t tdg rx ry rz u1 u2 u3 cx cz cp cu1 swap
-//! rzz ccx`), `measure` and `barrier`. Classical registers are parsed but
-//! ignored for scheduling purposes, and an `if (c==n)` condition is dropped
-//! while the statement it guards is kept: routing must serve its gates
-//! whichever way the condition goes.
+//! rzz ccx`), `measure` and `barrier`. A gate call must give exactly the
+//! gate's number of qubit arguments and of parameters. Classical registers
+//! are declared but ignored for scheduling purposes: a `measure` must name a
+//! declared one (`-> creg` or `-> creg[i]`, then `;`). An `if (c==n)`
+//! condition is dropped while the statement it guards is kept: routing must
+//! serve its gates whichever way the condition goes.
 //!
 //! The front-end is built for untrusted input: [`parse`] never panics, the
 //! parser recovers at statement boundaries and reports what it finds with
@@ -32,7 +34,8 @@
 //!   -> creg[j];`, with whitespace between any two items. It is accept-only:
 //!   on any doubt (a keyword or unknown name, a comment inside the
 //!   statement, a longer expression, a non-finite value, an index out of
-//!   range or not plain digits, an unknown register, a repeated operand) it
+//!   range or not plain digits, an unknown register, a repeated operand, a
+//!   wrong number of operands or parameters) it
 //!   consumes nothing and the token path parses the statement. When it
 //!   accepts, it yields the gates, values and positions the token path would.
 //!

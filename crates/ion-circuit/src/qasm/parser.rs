@@ -97,6 +97,26 @@ pub enum DiagnosticKind {
     /// qubit together with its whole register). OpenQASM 2 requires a gate's
     /// qubit arguments to be distinct.
     RepeatedOperand,
+    /// A gate call with more or fewer qubit arguments than the gate acts on
+    /// (`h q[0], q[1];`, `cx q[0];`).
+    OperandCount {
+        /// Gate name as written.
+        name: String,
+        /// Qubit arguments the gate takes.
+        expected: usize,
+        /// Qubit arguments the call gives.
+        found: usize,
+    },
+    /// A gate call with more or fewer parameters than the gate takes
+    /// (`rz q[0];`, `h(1) q[0];`).
+    ParameterCount {
+        /// Gate name as written.
+        name: String,
+        /// Parameters the gate takes.
+        expected: usize,
+        /// Parameters the call gives.
+        found: usize,
+    },
     /// No quantum register was declared before the first gate.
     NoQuantumRegister,
     /// A `qreg` declaration with zero qubits.
@@ -168,6 +188,22 @@ impl fmt::Display for DiagnosticKind {
             DiagnosticKind::RepeatedOperand => {
                 write!(f, "gate arguments must be distinct qubits")
             }
+            DiagnosticKind::OperandCount {
+                name,
+                expected,
+                found,
+            } => write!(
+                f,
+                "gate '{name}' takes {expected} qubit argument(s), found {found}"
+            ),
+            DiagnosticKind::ParameterCount {
+                name,
+                expected,
+                found,
+            } => write!(
+                f,
+                "gate '{name}' takes {expected} parameter(s), found {found}"
+            ),
             DiagnosticKind::NoQuantumRegister => write!(f, "no quantum register declared"),
             DiagnosticKind::EmptyRegister { name } => {
                 write!(f, "register '{name}' must have at least one qubit")
@@ -273,9 +309,11 @@ impl Error for QasmError {}
 /// limits](ParseLimits::default).
 ///
 /// Multiple quantum registers are flattened into one contiguous register in
-/// declaration order. Classical registers and custom `gate` definitions are
-/// skipped (custom gate *bodies* are ignored; *calls* to unknown gates are an
-/// error so silent mis-parses cannot occur). An `if (c==n)` condition is
+/// declaration order. Classical registers are recorded only to check each
+/// `measure` target, and custom `gate` definitions are skipped (custom gate
+/// *bodies* are ignored; *calls* to unknown gates are an error so silent
+/// mis-parses cannot occur). A gate call must give exactly the gate's
+/// number of qubit arguments and of parameters. An `if (c==n)` condition is
 /// dropped, but the statement it guards is kept: the condition is only known
 /// at run time, and routing must serve the gate either way.
 ///
@@ -419,6 +457,10 @@ impl Problems {
 /// qubit, a whole register `reg` is all of it).
 type Operand = (usize, usize);
 
+/// A declared register: name, offset of its first qubit in the flattened
+/// quantum register (0 for a classical register) and size.
+type Register<'s> = (&'s str, usize, usize);
+
 /// Single-pass parser pulling tokens from a [`Scanner`]. Registers live in a
 /// linearly scanned `Vec` (programs declare a handful), and the parameter
 /// and operand buffers are reused across statements.
@@ -430,8 +472,9 @@ struct Parser<'s, 'l> {
     after_semicolon: bool,
     limits: &'l ParseLimits,
     problems: Problems,
-    /// (name, offset, size) per `qreg`.
-    qregs: Vec<(&'s str, usize, usize)>,
+    qregs: Vec<Register<'s>>,
+    /// Checked as `measure` targets only.
+    cregs: Vec<Register<'s>>,
     total_qubits: usize,
     gates: Vec<Gate>,
     params: Vec<f64>,
@@ -451,6 +494,7 @@ impl<'s, 'l> Parser<'s, 'l> {
             // An error always carries at least one diagnostic.
             problems: Problems::new(limits.max_diagnostics.max(1)),
             qregs: Vec::new(), // lint: allow (one per parse)
+            cregs: Vec::new(), // lint: allow (one per parse)
             total_qubits: 0,
             gates: Vec::new(),    // lint: allow (the parsed circuit's gate list)
             params: Vec::new(),   // lint: allow (reused across statements)
@@ -617,7 +661,7 @@ impl<'s, 'l> Parser<'s, 'l> {
         }
         self.operands.clear();
         loop {
-            let operand = self.fast_operand(cur)?;
+            let operand = fast_operand(&self.qregs, cur)?;
             self.operands.push(operand);
             match cur.next_byte()? {
                 b',' => {}
@@ -625,7 +669,10 @@ impl<'s, 'l> Parser<'s, 'l> {
                 _ => return None,
             }
         }
-        if self.operands.len() < kind.arity() || repeats(&self.operands) {
+        if self.operands.len() != kind.arity()
+            || self.params.len() != kind.params()
+            || repeats(&self.operands)
+        {
             return None;
         }
         push_gates(&mut self.gates, kind, &self.params, &self.operands);
@@ -635,32 +682,17 @@ impl<'s, 'l> Parser<'s, 'l> {
     /// The rest of a fast-path `measure`, after the keyword.
     #[inline(always)]
     fn fast_measure(&mut self, cur: &mut Cursor<'s>) -> Option<()> {
-        let (start, len) = self.fast_operand(cur)?;
-        if !cur.eat(b"->") || cur.ident().is_none() {
+        let (start, len) = fast_operand(&self.qregs, cur)?;
+        if !cur.eat(b"->") {
             return None;
         }
-        if cur.eat(b"[") && (cur.digits().is_none() || !cur.eat(b"]")) {
-            return None;
-        }
+        fast_operand(&self.cregs, cur)?;
         if !cur.eat(b";") {
             return None;
         }
         let measures = (start..start + len).map(|q| Gate::Measure(QubitId::new(q)));
         self.gates.extend(measures);
         Some(())
-    }
-
-    /// A fast-path operand `reg` or `reg[i]` of a declared register, with
-    /// the index in range.
-    #[inline(always)]
-    fn fast_operand(&self, cur: &mut Cursor<'s>) -> Option<Operand> {
-        let name = cur.ident()?;
-        let &(_, offset, size) = self.qregs.iter().find(|r| r.0 == name)?;
-        if !cur.eat(b"[") {
-            return Some((offset, size));
-        }
-        let index = cur.digits()?;
-        (cur.eat(b"]") && index < size).then_some((offset + index, 1))
     }
 
     fn statement(&mut self, mut token: Token<'s>) -> Result<(), Problem> {
@@ -688,11 +720,16 @@ impl<'s, 'l> Parser<'s, 'l> {
                     self.next();
                     return self.qreg(token.offset);
                 }
+                Word::Creg => {
+                    self.next();
+                    return self.creg(token.offset);
+                }
                 Word::Measure => {
                     self.next();
                     let (start, len) = self.argument()?;
-                    // Skip the classical target.
-                    self.skip_to_semicolon();
+                    self.expect_kind(TokenKind::Arrow, "->")?;
+                    self.register_operand(true)?;
+                    self.expect_kind(TokenKind::Semicolon, ";")?;
                     let measures = (start..start + len).map(|q| Gate::Measure(QubitId::new(q)));
                     self.gates.extend(measures);
                 }
@@ -754,7 +791,9 @@ impl<'s, 'l> Parser<'s, 'l> {
         }
     }
 
-    fn qreg(&mut self, keyword: usize) -> Result<(), Problem> {
+    /// `name[size];` after `qreg` or `creg`: the name, its offset and the
+    /// size.
+    fn declaration(&mut self) -> Result<(&'s str, usize, usize), Problem> {
         let token = self.next().ok_or_else(|| self.eof())?;
         let TokenKind::Ident(name) = token.kind else {
             return Err(Problem::unexpected(token, "identifier"));
@@ -763,6 +802,26 @@ impl<'s, 'l> Parser<'s, 'l> {
         let size = self.index()?;
         self.expect_kind(TokenKind::RBracket, "]")?;
         self.expect_kind(TokenKind::Semicolon, ";")?;
+        Ok((name, token.offset, size))
+    }
+
+    /// A classical register declaration, after `creg`.
+    fn creg(&mut self, keyword: usize) -> Result<(), Problem> {
+        let (name, at, size) = self.declaration()?;
+        if self.cregs.iter().any(|r| r.0 == name) {
+            return Err(Problem {
+                span: Some((keyword, at)),
+                kind: DiagnosticKind::DuplicateRegister {
+                    name: name.to_string(),
+                },
+            });
+        }
+        self.cregs.push((name, 0, size));
+        Ok(())
+    }
+
+    fn qreg(&mut self, keyword: usize) -> Result<(), Problem> {
+        let (name, at, size) = self.declaration()?;
         let requested = self.total_qubits.saturating_add(size);
         let kind = if size == 0 {
             DiagnosticKind::EmptyRegister {
@@ -783,7 +842,7 @@ impl<'s, 'l> Parser<'s, 'l> {
             return Ok(());
         };
         Err(Problem {
-            span: Some((keyword, token.offset)),
+            span: Some((keyword, at)),
             kind,
         })
     }
@@ -825,10 +884,23 @@ impl<'s, 'l> Parser<'s, 'l> {
             let name = name.to_string();
             return Err(Problem::at(at, DiagnosticKind::UnsupportedGate { name }));
         };
-        if self.operands.len() < kind.arity() {
-            let kind = DiagnosticKind::Unexpected {
-                found: "end of operands".to_string(),
-                expected: "qubit operand",
+        let (expected, found) = (kind.arity(), self.operands.len());
+        if found != expected {
+            let name = name.to_string();
+            let kind = DiagnosticKind::OperandCount {
+                name,
+                expected,
+                found,
+            };
+            return Err(Problem::at(at, kind));
+        }
+        let (expected, found) = (kind.params(), self.params.len());
+        if found != expected {
+            let name = name.to_string();
+            let kind = DiagnosticKind::ParameterCount {
+                name,
+                expected,
+                found,
             };
             return Err(Problem::at(at, kind));
         }
@@ -919,13 +991,20 @@ impl<'s, 'l> Parser<'s, 'l> {
         }
     }
 
-    /// Parses `reg` or `reg[i]`.
+    /// Parses `reg` or `reg[i]` of a declared quantum register.
     fn argument(&mut self) -> Result<Operand, Problem> {
+        self.register_operand(false)
+    }
+
+    /// Parses `reg` or `reg[i]` of a declared quantum register, or of a
+    /// declared classical one if `classical`.
+    fn register_operand(&mut self, classical: bool) -> Result<Operand, Problem> {
         let token = self.next().ok_or_else(|| self.eof())?;
         let TokenKind::Ident(name) = token.kind else {
             return Err(Problem::unexpected(token, "register name"));
         };
-        let Some(&(_, offset, size)) = self.qregs.iter().find(|r| r.0 == name) else {
+        let registers = if classical { &self.cregs } else { &self.qregs };
+        let Some(&(_, offset, size)) = registers.iter().find(|r| r.0 == name) else {
             let name = name.to_string();
             let kind = DiagnosticKind::UnknownRegister { name };
             return Err(Problem::at(token.offset, kind));
@@ -962,6 +1041,19 @@ fn index_value(value: f64, offset: usize) -> Result<usize, Problem> {
             DiagnosticKind::NonIntegerLiteral { value },
         ))
     }
+}
+
+/// A fast-path operand `reg` or `reg[i]` of a register in `registers`, with
+/// the index in range.
+#[inline(always)]
+fn fast_operand(registers: &[Register<'_>], cur: &mut Cursor<'_>) -> Option<Operand> {
+    let name = cur.ident()?;
+    let &(_, offset, size) = registers.iter().find(|r| r.0 == name)?;
+    if !cur.eat(b"[") {
+        return Some((offset, size));
+    }
+    let index = cur.digits()?;
+    (cur.eat(b"]") && index < size).then_some((offset + index, 1))
 }
 
 /// One parameter of the fast path, `[-]atom[(*|/)atom]`, computed by the
@@ -1030,6 +1122,8 @@ enum GateKind {
     Rzz,
     Swap,
     Ms,
+    /// `rxx(θ)`, parsed as the native MS gate (the angle is dropped).
+    Rxx,
 }
 
 impl GateKind {
@@ -1042,8 +1136,24 @@ impl GateKind {
             | GateKind::Cp
             | GateKind::Rzz
             | GateKind::Swap
-            | GateKind::Ms => 2,
+            | GateKind::Ms
+            | GateKind::Rxx => 2,
             _ => 1,
+        }
+    }
+
+    /// Parameters the gate takes.
+    fn params(self) -> usize {
+        match self {
+            GateKind::U3 => 3,
+            GateKind::U2 => 2,
+            GateKind::Rx
+            | GateKind::Ry
+            | GateKind::Rz
+            | GateKind::Cp
+            | GateKind::Rzz
+            | GateKind::Rxx => 1,
+            _ => 0,
         }
     }
 }
@@ -1052,13 +1162,14 @@ impl GateKind {
 /// names, resolved once per statement by both paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Word {
-    /// `OPENQASM`, `include`, `creg`: skipped through their `;`.
+    /// `OPENQASM`, `include`: skipped through their `;`.
     Skipped,
     /// `gate`, `opaque`: definitions, skipped with their body.
     Definition,
     /// `if`: a condition on the statement that follows.
     If,
     Qreg,
+    Creg,
     Measure,
     Barrier,
     /// A gate call; `None` for a name this subset does not support.
@@ -1068,7 +1179,8 @@ enum Word {
 impl Word {
     fn of(word: &str) -> Word {
         let gate = match word {
-            "OPENQASM" | "include" | "creg" => return Word::Skipped,
+            "OPENQASM" | "include" => return Word::Skipped,
+            "creg" => return Word::Creg,
             "gate" | "opaque" => return Word::Definition,
             "if" => return Word::If,
             "qreg" => return Word::Qreg,
@@ -1094,17 +1206,18 @@ impl Word {
             "cp" | "cu1" => GateKind::Cp,
             "rzz" => GateKind::Rzz,
             "swap" => GateKind::Swap,
-            "ms" | "rxx" => GateKind::Ms,
+            "ms" => GateKind::Ms,
+            "rxx" => GateKind::Rxx,
             _ => return Word::Gate(None),
         };
         Word::Gate(Some(gate))
     }
 }
 
-/// Appends gate `kind` over `operands`, which hold at least
-/// [`GateKind::arity`] operands, broadcast over whole-register operands
-/// (single-qubit operands are repeated). Registers are never empty, so
-/// every operand has at least one qubit.
+/// Appends gate `kind` over `operands` and `params`, which hold exactly
+/// [`GateKind::arity`] operands and [`GateKind::params`] values, broadcast
+/// over whole-register operands (single-qubit operands are repeated).
+/// Registers are never empty, so every operand has at least one qubit.
 fn push_gates(gates: &mut Vec<Gate>, kind: GateKind, params: &[f64], operands: &[Operand]) {
     let p = |idx: usize| params.get(idx).copied().unwrap_or(0.0);
     let broadcast = operands.iter().map(|o| o.1).max().unwrap_or(1);
@@ -1169,7 +1282,7 @@ fn push_gates(gates: &mut Vec<Gate>, kind: GateKind, params: &[f64], operands: &
                 theta: p(0),
             },
             GateKind::Swap => Gate::Swap(op(0), op(1)),
-            GateKind::Ms => Gate::Ms(op(0), op(1)),
+            GateKind::Ms | GateKind::Rxx => Gate::Ms(op(0), op(1)),
         };
         gates.push(gate);
     }
@@ -1708,16 +1821,24 @@ mod tests {
             "cx q[1], q[1];",
             "cx q, q[2];",
             "cx q[0];",
+            "h q[0], q[1];",
+            "rz q[0];",
+            "h(1) q[0];",
+            "u2(0.5) q[0];",
+            "rxx q[0],q[1];",
             "foo q[0];",
             "barrier q;",
             "if (c==1) x q[0];",
             "measure q[0] -> c[1.5];",
             "measure q[0] -> c[0]",
+            "measure q[0] -> d[0];",
+            "measure q[0] -> c[8];",
+            "measure q[0] -> q[0];",
             "h q[0]",
         ];
-        for (statements, expected) in [(&fast[..], 4), (&slow[..], 5)] {
+        for (statements, expected) in [(&fast[..], 5), (&slow[..], 6)] {
             for statement in statements {
-                let source = format!("{HEADER}qreg q[8];\nqreg r[8];\n{statement}\n");
+                let source = format!("{HEADER}qreg q[8];\nqreg r[8];\ncreg c[8];\n{statement}\n");
                 let (_, count) = token_statements(&source, &limits);
                 assert_eq!(count, expected, "{statement}");
             }
@@ -1783,6 +1904,88 @@ mod tests {
                 DiagnosticKind::UnsupportedGate { name: "foo".into() },
             ),
             ("if (c==1)", DiagnosticKind::UnexpectedEof),
+        ] {
+            let src = format!("{HEADER}qreg q[2];\ncreg c[2];\n{body}");
+            assert_eq!(first_kind(&src), kind, "{body}");
+        }
+    }
+
+    #[test]
+    fn gate_calls_must_give_the_gates_operand_and_parameter_counts() {
+        let operands = |name: &str, expected, found| DiagnosticKind::OperandCount {
+            name: name.into(),
+            expected,
+            found,
+        };
+        let params = |name: &str, expected, found| DiagnosticKind::ParameterCount {
+            name: name.into(),
+            expected,
+            found,
+        };
+        for (body, kind) in [
+            ("h q[0], q[1];", operands("h", 1, 2)),
+            ("cx q[0], q[1], q[2];", operands("cx", 2, 3)),
+            ("cx q[0];", operands("cx", 2, 1)),
+            ("ccx q[0], q[1];", operands("ccx", 3, 2)),
+            ("h(1,2) q[0];", params("h", 0, 2)),
+            ("rz q[0];", params("rz", 1, 0)),
+            ("u1 q[0];", params("u1", 1, 0)),
+            ("u2(1) q[0];", params("u2", 2, 1)),
+            ("u3(1,2) q[0];", params("u3", 3, 2)),
+            ("cp(1,2) q[0], q[1];", params("cp", 1, 2)),
+            ("rxx q[0], q[1];", params("rxx", 1, 0)),
+            ("ms(1) q[0], q[1];", params("ms", 0, 1)),
+        ] {
+            let src = format!("{HEADER}qreg q[3];\n{body}\n");
+            let err = parse(&src).unwrap_err();
+            assert_eq!(err.diagnostics().len(), 1, "{body}");
+            assert_eq!(err.first().kind, kind, "{body}");
+            assert_eq!((err.first().line, err.first().col), (4, 1), "{body}");
+        }
+        // Every count matches: one gate each.
+        let src = format!(
+            "{HEADER}qreg q[3];\nh() q[0];\nu2(1,2) q[0];\nrxx(pi) q[0],q[1];\nms q[1],q[2];\n"
+        );
+        assert_eq!(parse(&src).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn measure_targets_a_declared_classical_register() {
+        let src = format!(
+            "{HEADER}qreg q[2];\ncreg c[2];\ncreg d[1];\nmeasure q -> c;\n\
+             measure q[1] -> d[0];\nmeasure q[0]->c [ 1 ] ;\n"
+        );
+        assert_eq!(parse(&src).unwrap().len(), 4);
+        let unexpected = |found: &str, expected| DiagnosticKind::Unexpected {
+            found: found.into(),
+            expected,
+        };
+        for (body, kind) in [
+            ("measure q[0] + 5 ) foo;", unexpected("+", "->")),
+            ("measure q[0] -> c[0] foo;", unexpected("foo", ";")),
+            ("measure q[0] -> c[0]", DiagnosticKind::UnexpectedEof),
+            ("measure q[0];", unexpected(";", "->")),
+            (
+                "measure q[0] -> e[0];",
+                DiagnosticKind::UnknownRegister { name: "e".into() },
+            ),
+            (
+                "measure q[0] -> q[1];",
+                DiagnosticKind::UnknownRegister { name: "q".into() },
+            ),
+            (
+                "measure q[0] -> c[2];",
+                DiagnosticKind::IndexOutOfRange {
+                    name: "c".into(),
+                    index: 2,
+                    size: 2,
+                },
+            ),
+            (
+                "creg c[3];",
+                DiagnosticKind::DuplicateRegister { name: "c".into() },
+            ),
+            ("creg e;", unexpected(";", "[")),
         ] {
             let src = format!("{HEADER}qreg q[2];\ncreg c[2];\n{body}");
             assert_eq!(first_kind(&src), kind, "{body}");

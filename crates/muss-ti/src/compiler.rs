@@ -3,13 +3,13 @@
 
 use std::time::{Duration, Instant};
 
-use eml_qccd::pipeline::{Lowered, Placement, Scheduled};
+use eml_qccd::pipeline::{self, Lowered, Placement, Scheduled};
 use eml_qccd::{
     CompileContext, CompileError, CompileSession, CompiledProgram, Compiler, DeviceConfig,
     DeviceDims, EmlQccdDevice, FidelityModel, ScheduleExecutor, ScheduledOp, StagedCompiler,
     TimingModel, ZoneId,
 };
-use ion_circuit::{Circuit, DependencyDag, Gate, QubitId};
+use ion_circuit::{Circuit, DependencyDag, QubitId};
 
 use crate::mapping::{effective_device_capacity, initial_mapping_in};
 use crate::scheduler::schedule_in;
@@ -204,7 +204,7 @@ impl MussTiCompiler {
 
         let lowering_start = Instant::now();
         let final_mapping = cx.sched.state.mapping();
-        let ops = assemble_ops(circuit, &mapping, &cx.sched.ops, &final_mapping);
+        let Lowered { ops } = lower(circuit, &mapping, &cx.sched.ops, &final_mapping);
         let metrics = self.executor.execute_in(
             &mut cx.exec,
             &ops,
@@ -230,20 +230,10 @@ impl MussTiCompiler {
         Ok((program, stats.inserted_swaps, phases))
     }
 
-    /// Validation and capacity checks shared by every pipeline entry point —
-    /// the boundary every untrusted circuit crosses before any sizing or
-    /// scheduling code runs on it.
+    /// Validation and capacity checks shared by every pipeline entry point,
+    /// against the device's effective capacity.
     fn check(&self, circuit: &Circuit) -> Result<(), CompileError> {
-        let capacity = effective_device_capacity(&self.device);
-        circuit.validate_for(capacity).map_err(|e| match e {
-            ion_circuit::CircuitError::WiderThanTarget { num_qubits, .. } => {
-                CompileError::DeviceTooSmall {
-                    required: num_qubits,
-                    capacity,
-                }
-            }
-            other => CompileError::InvalidCircuit(other.to_string()),
-        })
+        pipeline::validate(circuit, effective_device_capacity(&self.device))
     }
 
     // -- The typed stage API -------------------------------------------------
@@ -314,14 +304,12 @@ impl MussTiCompiler {
         placement: &Placement<ZoneId>,
         scheduled: &Scheduled<ZoneId>,
     ) -> Lowered {
-        Lowered {
-            ops: assemble_ops(
-                circuit,
-                &placement.assignment,
-                &scheduled.ops,
-                &scheduled.final_assignment,
-            ),
-        }
+        lower(
+            circuit,
+            &placement.assignment,
+            &scheduled.ops,
+            &scheduled.final_assignment,
+        )
     }
 
     /// **Evaluation**: runs the lowered stream through the executor (in the
@@ -346,54 +334,15 @@ impl MussTiCompiler {
     }
 }
 
-/// Lowering: the scheduled two-qubit stream plus position-independent
-/// single-qubit gates (against the initial placement) and measurements
-/// (against the final placement). Qubit ids are dense, so the start/end
-/// lookups are flat arrays rather than hash maps.
-fn assemble_ops(
+/// [`Lowered::assemble`] over zone placements.
+fn lower(
     circuit: &Circuit,
-    initial_mapping: &[(QubitId, ZoneId)],
+    start: &[(QubitId, ZoneId)],
     scheduled: &[ScheduledOp],
-    final_mapping: &[(QubitId, ZoneId)],
-) -> Vec<ScheduledOp> {
-    let mut ops = Vec::with_capacity(scheduled.len() + circuit.len());
-    // Single-qubit gates execute wherever the ion sits and never force a
-    // shuttle; they are accounted for up front against the initial placement
-    // (their duration and fidelity contribution is position-independent).
-    let mut zone_at_start: Vec<Option<ZoneId>> = vec![None; circuit.num_qubits()];
-    for &(q, z) in initial_mapping {
-        zone_at_start[q.index()] = Some(z);
-    }
-    for gate in circuit.gates() {
-        if gate.is_single_qubit() {
-            let qubit = gate
-                .single_qubit_target()
-                .expect("single-qubit gates have a target");
-            if let Some(zone) = zone_at_start.get(qubit.index()).copied().flatten() {
-                ops.push(ScheduledOp::SingleQubitGate {
-                    qubit,
-                    zone: zone.index(),
-                });
-            }
-        }
-    }
-    ops.extend(scheduled.iter().cloned());
-    // Measurements happen wherever each ion ended up.
-    let mut zone_at_end: Vec<Option<ZoneId>> = vec![None; circuit.num_qubits()];
-    for &(q, z) in final_mapping {
-        zone_at_end[q.index()] = Some(z);
-    }
-    for gate in circuit.gates() {
-        if let Gate::Measure(qubit) = gate {
-            if let Some(zone) = zone_at_end.get(qubit.index()).copied().flatten() {
-                ops.push(ScheduledOp::Measurement {
-                    qubit: *qubit,
-                    zone: zone.index(),
-                });
-            }
-        }
-    }
-    ops
+    end: &[(QubitId, ZoneId)],
+) -> Lowered {
+    let at = |&(q, z): &(QubitId, ZoneId)| (q, z.index());
+    Lowered::assemble(circuit, start.iter().map(at), scheduled, end.iter().map(at))
 }
 
 impl Compiler for MussTiCompiler {

@@ -79,16 +79,16 @@ pub use context::MussTiContext;
 
 /// Test-support hooks for the external parity suites (not part of the API;
 /// hidden and semver-exempt). Exposes just enough of the internal scheduler
-/// to let integration tests pin `ScheduleMode::CostOnly` dry passes against
-/// full passes, and the on-demand SWAP-insertion weights against their
-/// full-window oracle.
+/// to let integration tests pin cost-only dry passes against full passes,
+/// and the on-demand SWAP-insertion weights against their full-window
+/// oracle.
 #[doc(hidden)]
 pub mod test_support {
     use eml_qccd::{CompileError, EmlQccdDevice, ModuleId, ZoneId};
     use ion_circuit::{Circuit, DependencyDag, QubitId};
 
     use crate::mapping::trivial_mapping;
-    use crate::scheduler::{schedule_with_mode, ScheduleMode as Mode, SchedulerScratch};
+    use crate::scheduler::{schedule_cost_only, schedule_in, SchedulerScratch};
     use crate::{MussTiOptions, PlacementState, SwapWeights, WeightTable};
 
     /// Checks every SWAP-insertion decision [`SwapWeights`] answers on
@@ -135,12 +135,12 @@ pub mod test_support {
         Ok(())
     }
 
-    /// Public mirror of the internal `ScheduleMode`.
+    /// Which scheduling entry point [`probe_pass`] runs.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum ScheduleMode {
-        /// Materialise the op stream.
+        /// The final pass: materialise the op stream.
         Full,
-        /// Count costs only.
+        /// A SABRE dry pass: count costs only.
         CostOnly,
     }
 
@@ -176,11 +176,12 @@ pub mod test_support {
         let mapping = trivial_mapping(device, circuit.num_qubits())?;
         let mut dag = DependencyDag::from_circuit(circuit);
         let mut cx = SchedulerScratch::new(device);
-        let mode = match mode {
-            ScheduleMode::Full => Mode::Full,
-            ScheduleMode::CostOnly => Mode::CostOnly,
+        let stats = match mode {
+            ScheduleMode::Full => schedule_in(device, options, &mut dag, &mapping, &mut cx)?,
+            ScheduleMode::CostOnly => {
+                schedule_cost_only(device, options, &mut dag, &mapping, &mut cx)?
+            }
         };
-        let stats = schedule_with_mode(device, options, mode, &mut dag, &mapping, &mut cx)?;
         Ok(PassProbe {
             shuttles: stats.shuttles,
             inserted_swaps: stats.inserted_swaps,

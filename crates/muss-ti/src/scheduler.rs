@@ -1,31 +1,27 @@
 //! The multi-level shuttle scheduler (Section 3.2 of the paper).
 //!
+//! `Scheduler` is MUSS-TI's [`SchedulePass`]: its executability rule (a
+//! shared gate-capable zone, or optical zones of two fiber-linked modules),
+//! its gate emission followed by the Section 3.3 SWAP-insertion check, and
+//! its multi-level routing with LRU eviction. The loop itself — front
+//! layer, event-driven executable set, route-oldest fallback and the
+//! per-step debug checks — is [`ScheduleDriver`], shared with the grid
+//! baselines.
+//!
 //! The pass runs inside pooled scratch ([`SchedulerScratch`], owned by the
 //! compile context): placement state, op buffer, the SWAP-insertion
-//! partner-module buffer and the front-layer work buffers are reused across
-//! passes — including the SABRE
-//! dry passes, which additionally share one [`DependencyDag`] via
+//! partner-module buffer and the driver's work buffers are reused across
+//! passes — including the SABRE dry passes, which additionally share one
+//! [`DependencyDag`] via
 //! [`DependencyDag::reset`]/[`DependencyDag::reset_reversed`] — so the
 //! scheduling loop performs **zero** steady-state allocations (pinned by the
-//! allocation-regression suite in `alloc_check.rs`). The loop is generic
-//! over its [`OpSink`]: [`ScheduleMode::Full`] appends to the pooled op
-//! stream, while [`ScheduleMode::CostOnly`] (the SABRE dry passes) folds
-//! every op into an [`OpCounter`] and never materialises the stream. Neither
-//! scratch reuse nor the sink changes behaviour: op streams are pinned
-//! bit-identical to the cold-start path, and cost-only passes track shuttle
-//! counts, clocks and placement identically to a full pass.
-//!
-//! Each step of the loop needs the executable subset of the front layer. It
-//! is collected event-driven rather than by rescanning the front: a gate's
-//! verdict reads only its two operands' zones, and every gate found
-//! executable is executed before the next step, so the only gates whose
-//! verdict can differ from the previous step are those that became ready
-//! (appended by [`DependencyDag::mark_executed_into`]) and the ready gate of
-//! every qubit that moved (the placement state's moved-qubit log, mapped
-//! through [`DependencyDag::ready_on`]). A step therefore evaluates `O(Δ)`
-//! gates — about 4.5 per two-qubit gate summed over a compile's passes, flat
-//! from 128 to 1024 qubits — instead of `O(|front|)`. Debug builds assert
-//! every step against a full front scan.
+//! allocation-regression suite in `alloc_check.rs`). The pass is generic
+//! over its [`OpSink`]: [`schedule_in`] appends to the pooled op stream,
+//! while [`schedule_cost_only`] (the SABRE dry passes) folds every op into
+//! an [`OpCounter`] and never materialises the stream. Neither scratch
+//! reuse nor the sink changes behaviour: op streams are pinned bit-identical
+//! to the cold-start path, and cost-only passes track shuttle counts, clocks
+//! and placement identically to a full pass.
 
 // lint: hot-path
 
@@ -34,7 +30,8 @@ use std::time::{Duration, Instant};
 #[cfg(test)]
 use eml_qccd::pipeline::Scheduled;
 use eml_qccd::{
-    CompileError, EmlQccdDevice, ModuleId, OpCounter, OpSink, ScheduledOp, ZoneId, ZoneLevel,
+    CompileError, EmlQccdDevice, ModuleId, OpCounter, OpSink, ScheduleDriver, SchedulePass,
+    ScheduledOp, ZoneId, ZoneLevel,
 };
 #[cfg(test)]
 use ion_circuit::Circuit;
@@ -57,13 +54,8 @@ pub(crate) struct SchedulerScratch {
     /// The Section 3.3 weights `W(q, ·)`, answered on demand; holds the
     /// pooled partner-module buffer and the exact-walk counter.
     pub(crate) weights: SwapWeights,
-    /// Pooled snapshot of the executable front gates of one scheduling step
-    /// (executing them mutates the DAG, so the list is fixed first).
-    pub(crate) executable: Vec<DagNodeId>,
-    /// Pooled candidate buffer: the front gates whose executability may have
-    /// changed since the previous scan — gates that became ready, plus the
-    /// ready gate of every qubit that moved.
-    pub(crate) candidates: Vec<DagNodeId>,
+    /// The scheduling loop and its pooled executable/candidate buffers.
+    pub(crate) driver: ScheduleDriver,
 }
 
 impl SchedulerScratch {
@@ -72,8 +64,7 @@ impl SchedulerScratch {
             state: PlacementState::new(device),
             ops: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             weights: SwapWeights::default(),
-            executable: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
-            candidates: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
+            driver: ScheduleDriver::default(),
         }
     }
 
@@ -81,27 +72,13 @@ impl SchedulerScratch {
     pub(crate) fn clear(&mut self) {
         self.state.clear();
         self.ops.clear();
-        self.executable.clear();
-        self.candidates.clear();
+        self.driver.clear();
     }
 }
 
-/// How a scheduling pass reports its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScheduleMode {
-    /// Materialise the full op stream into the scratch's pooled `ops` buffer
-    /// (the final scheduling pass of a compile).
-    Full,
-    /// Track shuttle counts, clocks, heat and placement through the scratch
-    /// but fold ops into an [`OpCounter`] instead of storing them — the SABRE
-    /// forward/backward/probe dry passes, which only consume the shuttle
-    /// count and the final placement.
-    CostOnly,
-}
-
-/// Aggregate results of one scheduling pass; in [`ScheduleMode::Full`] the op
-/// stream itself stays in the scratch's `ops` buffer, and in either mode the
-/// final placement stays in its `state`.
+/// Aggregate results of one scheduling pass; after [`schedule_in`] the op
+/// stream itself stays in the scratch's `ops` buffer, and after either entry
+/// point the final placement stays in its `state`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScheduleStats {
     /// Number of shuttle operations the pass emitted (the SABRE two-fold
@@ -154,32 +131,24 @@ pub(crate) fn schedule_in(
     initial_mapping: &[(QubitId, ZoneId)],
     cx: &mut SchedulerScratch,
 ) -> Result<ScheduleStats, CompileError> {
-    cx.ops.clear();
-    let SchedulerScratch {
-        state,
-        ops,
-        weights,
-        executable,
-        candidates,
-    } = cx;
-    let buffers = LoopBuffers {
-        state,
-        weights,
-        executable,
-        candidates,
-    };
-    let stats = run_pass(device, options, dag, initial_mapping, buffers, ops)?;
+    // The pass borrows the rest of the scratch, so it writes into the op
+    // buffer moved out for its duration (moving a `Vec` allocates nothing).
+    let mut ops = std::mem::take(&mut cx.ops);
+    ops.clear();
+    let stats = run_pass(device, options, dag, initial_mapping, cx, &mut ops);
+    cx.ops = ops;
+    let stats = stats?;
     Ok(ScheduleStats {
         shuttles: cx.ops.iter().filter(|o| o.is_shuttle()).count(),
         ..stats
     })
 }
 
-/// [`schedule_in`] in [`ScheduleMode::CostOnly`]: runs the identical loop —
-/// same routing, same LRU clocks, same final placement in `cx.state` — but
-/// folds every emitted op into an [`OpCounter`], leaving `cx.ops` untouched
-/// and materialising nothing. This is what the SABRE forward/backward/probe
-/// dry passes run: they only consume `shuttles` and the final mapping.
+/// [`schedule_in`] without the op stream: runs the identical loop — same
+/// routing, same LRU clocks, same final placement in `cx.state` — but folds
+/// every emitted op into an [`OpCounter`], leaving `cx.ops` untouched and
+/// materialising nothing. This is what the SABRE forward/backward/probe dry
+/// passes run: they only consume `shuttles` and the final mapping.
 ///
 /// # Errors
 ///
@@ -192,75 +161,34 @@ pub(crate) fn schedule_cost_only(
     cx: &mut SchedulerScratch,
 ) -> Result<ScheduleStats, CompileError> {
     let mut counter = OpCounter::default();
-    let SchedulerScratch {
-        state,
-        weights,
-        executable,
-        candidates,
-        ..
-    } = cx;
-    let buffers = LoopBuffers {
-        state,
-        weights,
-        executable,
-        candidates,
-    };
-    let stats = run_pass(device, options, dag, initial_mapping, buffers, &mut counter)?;
+    let stats = run_pass(device, options, dag, initial_mapping, cx, &mut counter)?;
     Ok(ScheduleStats {
         shuttles: counter.shuttles,
         ..stats
     })
 }
 
-/// Dispatches a scheduling pass by [`ScheduleMode`].
-///
-/// # Errors
-///
-/// Same conditions as [`schedule_in`].
-pub(crate) fn schedule_with_mode(
-    device: &EmlQccdDevice,
-    options: &MussTiOptions,
-    mode: ScheduleMode,
-    dag: &mut DependencyDag,
-    initial_mapping: &[(QubitId, ZoneId)],
-    cx: &mut SchedulerScratch,
-) -> Result<ScheduleStats, CompileError> {
-    match mode {
-        ScheduleMode::Full => schedule_in(device, options, dag, initial_mapping, cx),
-        ScheduleMode::CostOnly => schedule_cost_only(device, options, dag, initial_mapping, cx),
-    }
-}
-
-/// The scratch a pass runs in, minus the op sink (which the full mode takes
-/// from the same [`SchedulerScratch`]).
-struct LoopBuffers<'a> {
-    state: &'a mut PlacementState,
-    weights: &'a mut SwapWeights,
-    executable: &'a mut Vec<DagNodeId>,
-    candidates: &'a mut Vec<DagNodeId>,
-}
-
-/// The shared pass body behind both modes: resets the placement state,
-/// drives the scheduling loop into `sink` and returns its stats (with
-/// `shuttles` left for the caller, which knows its sink).
+/// The shared pass body behind both entry points: resets the placement
+/// state, drives the scheduling loop into `sink` (never `cx.ops` itself) and
+/// returns its stats (with `shuttles` left for the caller, which knows its
+/// sink).
 fn run_pass<S: OpSink>(
     device: &EmlQccdDevice,
     options: &MussTiOptions,
     dag: &mut DependencyDag,
     initial_mapping: &[(QubitId, ZoneId)],
-    buffers: LoopBuffers<'_>,
+    cx: &mut SchedulerScratch,
     sink: &mut S,
 ) -> Result<ScheduleStats, CompileError> {
-    let LoopBuffers {
+    let SchedulerScratch {
         state,
         weights,
-        executable,
-        candidates,
-    } = buffers;
-    // Placing every qubit logs it as moved, so the first scan examines the
+        driver,
+        ..
+    } = cx;
+    // Placing every qubit logs it as moved, so the first step examines the
     // ready gate of every placed qubit: the whole executable front.
     state.reset_from_mapping(device, initial_mapping);
-    candidates.clear();
     let walks_before = weights.walks();
     let mut scheduler = Scheduler {
         device,
@@ -269,19 +197,16 @@ fn run_pass<S: OpSink>(
         dag,
         ops: sink,
         weights,
-        executable,
-        candidates,
         clock: 0,
         inserted_swaps: 0,
-        exec_checks: 0,
         swap_insertion_time: Duration::ZERO,
     };
-    scheduler.run()?;
+    let exec_checks = driver.run(&mut scheduler)?;
     Ok(ScheduleStats {
         shuttles: 0,
         inserted_swaps: scheduler.inserted_swaps,
         final_clock: scheduler.clock,
-        exec_checks: scheduler.exec_checks,
+        exec_checks,
         swap_window_walks: scheduler.weights.walks() - walks_before,
         swap_insertion_time: scheduler.swap_insertion_time,
     })
@@ -314,108 +239,20 @@ struct Scheduler<'a, S: OpSink> {
     dag: &'a mut DependencyDag,
     ops: &'a mut S,
     weights: &'a mut SwapWeights,
-    /// Pooled snapshot of the executable front gates of the current step.
-    executable: &'a mut Vec<DagNodeId>,
-    /// Pooled candidate buffer (see [`SchedulerScratch::candidates`]):
-    /// `mark_executed_into` appends newly-ready gates here directly.
-    candidates: &'a mut Vec<DagNodeId>,
     /// Logical time: increments once per executed gate; drives LRU decisions.
     clock: u64,
     inserted_swaps: usize,
-    /// Executability verdicts evaluated so far (see
-    /// [`ScheduleStats::exec_checks`]).
-    exec_checks: u64,
     swap_insertion_time: Duration,
 }
 
-impl<S: OpSink> Scheduler<'_, S> {
-    fn run(&mut self) -> Result<(), CompileError> {
-        while !self.dag.all_executed() {
-            debug_assert!(
-                self.dag.front_gate().is_some(),
-                "a non-empty DAG always has a ready gate"
-            );
-
-            // Prioritise gates that are executable right away (Section 3.2),
-            // executed by index from the pooled snapshot so `?` propagates
-            // normally; allocation-free in steady state.
-            self.collect_executable();
-            if !self.executable.is_empty() {
-                for i in 0..self.executable.len() {
-                    let node = self.executable[i];
-                    self.execute_gate(node)?;
-                }
-                continue;
-            }
-
-            // Otherwise route the oldest (first-come-first-served) gate.
-            let node = self
-                .dag
-                .front_gate()
-                .expect("a non-empty DAG always has a ready gate");
-            self.route_for_gate(node)?;
-            debug_assert!(
-                self.is_executable(node),
-                "routing must make the gate executable"
-            );
-            self.execute_gate(node)?;
-        }
-        Ok(())
+impl<S: OpSink> SchedulePass for Scheduler<'_, S> {
+    fn dag(&self) -> &DependencyDag {
+        self.dag
     }
 
-    /// Fills the `executable` snapshot with the executable front gates, in
-    /// program order, evaluating only the candidates whose verdict can have
-    /// changed since the previous scan.
-    ///
-    /// Exact because every gate found executable at a scan is executed
-    /// before the next one, and a verdict reads only its two operands'
-    /// zones. A front gate that was not executable at the previous scan can
-    /// only have become executable if one of its operands moved since, and
-    /// a gate that was not in the front then became ready since. So the
-    /// candidates are the gates `mark_executed_into` appended, plus the
-    /// ready gate of every qubit in the placement's moved-qubit log —
-    /// `O(Δ)` per step instead of a rescan of the whole front layer.
-    /// Sorting restores program order (node ids are program order), which
-    /// keeps the batch's execution order that of the front.
-    fn collect_executable(&mut self) {
+    fn drain_moved(&mut self, mut f: impl FnMut(&DependencyDag, QubitId)) {
         let dag = &*self.dag;
-        let candidates = &mut *self.candidates;
-        self.state.drain_moved(|qubit| {
-            if let Some(node) = dag.ready_on(qubit) {
-                candidates.push(node);
-            }
-        });
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut executable = std::mem::take(self.executable);
-        executable.clear();
-        executable.extend(
-            self.candidates
-                .iter()
-                .copied()
-                .filter(|&n| self.is_executable(n)),
-        );
-        *self.executable = executable;
-        self.exec_checks += self.candidates.len() as u64;
-        self.candidates.clear();
-        debug_assert!(
-            self.dag
-                .is_filtered_front(self.executable, |n| self.is_executable(n)),
-            "candidate-derived executable set diverged from a full front scan"
-        );
-    }
-
-    fn zone_of(&self, q: QubitId) -> Result<ZoneId, CompileError> {
-        self.state
-            .zone_of(q)
-            .ok_or_else(|| CompileError::PlacementFailed {
-                qubit: q,
-                context: "qubit not present in the initial mapping".to_string(),
-            })
-    }
-
-    fn module_of(&self, q: QubitId) -> Result<ModuleId, CompileError> {
-        Ok(self.device.zone(self.zone_of(q)?).module)
+        self.state.drain_moved(|qubit| f(dag, qubit));
     }
 
     /// A gate is executable if both operands share a gate-capable zone, or if
@@ -437,7 +274,11 @@ impl<S: OpSink> Scheduler<'_, S> {
 
     /// Emits the gate operation for an executable node and retires it from the
     /// DAG, then runs the SWAP-insertion check for fiber gates.
-    fn execute_gate(&mut self, node: DagNodeId) -> Result<(), CompileError> {
+    fn execute_gate(
+        &mut self,
+        node: DagNodeId,
+        newly_ready: &mut Vec<DagNodeId>,
+    ) -> Result<(), CompileError> {
         let (a, b) = self.dag.operands(node);
         let za = self.zone_of(a)?;
         let zb = self.zone_of(b)?;
@@ -467,7 +308,7 @@ impl<S: OpSink> Scheduler<'_, S> {
         self.clock += 1;
         self.state.touch(a, self.clock);
         self.state.touch(b, self.clock);
-        self.dag.mark_executed_into(node, self.candidates);
+        self.dag.mark_executed_into(node, newly_ready);
 
         if remote && self.options.enable_swap_insertion {
             // Unconditionally timed: two monotonic clock reads per fiber
@@ -498,6 +339,21 @@ impl<S: OpSink> Scheduler<'_, S> {
             self.route_to_optical(a)?;
             self.route_to_optical(b)
         }
+    }
+}
+
+impl<S: OpSink> Scheduler<'_, S> {
+    fn zone_of(&self, q: QubitId) -> Result<ZoneId, CompileError> {
+        self.state
+            .zone_of(q)
+            .ok_or_else(|| CompileError::PlacementFailed {
+                qubit: q,
+                context: "qubit not present in the initial mapping".to_string(),
+            })
+    }
+
+    fn module_of(&self, q: QubitId) -> Result<ModuleId, CompileError> {
+        Ok(self.device.zone(self.zone_of(q)?).module)
     }
 
     /// Multi-level zone selection for an intra-module gate: among the module's
