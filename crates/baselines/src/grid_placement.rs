@@ -160,7 +160,8 @@ impl GridPlacement {
             .min_by_key(|q| (self.last_use(*q), q.index()))
     }
 
-    /// Moves `qubit` to `destination` along a shortest grid path, emitting one
+    /// Moves `qubit` to `destination` along a shortest grid path (rows first,
+    /// then columns; see [`QccdGridDevice::next_hop`]), emitting one
     /// shuttle per hop (plus chain rearrangements to reach the chain edge of
     /// the source trap). Only the destination's capacity matters: ions pass
     /// through the junctions of intermediate traps without merging into their
@@ -216,14 +217,15 @@ impl GridPlacement {
         }
         chain.remove(idx); // lint: allow (a chain holds at most one trap's capacity of ions)
 
-        let path = device.shortest_path(from, destination);
-        for hop in path.windows(2) {
+        let mut at = from;
+        while let Some(next) = device.next_hop(at, destination) {
             ops.push_op(ScheduledOp::Shuttle {
                 qubit,
-                from_zone: hop[0].index(),
-                to_zone: hop[1].index(),
+                from_zone: at.index(),
+                to_zone: next.index(),
                 distance_um: device.hop_distance_um(),
             });
+            at = next;
         }
 
         self.chains[destination.index()].push(qubit);

@@ -4,14 +4,19 @@
 //! (`eml_qccd::QccdGridDevice`) — a rows × cols grid of traps connected by
 //! junctions — and share the same scheduling skeleton (DAG front layer,
 //! executable-gates-first, LRU eviction on full traps), differing only in the
-//! routing policy:
+//! routing policy. They are one [`GridCompiler`], generic over a zero-sized
+//! [`GridPolicy`] marker:
 //!
-//! * [`MuraliCompiler`] — greedy move-one-operand routing (Murali et al.,
-//!   ISCA 2020, reference \[55\]).
-//! * [`DaiCompiler`] — look-ahead mover selection plus meet-in-the-middle
-//!   when both traps are full (Dai et al., reference \[13\]).
-//! * [`MqtStyleCompiler`] — dedicated processing-zone execution (MQT
-//!   IonShuttler, reference \[70\]).
+//! * [`MuraliCompiler`] = `GridCompiler<Murali>` — greedy move-one-operand
+//!   routing (Murali et al., ISCA 2020, reference \[55\]).
+//! * [`DaiCompiler`] = `GridCompiler<Dai>` — look-ahead mover selection plus
+//!   meet-in-the-middle when both traps are full (Dai et al., reference
+//!   \[13\]).
+//! * [`MqtStyleCompiler`] = `GridCompiler<Mqt>` — dedicated processing-zone
+//!   execution (MQT IonShuttler, reference \[70\]).
+//!
+//! Each implements [`eml_qccd::Compiler`] with [`GridContext`] as its
+//! reusable context.
 //!
 //! Since the original implementations are not redistributable, these are
 //! re-implementations of the policies as the paper describes them; see
@@ -32,17 +37,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod dai;
+#[cfg(test)]
+mod alloc_check;
+mod grid_compiler;
 mod grid_placement;
-mod mqt;
-mod murali;
 mod scheduler;
 
-pub use dai::DaiCompiler;
+pub use grid_compiler::{
+    Dai, DaiCompiler, GridCompiler, GridPolicy, Mqt, MqtStyleCompiler, Murali, MuraliCompiler,
+};
 pub use grid_placement::GridPlacement;
-pub use mqt::MqtStyleCompiler;
-pub use murali::MuraliCompiler;
-pub use scheduler::GridContext;
+pub use scheduler::{GridContext, RoutingPolicy};
 
 /// The `QccdGridDevice` referenced in the crate docs, re-exported for
 /// convenience so baseline users need only this crate plus `ion-circuit`.

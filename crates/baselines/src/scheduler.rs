@@ -21,8 +21,8 @@ use std::time::Instant;
 use eml_qccd::pipeline::Scheduled;
 use eml_qccd::pipeline::{self, Lowered, StageTimings};
 use eml_qccd::{
-    CompileError, CompiledProgram, ContextScratch, DeviceDims, ExecutorScratch, QccdGridDevice,
-    ScheduleDriver, ScheduleExecutor, SchedulePass, ScheduledOp, TrapId,
+    CompileError, CompiledProgram, DeviceDims, ExecutorScratch, QccdGridDevice, ScheduleDriver,
+    ScheduleExecutor, SchedulePass, ScheduledOp, TrapId,
 };
 use ion_circuit::{Circuit, DagNodeId, DependencyDag, QubitId};
 
@@ -32,9 +32,11 @@ use crate::grid_placement::GridPlacement;
 /// to move (mirrors the paper's `k = 8` convention).
 const DAI_LOOKAHEAD: usize = 8;
 
-/// How a baseline compiler routes the operands of a pending gate.
+/// How a grid baseline routes the operands of a pending gate (the one
+/// difference between the three baselines; see
+/// [`GridPolicy`](crate::GridPolicy)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RoutingPolicy {
+pub enum RoutingPolicy {
     /// Murali et al. style: greedily move one operand into the other's trap.
     Greedy,
     /// Dai et al. style: pick the operand (or a meeting trap) using a
@@ -45,7 +47,8 @@ pub(crate) enum RoutingPolicy {
     ProcessingZone,
 }
 
-/// The reusable compile-context arena shared by the three grid baselines:
+/// The reusable compile context shared by the three grid baselines
+/// ([`GridCompiler`](crate::GridCompiler)'s `Compiler::Context`):
 /// grid placement state, the op buffer, the scheduling loop's buffers and
 /// the executor's clock/heat arrays, allocated once per context and recycled
 /// across compiles. Reuse is behaviour-neutral (op streams stay
@@ -66,14 +69,11 @@ impl GridContext {
             ..GridContext::default()
         }
     }
-}
 
-impl ContextScratch for GridContext {
-    fn reset(&mut self) {
-        self.state.clear();
-        self.ops.clear();
-        self.exec.clear();
-        self.driver.clear();
+    /// The op stream of the last scheduling pass run in this context.
+    #[cfg(test)]
+    pub(crate) fn ops(&self) -> &[ScheduledOp] {
+        &self.ops
     }
 }
 
@@ -117,15 +117,16 @@ pub(crate) fn initial_grid_mapping(
     Ok(mapping)
 }
 
-/// Runs the scheduling loop with the given routing policy inside the
-/// context's pooled scratch: the op stream lands in `cx.ops` and the final
-/// placement stays in `cx.state`. Returns the number of executability
-/// verdicts the loop evaluated.
+/// Runs the scheduling loop with the given routing policy over `dag` (in
+/// its reset state) inside the context's pooled scratch: the op stream lands
+/// in `cx.ops` and the final placement stays in `cx.state`. Returns the
+/// number of executability verdicts the loop evaluated. Allocates nothing
+/// once `cx` is warm.
 pub(crate) fn schedule_on_grid_in(
     cx: &mut GridContext,
     device: &QccdGridDevice,
     policy: RoutingPolicy,
-    circuit: &Circuit,
+    dag: &mut DependencyDag,
     initial_mapping: &[(QubitId, TrapId)],
 ) -> Result<u64, CompileError> {
     cx.ops.clear();
@@ -136,7 +137,7 @@ pub(crate) fn schedule_on_grid_in(
         device,
         policy,
         state: &mut cx.state,
-        dag: DependencyDag::from_circuit(circuit),
+        dag,
         ops: &mut cx.ops,
         clock: 0,
         processing_trap: processing_trap(device),
@@ -154,7 +155,8 @@ pub(crate) fn schedule_on_grid(
     initial_mapping: &[(QubitId, TrapId)],
 ) -> Result<Scheduled<TrapId>, CompileError> {
     let mut cx = GridContext::new(device);
-    schedule_on_grid_in(&mut cx, device, policy, circuit, initial_mapping)?;
+    let mut dag = DependencyDag::from_circuit(circuit);
+    schedule_on_grid_in(&mut cx, device, policy, &mut dag, initial_mapping)?;
     let final_assignment = grid_final_assignment(&cx.state, circuit.num_qubits());
     Ok(Scheduled {
         ops: cx.ops,
@@ -185,7 +187,7 @@ struct GridScheduler<'a> {
     device: &'a QccdGridDevice,
     policy: RoutingPolicy,
     state: &'a mut GridPlacement,
-    dag: DependencyDag,
+    dag: &'a mut DependencyDag,
     ops: &'a mut Vec<ScheduledOp>,
     clock: u64,
     /// Fixed for the whole pass, so executability reads nothing but the two
@@ -195,11 +197,11 @@ struct GridScheduler<'a> {
 
 impl SchedulePass for GridScheduler<'_> {
     fn dag(&self) -> &DependencyDag {
-        &self.dag
+        self.dag
     }
 
     fn drain_moved(&mut self, mut f: impl FnMut(&DependencyDag, QubitId)) {
-        let dag = &self.dag;
+        let dag = &*self.dag;
         self.state.drain_moved(|qubit| f(dag, qubit));
     }
 
@@ -401,7 +403,8 @@ pub(crate) fn compile_on_grid_in(
     let placement_ms = placement_start.elapsed().as_secs_f64() * 1e3;
 
     let scheduling_start = Instant::now();
-    schedule_on_grid_in(cx, device, policy, circuit, &mapping)?;
+    let mut dag = DependencyDag::from_circuit(circuit);
+    schedule_on_grid_in(cx, device, policy, &mut dag, &mapping)?;
     let scheduling_ms = scheduling_start.elapsed().as_secs_f64() * 1e3;
 
     let lowering_start = Instant::now();
@@ -428,6 +431,7 @@ pub(crate) fn compile_on_grid_in(
         window_probe_visits: 0,
         probe_skips: 0,
         swap_window_walks: 0,
+        inserted_swaps: 0,
     };
     let initial_placement = mapping.iter().map(|&(q, t)| (q, t.index())).collect();
     Ok(
@@ -536,8 +540,9 @@ mod tests {
             let mapping = initial_grid_mapping(&device, qubits).unwrap();
             for policy in policies {
                 let mut cx = GridContext::new(&device);
+                let mut dag = DependencyDag::from_circuit(&circuit);
                 let checks =
-                    schedule_on_grid_in(&mut cx, &device, policy, &circuit, &mapping).unwrap();
+                    schedule_on_grid_in(&mut cx, &device, policy, &mut dag, &mapping).unwrap();
                 let per_gate = checks as f64 / circuit.two_qubit_gate_count() as f64;
                 assert!(
                     per_gate <= 4.0,

@@ -148,18 +148,52 @@ impl CompiledProgram {
 ///
 /// Implementors hold their target device description and models; the trait
 /// keeps MUSS-TI and the baseline compilers interchangeable in the
-/// experiment harness.
+/// experiment harness. [`name`](Compiler::name) and
+/// [`compile`](Compiler::compile) are callable through `&dyn Compiler`
+/// (the harness holds `Box<dyn Compiler + Send + Sync>`); the typed
+/// [`Context`](Compiler::Context) and [`compile_in`](Compiler::compile_in)
+/// are for callers that know the concrete compiler, such as
+/// [`compile_batch`](crate::compile_batch).
+///
+/// `compile_in` with a fresh context must behave exactly like `compile`;
+/// with a reused context it must produce bit-identical op streams (only
+/// allocations are recycled).
 pub trait Compiler {
+    /// The compiler's reusable scratch: every per-compile allocation, grown
+    /// once and recycled by every compile run in it. No state carries from
+    /// one compile to the next.
+    type Context
+    where
+        Self: Sized;
+
     /// Human-readable name used in tables and figures (e.g. `"MUSS-TI"`).
     fn name(&self) -> &str;
 
-    /// Compiles `circuit` into a scheduled program.
+    /// Compiles `circuit` into a scheduled program in a fresh context.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] if the circuit does not fit the device or
     /// fails validation.
     fn compile(&self, circuit: &Circuit) -> Result<CompiledProgram, CompileError>;
+
+    /// Allocates a context sized for this compiler's device.
+    fn context(&self) -> Self::Context
+    where
+        Self: Sized;
+
+    /// Compiles `circuit`, reusing the scratch held in `cx`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Compiler::compile`].
+    fn compile_in(
+        &self,
+        cx: &mut Self::Context,
+        circuit: &Circuit,
+    ) -> Result<CompiledProgram, CompileError>
+    where
+        Self: Sized;
 }
 
 #[cfg(test)]

@@ -65,12 +65,6 @@ pub struct ScheduleDriver {
 }
 
 impl ScheduleDriver {
-    /// Drops all pass-derived state, keeping allocations.
-    pub fn clear(&mut self) {
-        self.executable.clear();
-        self.candidates.clear();
-    }
-
     /// Schedules every gate of `pass`'s DAG and returns the number of
     /// executability verdicts evaluated. The pass's placement must have
     /// logged every placed qubit as moved, so the first step sees the whole

@@ -36,6 +36,8 @@ pub enum CompileError {
     InvalidCircuit(String),
     /// The device configuration is unusable for this compiler.
     InvalidDevice(String),
+    /// The compiler's options are outside their documented range.
+    InvalidOptions(String),
     /// The scheduler could not find a placement for a qubit (indicates an
     /// internal inconsistency; surfaced rather than panicking so callers can
     /// report which qubit and gate were involved).
@@ -67,6 +69,7 @@ impl fmt::Display for CompileError {
             ),
             CompileError::InvalidCircuit(msg) => write!(f, "invalid circuit: {msg}"),
             CompileError::InvalidDevice(msg) => write!(f, "invalid device: {msg}"),
+            CompileError::InvalidOptions(msg) => write!(f, "invalid options: {msg}"),
             CompileError::PlacementFailed { qubit, context } => {
                 write!(f, "could not place {qubit}: {context}")
             }

@@ -41,7 +41,8 @@ pub struct ScheduleExecutor {
 
 /// Reusable clock/heat arrays for [`ScheduleExecutor::execute_in`]: the
 /// executor's only allocations, pooled in a compile context so repeated
-/// evaluations in a session or batch worker are allocation-free after warmup.
+/// evaluations in a held compile context or batch worker are allocation-free
+/// after warmup.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorScratch {
     qubit_clock: Vec<f64>,
@@ -55,17 +56,11 @@ impl ExecutorScratch {
         Self::default()
     }
 
-    /// Drops the recorded clocks/heat (keeping capacity). Called implicitly
-    /// at the start of every [`ScheduleExecutor::execute_in`].
-    pub fn clear(&mut self) {
+    /// Zeroes the arrays at the requested sizes, reusing capacity.
+    fn prepare(&mut self, num_qubits: usize, num_zones: usize) {
         self.qubit_clock.clear();
         self.zone_clock.clear();
         self.zone_heat.clear();
-    }
-
-    /// Zeroes the arrays at the requested sizes, reusing capacity.
-    fn prepare(&mut self, num_qubits: usize, num_zones: usize) {
-        self.clear();
         self.qubit_clock.resize(num_qubits, 0.0);
         self.zone_clock.resize(num_zones, 0.0);
         self.zone_heat.resize(num_zones, 0.0);

@@ -236,9 +236,27 @@ impl QccdGridDevice {
         ar.abs_diff(br) + ac.abs_diff(bc)
     }
 
+    /// The trap after `at` on the shortest route to `to` that walks rows
+    /// first, then columns; `None` once `at == to`. Following it from `a`
+    /// visits every trap of that route, hop by hop, without building it.
+    pub fn next_hop(&self, at: TrapId, to: TrapId) -> Option<TrapId> {
+        let (r, c) = self.coordinates(at);
+        let (tr, tc) = self.coordinates(to);
+        let step = |from: usize, target: usize| if target > from { from + 1 } else { from - 1 };
+        if r != tr {
+            self.trap_at(step(r, tr), c)
+        } else if c != tc {
+            self.trap_at(r, step(c, tc))
+        } else {
+            None
+        }
+    }
+
     /// One shortest path from `a` to `b` (inclusive of both endpoints),
-    /// walking rows first then columns.
-    pub fn shortest_path(&self, a: TrapId, b: TrapId) -> Vec<TrapId> {
+    /// walking rows first then columns: the allocating test oracle for the
+    /// in-place walk of [`QccdGridDevice::next_hop`].
+    #[cfg(test)]
+    pub(crate) fn shortest_path(&self, a: TrapId, b: TrapId) -> Vec<TrapId> {
         let (ar, ac) = self.coordinates(a);
         let (br, bc) = self.coordinates(b);
         let mut path = vec![a];
@@ -307,6 +325,20 @@ mod tests {
         // Consecutive traps are neighbours.
         for w in path.windows(2) {
             assert_eq!(g.hop_distance(w[0], w[1]), 1);
+        }
+    }
+
+    #[test]
+    fn next_hop_walks_the_shortest_path_hop_for_hop() {
+        let g = GridConfig::new(4, 5, 8).build();
+        for &a in g.traps() {
+            for &b in g.traps() {
+                let mut walked = vec![a];
+                while let Some(next) = g.next_hop(*walked.last().unwrap(), b) {
+                    walked.push(next);
+                }
+                assert_eq!(walked, g.shortest_path(a, b), "{a} -> {b}");
+            }
         }
     }
 

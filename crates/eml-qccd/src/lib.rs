@@ -22,11 +22,12 @@
 //! * [`ScheduleDriver`] / [`SchedulePass`] — the event-driven scheduling
 //!   loop every compiler runs, generic over the compiler's executability
 //!   rule, gate emission and routing policy.
-//! * [`Compiler`] / [`CompiledProgram`] — the interface the experiment
-//!   harness drives.
-//! * [`pipeline`] — the staged compilation pipeline: typed stage artifacts,
-//!   reusable [`CompileContext`] arenas, [`CompileSession`]s held across
-//!   requests, and [`compile_batch`] for parallel multi-circuit compilation.
+//! * [`Compiler`] / [`CompiledProgram`] — the one compiler interface: a
+//!   one-shot `compile` callable through `&dyn Compiler`, and a typed,
+//!   reusable [`Compiler::Context`] for `compile_in`.
+//! * [`pipeline`] — the compilation pipeline: typed stage artifacts, the
+//!   compile boundary, [`StageTimings`], and [`compile_batch`] for
+//!   fault-isolated parallel multi-circuit compilation.
 //!
 //! # Example
 //!
@@ -81,11 +82,7 @@ pub use grid::{GridConfig, QccdGridDevice, TrapId};
 pub use metrics::ExecutionMetrics;
 pub use moved::MovedQubits;
 pub use ops::{OpCounter, OpSink, ResourceId, ScheduledOp};
-pub use pipeline::{
-    compile_batch, compile_batch_with_threads, compile_batch_with_threads_checked, compile_checked,
-    CompileContext, CompileSession, ContextScratch, DeviceDims, ScheduleCheck, StageTimings,
-    StagedCompiler,
-};
+pub use pipeline::{compile_batch, DeviceDims, ScheduleCheck, StageTimings};
 pub use timing::TimingModel;
 pub use topology::DeviceTopology;
 pub use zone::{ModuleId, Zone, ZoneId, ZoneLevel};

@@ -5,8 +5,9 @@
 //!
 //! - The full fingerprint suite (10 circuits × 6 compiler variants — the
 //!   three MUSS-TI option sets and the three grid baselines) through all
-//!   three pipeline paths (one-shot, session, batch), compiled via the
-//!   *checked* entry points so the wiring itself is exercised. The verified
+//!   three pipeline paths (one-shot, warm context, batch); the batch path
+//!   runs the verifier as `compile_batch`'s check hook, so that wiring is
+//!   exercised too. The verified
 //!   pins must equal the unverified ones bit for bit: verification is a
 //!   read-only replay, never a behaviour change.
 //! - Every valid `.qasm` file in `tests/corpus/`, compiled by MUSS-TI and by
@@ -66,7 +67,7 @@ fn verify_corpus(dir: &PathBuf) -> Result<usize, String> {
         for (name, circuit) in &circuits {
             let n = circuit.num_qubits();
             let compiler = experiments::fingerprint::compiler_for(variant, n);
-            let program = match eml_qccd::Compiler::compile(&compiler, circuit) {
+            let program = match compiler.compile(circuit) {
                 Ok(program) => program,
                 Err(err) => {
                     eprintln!("verify_smoke: {variant} failed to compile {name}: {err}");

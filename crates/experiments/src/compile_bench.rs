@@ -8,9 +8,9 @@
 //! wall-clock numbers for CI artefact upload. JSON is emitted by hand — the
 //! build environment has no serde_json.
 //!
-//! Every timed loop runs through the staged pipeline with a reused compile
-//! context (the sequential-session serving path), and the report additionally
-//! measures multi-threaded [`compile_batch_with_threads`] throughput over the
+//! Every timed loop runs `Compiler::compile_in` with a reused compile
+//! context (the warm-context serving path), and the report additionally
+//! measures multi-threaded [`compile_batch`] throughput over the
 //! whole workload set (circuits/second) — both paths the ROADMAP's
 //! heavy-traffic serving story cares about — and the QASM front-end's parse
 //! speed on the sources of [`parse_workloads`], the layer in front of every
@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{compile_batch_with_threads, CompileError, Compiler, DeviceConfig, StagedCompiler};
+use eml_qccd::{compile_batch, CompileError, Compiler, DeviceConfig};
 use ion_circuit::{generators, qasm, Circuit};
 use muss_ti::{MussTiCompiler, MussTiOptions, PhaseTimings};
 use serde::{Deserialize, Serialize};
@@ -122,7 +122,7 @@ pub struct BenchReport {
     /// All measurements.
     pub rows: Vec<BenchRow>,
     /// MUSS-TI batch-compilation throughput over the workload set
-    /// (multi-threaded `compile_batch` with per-worker session reuse on one
+    /// (multi-threaded `compile_batch` with per-worker context reuse on one
     /// device sized for the largest workload — the heavy-traffic serving
     /// scenario), measured once per entry of [`BATCH_THREAD_COUNTS`] so the
     /// report keys throughput by worker count.
@@ -255,7 +255,7 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
         let n = circuit.num_qubits();
 
         // MUSS-TI runs through the instrumented pipeline path with a reused
-        // compile context (warm-session timing, the serving configuration) so
+        // compile context (warm-context timing, the serving configuration) so
         // the report shows where compile time goes (placement / scheduling /
         // swap-insertion / lowering) — that is what nominates the next
         // hot-path candidate.
@@ -268,11 +268,14 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
         let mut phase_sum = PhaseTimings::default();
         for _ in 0..iterations {
             let start = Instant::now();
-            let (program, _, phases) = muss_ti
-                .compile_with_phases_in(&mut cx, circuit)
+            let program = muss_ti
+                .compile_in(&mut cx, circuit)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", muss_ti.name(), circuit.name()));
             samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            accumulate(&mut phase_sum, &phases);
+            let phases = program
+                .stage_timings()
+                .expect("MUSS-TI records its stage timings");
+            accumulate(&mut phase_sum, phases);
             std::hint::black_box(program);
         }
         rows.push(finish_row(
@@ -282,29 +285,13 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
             Some(averaged(phase_sum, iterations)),
         ));
 
-        let murali = MuraliCompiler::for_qubits(n);
-        let dai = DaiCompiler::for_qubits(n);
-        let mqt = MqtStyleCompiler::for_qubits(n);
-        let compilers: Vec<&dyn StagedCompiler> = vec![&murali, &dai, &mqt];
-        for compiler in compilers {
-            let mut ctx = compiler.new_context();
-            let mut samples_ms = Vec::with_capacity(iterations);
-            for _ in 0..iterations {
-                let start = Instant::now();
-                let program = match compiler.compile_in(&mut ctx, circuit) {
-                    Ok(program) => program,
-                    // The grid baselines top out below the widest stress
-                    // workloads (RAN_1024, RAN_4096); those rows are
-                    // MUSS-TI only.
-                    Err(CompileError::DeviceTooSmall { .. }) => break,
-                    Err(e) => panic!("{} on {}: {e}", compiler.name(), circuit.name()),
-                };
-                samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                std::hint::black_box(program);
-            }
-            if !samples_ms.is_empty() {
-                rows.push(finish_row(circuit, compiler.name(), &samples_ms, None));
-            }
+        let baselines = [
+            time_warm(&MuraliCompiler::for_qubits(n), circuit, iterations),
+            time_warm(&DaiCompiler::for_qubits(n), circuit, iterations),
+            time_warm(&MqtStyleCompiler::for_qubits(n), circuit, iterations),
+        ];
+        for (name, samples_ms) in baselines.into_iter().flatten() {
+            rows.push(finish_row(circuit, &name, &samples_ms, None));
         }
     }
     let batch = measure_batch_throughput(circuits, iterations);
@@ -320,11 +307,36 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
     }
 }
 
+/// Times `iterations` warm-context compiles of `circuit`: the compiler's
+/// name and one wall-clock sample (ms) per compile, or `None` when the
+/// device is too small for the circuit (the grid baselines top out below the
+/// widest stress workloads, RAN_1024 and RAN_4096; those rows are MUSS-TI
+/// only).
+fn time_warm<C: Compiler>(
+    compiler: &C,
+    circuit: &Circuit,
+    iterations: usize,
+) -> Option<(String, Vec<f64>)> {
+    let mut cx = compiler.context();
+    let mut samples_ms = Vec::with_capacity(iterations);
+    for _ in 0..iterations {
+        let start = Instant::now();
+        let program = match compiler.compile_in(&mut cx, circuit) {
+            Ok(program) => program,
+            Err(CompileError::DeviceTooSmall { .. }) => return None,
+            Err(e) => panic!("{} on {}: {e}", compiler.name(), circuit.name()),
+        };
+        samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        std::hint::black_box(program);
+    }
+    Some((compiler.name().to_string(), samples_ms))
+}
+
 /// Times multi-threaded batch compilation of the whole workload set with
 /// MUSS-TI on one device sized for the largest workload (many circuits, one
 /// machine — the serving scenario), `runs` batch calls per entry of
 /// [`BATCH_THREAD_COUNTS`]. Each batch worker owns one compile context and
-/// reuses it across every circuit it pulls (per-worker session reuse).
+/// reuses it across every circuit it pulls.
 fn measure_batch_throughput(circuits: &[Circuit], runs: usize) -> Vec<BatchThroughput> {
     let max_qubits = circuits.iter().map(Circuit::num_qubits).max().unwrap_or(1);
     let compiler = MussTiCompiler::new(
@@ -336,7 +348,7 @@ fn measure_batch_throughput(circuits: &[Circuit], runs: usize) -> Vec<BatchThrou
         .map(|&threads| {
             let start = Instant::now();
             for _ in 0..runs {
-                for program in compile_batch_with_threads(&compiler, circuits, threads) {
+                for program in compile_batch(&compiler, circuits, threads, None) {
                     let program = program.unwrap_or_else(|e| panic!("batch compile failed: {e}"));
                     std::hint::black_box(program);
                 }

@@ -5,7 +5,7 @@
 //! `invalid_*.qasm` are *expected* to be rejected by the parser (a graceful
 //! structured error is a pass; parsing successfully is a failure), every
 //! other file must parse, validate and compile. All accepted circuits go
-//! through the fault-isolated [`eml_qccd::compile_batch_with_threads`] path
+//! through the fault-isolated [`eml_qccd::compile_batch`] path
 //! on one shared device sized for the widest circuit, so a single defective
 //! file can never take down the rest of the run.
 
@@ -14,7 +14,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use eml_qccd::{compile_batch_with_threads, compile_batch_with_threads_checked, DeviceConfig};
+use eml_qccd::{compile_batch, DeviceConfig, ScheduleCheck};
 use ion_circuit::{qasm, Circuit};
 use muss_ti::{MussTiCompiler, MussTiOptions};
 use verify::{DeviceModel, ScheduleVerifier};
@@ -179,12 +179,9 @@ pub fn run_corpus_with(
         let verifier = ScheduleVerifier::new(DeviceModel::from(&device));
         let compiler = MussTiCompiler::new(device, MussTiOptions::default());
         let circuits: Vec<Circuit> = accepted.iter().map(|(_, c)| c.clone()).collect();
-        let results = if verify_schedules {
-            let check = verifier.as_check();
-            compile_batch_with_threads_checked(&compiler, &circuits, threads, &check)
-        } else {
-            compile_batch_with_threads(&compiler, &circuits, threads)
-        };
+        let check = verifier.as_check();
+        let check = verify_schedules.then_some(&check as ScheduleCheck<'_>);
+        let results = compile_batch(&compiler, &circuits, threads, check);
         for ((slot, circuit), result) in accepted.iter().zip(results) {
             outcomes[*slot].status = match result {
                 Ok(program) => FileStatus::Compiled {

@@ -1,14 +1,11 @@
 //! Figure 6: shuttle count, execution time and fidelity across small (2×2),
 //! medium (3×4) and large (4×5) scales, MUSS-TI vs Dai vs Murali.
 
-use std::collections::BTreeMap;
-
-use eml_qccd::{CompileContext, Compiler, StagedCompiler};
 use ion_circuit::generators::BenchmarkScale;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{format_fidelity, percent_reduction, Table};
-use crate::runner::{circuit_for, evaluate_in, fig6_compilers, AppResult, DynCompiler};
+use crate::runner::{circuit_for, evaluate, fig6_compilers, AppResult};
 
 /// Results for one size class (one column of Fig. 6).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,23 +46,10 @@ pub fn run_scales(scales: &[BenchmarkScale]) -> Fig6Result {
         .iter()
         .map(|&scale| {
             let mut results = Vec::new();
-            // One compiler set + compile context per application size, reused
-            // across the scale's apps: the sequential-session path of the
-            // staged pipeline (contexts warm up once per size class).
-            let mut sessions: BTreeMap<usize, Vec<(DynCompiler, CompileContext)>> = BTreeMap::new();
             for app in scale.labels() {
                 let circuit = circuit_for(app);
-                let entry = sessions.entry(circuit.num_qubits()).or_insert_with(|| {
-                    fig6_compilers(circuit.num_qubits())
-                        .into_iter()
-                        .map(|compiler| {
-                            let ctx = compiler.new_context();
-                            (compiler, ctx)
-                        })
-                        .collect()
-                });
-                for (compiler, ctx) in entry.iter_mut() {
-                    let result = evaluate_in(compiler.as_ref(), ctx, &circuit)
+                for compiler in fig6_compilers(circuit.num_qubits()) {
+                    let result = evaluate(compiler.as_ref(), &circuit)
                         .unwrap_or_else(|e| panic!("{app} with {}: {e}", compiler.name()));
                     results.push(result);
                 }

@@ -1,5 +1,6 @@
 //! Figure 9: look-ahead ability analysis (k = 4 … 12).
 
+use eml_qccd::Compiler;
 use muss_ti::MussTiOptions;
 use serde::{Deserialize, Serialize};
 
@@ -49,9 +50,12 @@ pub fn run_with(apps: &[&str], lookaheads: &[usize]) -> Fig9Result {
         for &k in lookaheads {
             let options = MussTiOptions::full().with_lookahead(k);
             let compiler = muss_ti_for(&circuit, options);
-            let (program, swaps) = compiler
-                .compile_with_stats(&circuit)
+            let program = compiler
+                .compile(&circuit)
                 .unwrap_or_else(|e| panic!("{app} with k={k}: {e}"));
+            let swaps = program
+                .stage_timings()
+                .map_or(0, |t| t.inserted_swaps as usize);
             points.push(Fig9Point {
                 app: (*app).to_string(),
                 lookahead: k,

@@ -5,18 +5,15 @@
 //!
 //! Every fingerprint can be produced through three pipeline paths —
 //! [`FingerprintMode::OneShot`], [`FingerprintMode::Session`] (one reused
-//! compile context per compiler variant and device size) and
-//! [`FingerprintMode::Batch`] (parallel [`compile_batch_with_threads`]) —
-//! which must all agree bit for bit: context reuse and parallelism are
+//! typed compile context per compiler variant and device size) and
+//! [`FingerprintMode::Batch`] (parallel [`compile_batch`]) — which must all
+//! agree bit for bit: context reuse and parallelism are
 //! allocation/scheduling optimisations, never behaviour changes.
 
 use std::collections::BTreeMap;
 
 use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{
-    compile_batch_with_threads, compile_batch_with_threads_checked, compile_checked,
-    CompileSession, CompiledProgram, Compiler, DeviceConfig,
-};
+use eml_qccd::{compile_batch, CompiledProgram, Compiler, DeviceConfig, ScheduleCheck};
 use ion_circuit::{generators, Circuit};
 use muss_ti::{MussTiCompiler, MussTiOptions};
 use verify::ScheduleVerifier;
@@ -84,13 +81,7 @@ pub fn variant_labels() -> [&'static str; 6] {
 ///
 /// Panics on an unknown label.
 pub fn compiler_for(variant: &str, n: usize) -> DynCompiler {
-    // The `MUSS-TI/*` labels resolve through `muss_ti_variants` so the
-    // label → options mapping has a single source of truth.
-    if let Some(label) = variant.strip_prefix("MUSS-TI/") {
-        let (_, options) = muss_ti_variants()
-            .into_iter()
-            .find(|&(l, _)| l == label)
-            .unwrap_or_else(|| panic!("unknown MUSS-TI variant {variant}"));
+    if let Some(options) = muss_ti_options(variant) {
         return Box::new(MussTiCompiler::new(
             DeviceConfig::for_qubits(n).build(),
             options,
@@ -102,6 +93,22 @@ pub fn compiler_for(variant: &str, n: usize) -> DynCompiler {
         "mqt" => Box::new(MqtStyleCompiler::for_qubits(n)),
         other => panic!("unknown fingerprint variant {other}"),
     }
+}
+
+/// The options a `MUSS-TI/*` label denotes (`None` for a baseline label),
+/// resolved through [`muss_ti_variants`] so the label → options mapping has
+/// a single source of truth.
+///
+/// # Panics
+///
+/// Panics on an unknown `MUSS-TI/*` label.
+fn muss_ti_options(variant: &str) -> Option<MussTiOptions> {
+    let label = variant.strip_prefix("MUSS-TI/")?;
+    let (_, options) = muss_ti_variants()
+        .into_iter()
+        .find(|&(l, _)| l == label)
+        .unwrap_or_else(|| panic!("unknown MUSS-TI variant {variant}"));
+    Some(options)
 }
 
 /// Builds the [`verify::DeviceModel`] matching the device `compiler_for`
@@ -145,11 +152,11 @@ fn device_bucket(variant: &str, n: usize) -> usize {
 pub enum FingerprintMode {
     /// A fresh compiler + context per (circuit, variant) pair.
     OneShot,
-    /// One [`CompileSession`] per (variant, device size), reused across every
-    /// suite circuit it fits — the context-reuse path.
+    /// One typed compile context per (variant, device size), reused across
+    /// every suite circuit it fits — the context-reuse path.
     Session,
-    /// [`compile_batch_with_threads`] over each (variant, device size) group
-    /// with the given worker count — the parallel path.
+    /// [`compile_batch`] over each (variant, device size) group with the
+    /// given worker count — the parallel path.
     Batch {
         /// Worker threads per batch call.
         threads: usize,
@@ -168,10 +175,9 @@ pub fn suite_fingerprints(mode: FingerprintMode) -> Vec<(String, String, u64)> {
 }
 
 /// [`suite_fingerprints`] with the translation validator in the loop: every
-/// compile goes through the *checked* pipeline entry point
-/// ([`compile_checked`], [`CompileSession::compile_checked`] or
-/// [`compile_batch_with_threads_checked`]) with a [`ScheduleVerifier`] built
-/// for the variant's device via [`device_model_for`]. A violating schedule
+/// compiled program is checked (in the batch path, by [`compile_batch`]'s
+/// check hook) by a [`ScheduleVerifier`] built for the variant's device via
+/// [`device_model_for`]. A violating schedule
 /// panics with the verifier's summary; the returned pins must equal the
 /// unverified ones bit for bit (verification never alters compilation).
 ///
@@ -185,107 +191,128 @@ pub fn suite_fingerprints_verified(mode: FingerprintMode) -> Vec<(String, String
 
 fn suite_fingerprints_inner(mode: FingerprintMode, verified: bool) -> Vec<(String, String, u64)> {
     let circuits = suite();
+    // hashes[variant-index][circuit-index], one variant at a time.
+    let hashes: Vec<Vec<u64>> = variant_labels()
+        .into_iter()
+        .map(|variant| variant_fingerprints(variant, &circuits, mode, verified))
+        .collect();
+    circuits
+        .iter()
+        .enumerate()
+        .flat_map(|(i, circuit)| {
+            variant_labels()
+                .into_iter()
+                .zip(&hashes)
+                .map(move |(variant, column)| {
+                    (circuit.name().to_string(), variant.to_string(), column[i])
+                })
+        })
+        .collect()
+}
+
+/// The fingerprints of every circuit under one variant label, in circuit
+/// order, through the requested pipeline path. Mirrors [`compiler_for`], but
+/// keeps each compiler's concrete type so the session and batch paths get
+/// its typed context.
+fn variant_fingerprints(
+    variant: &str,
+    circuits: &[Circuit],
+    mode: FingerprintMode,
+    verified: bool,
+) -> Vec<u64> {
+    if let Some(options) = muss_ti_options(variant) {
+        let make = |n| MussTiCompiler::new(DeviceConfig::for_qubits(n).build(), options);
+        return fingerprints_through(variant, make, circuits, mode, verified);
+    }
+    match variant {
+        "murali" => fingerprints_through(
+            variant,
+            MuraliCompiler::for_qubits,
+            circuits,
+            mode,
+            verified,
+        ),
+        "dai" => fingerprints_through(variant, DaiCompiler::for_qubits, circuits, mode, verified),
+        "mqt" => fingerprints_through(
+            variant,
+            MqtStyleCompiler::for_qubits,
+            circuits,
+            mode,
+            verified,
+        ),
+        other => panic!("unknown fingerprint variant {other}"),
+    }
+}
+
+/// [`variant_fingerprints`] for one concrete compiler type: `make(n)` builds
+/// the compiler for an `n`-qubit circuit, and every circuit of one device
+/// bucket shares one compiler (and, in the session path, one context).
+fn fingerprints_through<C: Compiler + Sync>(
+    variant: &str,
+    make: impl Fn(usize) -> C,
+    circuits: &[Circuit],
+    mode: FingerprintMode,
+    verified: bool,
+) -> Vec<u64> {
+    let verifier_for = |n| verified.then(|| ScheduleVerifier::new(device_model_for(variant, n)));
+    // Hashes one compile, running the verifier (when there is one) first.
+    let finish = |circuit: &Circuit, verifier: Option<&ScheduleVerifier>, result| {
+        let program = Result::and_then(result, |program: CompiledProgram| match verifier {
+            Some(verifier) => verifier.as_check()(circuit, &program).map(|()| program),
+            None => Ok(program),
+        })
+        .unwrap_or_else(|e| panic!("{variant} on {}: {e}", circuit.name()));
+        fingerprint(&program)
+    };
     match mode {
-        FingerprintMode::OneShot => {
-            let mut out = Vec::new();
-            for circuit in &circuits {
+        FingerprintMode::OneShot => circuits
+            .iter()
+            .map(|circuit| {
                 let n = circuit.num_qubits();
-                for variant in variant_labels() {
-                    let compiler = compiler_for(variant, n);
-                    let result = if verified {
-                        let verifier = ScheduleVerifier::new(device_model_for(variant, n));
-                        let check = verifier.as_check();
-                        compile_checked(&compiler, circuit, &check)
-                    } else {
-                        compiler.compile(circuit)
-                    };
-                    let program =
-                        result.unwrap_or_else(|e| panic!("{variant} on {}: {e}", circuit.name()));
-                    out.push((
-                        circuit.name().to_string(),
-                        variant.to_string(),
-                        fingerprint(&program),
-                    ));
-                }
-            }
-            out
-        }
+                let result = make(n).compile(circuit);
+                finish(circuit, verifier_for(n).as_ref(), result)
+            })
+            .collect(),
         FingerprintMode::Session => {
-            let mut sessions: BTreeMap<(usize, usize), CompileSession<DynCompiler>> =
-                BTreeMap::new();
-            let mut out = Vec::new();
-            for circuit in &circuits {
-                let n = circuit.num_qubits();
-                for (variant_index, variant) in variant_labels().into_iter().enumerate() {
-                    let session = sessions
-                        .entry((variant_index, device_bucket(variant, n)))
-                        .or_insert_with(|| CompileSession::new(compiler_for(variant, n)));
-                    let result = if verified {
-                        let verifier = ScheduleVerifier::new(device_model_for(variant, n));
-                        let check = verifier.as_check();
-                        session.compile_checked(circuit, &check)
-                    } else {
-                        session.compile(circuit)
-                    };
-                    let program =
-                        result.unwrap_or_else(|e| panic!("{variant} on {}: {e}", circuit.name()));
-                    out.push((
-                        circuit.name().to_string(),
-                        variant.to_string(),
-                        fingerprint(&program),
-                    ));
-                }
-            }
-            out
-        }
-        FingerprintMode::Batch { threads } => {
-            // hashes[circuit-index][variant-index], filled group by group.
-            let mut hashes: Vec<Vec<Option<u64>>> =
-                vec![vec![None; variant_labels().len()]; circuits.len()];
-            for (variant_index, variant) in variant_labels().into_iter().enumerate() {
-                let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                for (i, circuit) in circuits.iter().enumerate() {
-                    groups
-                        .entry(device_bucket(variant, circuit.num_qubits()))
-                        .or_default()
-                        .push(i);
-                }
-                for indices in groups.values() {
-                    let group: Vec<Circuit> =
-                        indices.iter().map(|&i| circuits[i].clone()).collect();
-                    let compiler = compiler_for(variant, group[0].num_qubits());
-                    let programs = if verified {
-                        let verifier =
-                            ScheduleVerifier::new(device_model_for(variant, group[0].num_qubits()));
-                        let check = verifier.as_check();
-                        compile_batch_with_threads_checked(&compiler, &group, threads, &check)
-                    } else {
-                        compile_batch_with_threads(&compiler, &group, threads)
-                    };
-                    for (&i, program) in indices.iter().zip(programs) {
-                        let program = program
-                            .unwrap_or_else(|e| panic!("{variant} on {}: {e}", circuits[i].name()));
-                        hashes[i][variant_index] = Some(fingerprint(&program));
-                    }
-                }
-            }
+            let mut sessions = BTreeMap::new();
             circuits
                 .iter()
-                .enumerate()
-                .flat_map(|(i, circuit)| {
-                    variant_labels()
-                        .into_iter()
-                        .enumerate()
-                        .map(move |(v, variant)| (i, circuit, v, variant))
-                })
-                .map(|(i, circuit, v, variant)| {
-                    (
-                        circuit.name().to_string(),
-                        variant.to_string(),
-                        hashes[i][v].expect("every (circuit, variant) pair was batched"),
-                    )
+                .map(|circuit| {
+                    let n = circuit.num_qubits();
+                    let (compiler, cx, verifier) = sessions
+                        .entry(device_bucket(variant, n))
+                        .or_insert_with(|| {
+                            let compiler = make(n);
+                            let cx = compiler.context();
+                            (compiler, cx, verifier_for(n))
+                        });
+                    let result = compiler.compile_in(cx, circuit);
+                    finish(circuit, verifier.as_ref(), result)
                 })
                 .collect()
+        }
+        FingerprintMode::Batch { threads } => {
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (i, circuit) in circuits.iter().enumerate() {
+                groups
+                    .entry(device_bucket(variant, circuit.num_qubits()))
+                    .or_default()
+                    .push(i);
+            }
+            let mut hashes = vec![0; circuits.len()];
+            for indices in groups.values() {
+                let group: Vec<Circuit> = indices.iter().map(|&i| circuits[i].clone()).collect();
+                let n = group[0].num_qubits();
+                // The verifier runs inside the batch, as its check hook.
+                let verifier = verifier_for(n);
+                let check = verifier.as_ref().map(ScheduleVerifier::as_check);
+                let check = check.as_ref().map(|c| c as ScheduleCheck<'_>);
+                let programs = compile_batch(&make(n), &group, threads, check);
+                for ((&i, circuit), result) in indices.iter().zip(&group).zip(programs) {
+                    hashes[i] = finish(circuit, None, result);
+                }
+            }
+            hashes
         }
     }
 }

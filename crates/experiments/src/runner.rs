@@ -1,19 +1,16 @@
 //! Shared helpers for running compilers over benchmark applications.
 
 use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{
-    compile_batch, CompileContext, CompileError, CompiledProgram, Compiler, DeviceConfig,
-    GridConfig, StageTimings, StagedCompiler,
-};
+use eml_qccd::{CompileError, CompiledProgram, Compiler, DeviceConfig, GridConfig, StageTimings};
 use ion_circuit::generators::BenchmarkApp;
 use ion_circuit::Circuit;
 use muss_ti::{MussTiCompiler, MussTiOptions};
 use serde::{Deserialize, Serialize};
 
-/// The object-safe staged-compiler handle the experiment harness passes
-/// around: every compiler in the workspace fits in one of these while keeping
-/// context reuse and batch compilation available.
-pub type DynCompiler = Box<dyn StagedCompiler + Send + Sync>;
+/// The compiler handle the experiment harness passes around: every compiler
+/// in the workspace fits in one of these, and compiles one-shot through
+/// `&dyn Compiler`.
+pub type DynCompiler = Box<dyn Compiler + Send + Sync>;
 
 /// The outcome of compiling one application with one compiler: the subset of
 /// [`ExecutionMetrics`](eml_qccd::ExecutionMetrics) the paper reports, plus
@@ -36,7 +33,7 @@ pub struct AppResult {
     pub compile_time_s: f64,
     /// Per-stage compile-time breakdown (placement / scheduling / swap
     /// insertion / lowering) when the compiler's pipeline recorded one, so
-    /// one-shot, session and batch paths stay comparable in experiment
+    /// one-shot, warm-context and batch paths stay comparable in experiment
     /// output.
     pub phases: Option<StageTimings>,
 }
@@ -64,39 +61,6 @@ fn condense(circuit: &Circuit, program: &CompiledProgram) -> AppResult {
 pub fn evaluate(compiler: &dyn Compiler, circuit: &Circuit) -> Result<AppResult, CompileError> {
     let program = compiler.compile(circuit)?;
     Ok(condense(circuit, &program))
-}
-
-/// [`evaluate`] through the staged pipeline, reusing `ctx` across calls (the
-/// sequential-session path of the figure harness).
-///
-/// # Errors
-///
-/// Propagates the compiler's [`CompileError`].
-pub fn evaluate_in(
-    compiler: &dyn StagedCompiler,
-    ctx: &mut CompileContext,
-    circuit: &Circuit,
-) -> Result<AppResult, CompileError> {
-    let program = compiler.compile_in(ctx, circuit)?;
-    Ok(condense(circuit, &program))
-}
-
-/// Compiles every circuit with `compiler` through [`compile_batch`] (workers
-/// shard per-circuit contexts; results keep input order) and condenses the
-/// results.
-///
-/// # Errors
-///
-/// Propagates the first [`CompileError`] in input order.
-pub fn evaluate_batch<C>(compiler: &C, circuits: &[Circuit]) -> Result<Vec<AppResult>, CompileError>
-where
-    C: StagedCompiler + Sync + ?Sized,
-{
-    compile_batch(compiler, circuits)
-        .into_iter()
-        .zip(circuits)
-        .map(|(result, circuit)| result.map(|program| condense(circuit, &program)))
-        .collect()
 }
 
 /// Builds the MUSS-TI compiler for an application, matching the paper's
@@ -153,6 +117,7 @@ pub fn circuit_for(label: &str) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eml_qccd::compile_batch;
     use ion_circuit::generators;
 
     #[test]
@@ -179,13 +144,17 @@ mod tests {
             .map(|c| evaluate(&compiler, c).unwrap())
             .collect();
 
-        let mut ctx = StagedCompiler::new_context(&compiler);
+        let mut cx = compiler.context();
         let session: Vec<AppResult> = circuits
             .iter()
-            .map(|c| evaluate_in(&compiler, &mut ctx, c).unwrap())
+            .map(|c| condense(c, &compiler.compile_in(&mut cx, c).unwrap()))
             .collect();
 
-        let batch = evaluate_batch(&compiler, &circuits).unwrap();
+        let batch: Vec<AppResult> = compile_batch(&compiler, &circuits, 2, None)
+            .into_iter()
+            .zip(&circuits)
+            .map(|(program, c)| condense(c, &program.unwrap()))
+            .collect();
 
         for ((a, b), c) in one_shot.iter().zip(&session).zip(&batch) {
             // Wall-clock fields differ run to run; the compiled artefacts and
@@ -202,6 +171,41 @@ mod tests {
             assert_eq!(a.execution_time_us, c.execution_time_us);
             assert_eq!(a.log10_fidelity, b.log10_fidelity);
             assert_eq!(a.log10_fidelity, c.log10_fidelity);
+        }
+    }
+
+    /// The four compilers held the way the layered benchmark holds them —
+    /// boxed trait objects, compiled through `&dyn Compiler` — emit exactly
+    /// the op streams of their concrete types' warm-context compiles.
+    #[test]
+    fn boxed_compilers_compile_through_dyn_like_their_concrete_types() {
+        fn warm<C: Compiler>(compiler: &C, circuits: &[Circuit]) -> Vec<String> {
+            let mut cx = compiler.context();
+            circuits
+                .iter()
+                .map(|c| format!("{:?}", compiler.compile_in(&mut cx, c).unwrap().ops()))
+                .collect()
+        }
+        let grid = GridConfig::new(2, 2, 12);
+        let circuits = vec![generators::qft(24), generators::adder(32)];
+        let compilers: Vec<Box<dyn Compiler + Send + Sync>> = table2_compilers(&grid);
+        let concrete = [
+            warm(&MuraliCompiler::new(grid.clone()), &circuits),
+            warm(&DaiCompiler::new(grid.clone()), &circuits),
+            warm(&MqtStyleCompiler::new(grid.clone()), &circuits),
+            warm(
+                &muss_ti_matching_grid(&grid, MussTiOptions::default()),
+                &circuits,
+            ),
+        ];
+        assert_eq!(compilers.len(), concrete.len());
+        for (compiler, expected) in compilers.iter().zip(&concrete) {
+            let compiler: &dyn Compiler = compiler.as_ref();
+            let got: Vec<String> = circuits
+                .iter()
+                .map(|c| format!("{:?}", compiler.compile(c).unwrap().ops()))
+                .collect();
+            assert_eq!(&got, expected, "{}", compiler.name());
         }
     }
 

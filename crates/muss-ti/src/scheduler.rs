@@ -67,13 +67,6 @@ impl SchedulerScratch {
             driver: ScheduleDriver::default(),
         }
     }
-
-    /// Drops all circuit-derived state, keeping allocations.
-    pub(crate) fn clear(&mut self) {
-        self.state.clear();
-        self.ops.clear();
-        self.driver.clear();
-    }
 }
 
 /// Aggregate results of one scheduling pass; after [`schedule_in`] the op

@@ -1,12 +1,12 @@
-//! Session-reuse equivalence: a compile context leaks no state between
+//! Context-reuse equivalence: a compile context leaks no state between
 //! circuits. For random circuit pairs (A, B) and every MUSS-TI option
-//! variant, compiling A then B in one context — with and without an explicit
-//! `CompileContext::reset` in between — must yield op streams bit-identical
-//! to a fresh-context compile of B. This is the invariant that makes
-//! sessions and batch workers safe to reuse.
+//! variant, compiling A then B in one context must yield op streams
+//! bit-identical to a fresh-context compile of B — also when the compile of
+//! A just failed. This is the invariant that makes held contexts and batch
+//! workers safe to reuse.
 
-use eml_qccd::{CompileContext, DeviceConfig, StagedCompiler};
-use ion_circuit::generators;
+use eml_qccd::{CompileError, Compiler, DeviceConfig};
+use ion_circuit::{generators, Circuit};
 use muss_ti::{MussTiCompiler, MussTiOptions};
 use proptest::prelude::*;
 
@@ -27,8 +27,8 @@ fn options_for(variant: usize) -> MussTiOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `CompileContext::reset` (and plain sequential reuse) leak no state:
-    /// compiling A then B in one session equals a fresh compile of B.
+    /// Sequential reuse leaks no state: compiling A then B in one context
+    /// equals a fresh compile of B.
     #[test]
     fn context_reuse_is_bit_identical_to_fresh_context(
         ((qubits_a, gates_a, seed_a), (qubits_b, gates_b, seed_b), variant) in (
@@ -43,12 +43,12 @@ proptest! {
         let compiler = MussTiCompiler::new(device, options_for(variant));
 
         // Reference: B compiled in a brand-new context.
-        let fresh = compiler.compile_in(&mut StagedCompiler::new_context(&compiler), &b).unwrap();
+        let fresh = compiler.compile_in(&mut compiler.context(), &b).unwrap();
 
-        // Path 1: A then B in one context, no explicit reset.
-        let mut ctx = StagedCompiler::new_context(&compiler);
-        compiler.compile_in(&mut ctx, &a).unwrap();
-        let warm = compiler.compile_in(&mut ctx, &b).unwrap();
+        // A then B in one context.
+        let mut cx = compiler.context();
+        compiler.compile_in(&mut cx, &a).unwrap();
+        let warm = compiler.compile_in(&mut cx, &b).unwrap();
         prop_assert_eq!(
             op_bytes(&warm),
             op_bytes(&fresh),
@@ -56,28 +56,48 @@ proptest! {
             variant
         );
 
-        // Path 2: explicit reset between tenants.
-        compiler.compile_in(&mut ctx, &a).unwrap();
-        ctx.reset();
-        let after_reset = compiler.compile_in(&mut ctx, &b).unwrap();
-        prop_assert_eq!(
-            op_bytes(&after_reset),
-            op_bytes(&fresh),
-            "reset context changed the op stream (variant {})",
-            variant
-        );
-
-        // Path 3: a context that never saw A still agrees after an empty reset.
-        let mut empty = CompileContext::empty();
-        empty.reset();
-        let from_empty = compiler.compile_in(&mut empty, &b).unwrap();
-        prop_assert_eq!(op_bytes(&from_empty), op_bytes(&fresh));
-
         // Metrics follow the ops.
         prop_assert_eq!(warm.metrics().shuttle_count, fresh.metrics().shuttle_count);
         prop_assert_eq!(
             warm.metrics().log_fidelity.ln(),
             fresh.metrics().log_fidelity.ln()
         );
+    }
+
+    /// A context whose last compile returned a `CompileError` compiles the
+    /// next circuit clean: after warming on A, a rejected circuit, then B,
+    /// B's op stream equals its fresh-context compile.
+    #[test]
+    fn context_after_a_compile_error_compiles_the_next_circuit_clean(
+        ((qubits_a, gates_a, seed_a), (qubits_b, gates_b, seed_b), variant) in (
+            (8..28usize, 20..120usize, 0..64u64),
+            (8..28usize, 20..120usize, 64..128u64),
+            0..4usize,
+        )
+    ) {
+        let a = generators::random_circuit(qubits_a, gates_a, seed_a);
+        let b = generators::random_circuit(qubits_b, gates_b, seed_b);
+        let device = DeviceConfig::for_qubits(28).build();
+        let compiler = MussTiCompiler::new(device, options_for(variant));
+        let fresh = compiler.compile_in(&mut compiler.context(), &b).unwrap();
+
+        let mut rogue = Circuit::with_name("rogue", 4);
+        rogue.cx(0, 9);
+        let too_wide = generators::ghz(compiler.device().total_capacity() + 1);
+
+        let mut cx = compiler.context();
+        compiler.compile_in(&mut cx, &a).unwrap();
+        let rogue_result = compiler.compile_in(&mut cx, &rogue);
+        prop_assert!(
+            matches!(rogue_result, Err(CompileError::InvalidCircuit(_))),
+            "rogue operands must be rejected"
+        );
+        let wide_result = compiler.compile_in(&mut cx, &too_wide);
+        prop_assert!(
+            matches!(wide_result, Err(CompileError::DeviceTooSmall { .. })),
+            "an oversized circuit must be rejected"
+        );
+        let after_error = compiler.compile_in(&mut cx, &b).unwrap();
+        prop_assert_eq!(op_bytes(&after_error), op_bytes(&fresh));
     }
 }

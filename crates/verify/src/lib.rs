@@ -20,7 +20,7 @@
 //!   through the same [`DependencyDag`](ion_circuit::DependencyDag) the
 //!   schedulers plan with).
 //!
-//! The analyzer is scheduler-agnostic: it validates MUSS-TI and all four
+//! The analyzer is scheduler-agnostic: it validates MUSS-TI and all three
 //! baseline compilers against the same rules, driven by a [`DeviceModel`]
 //! built `From` either an [`EmlQccdDevice`](eml_qccd::EmlQccdDevice) or a
 //! [`QccdGridDevice`](eml_qccd::QccdGridDevice).
@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use eml_qccd::{compile_checked, Compiler, DeviceConfig};
+//! use eml_qccd::{compile_batch, Compiler, DeviceConfig};
 //! use muss_ti::{MussTiCompiler, MussTiOptions};
 //! use verify::{DeviceModel, ScheduleVerifier};
 //!
@@ -41,9 +41,10 @@
 //! let program = compiler.compile(&circuit).unwrap();
 //! assert!(verifier.verify(&circuit, &program).is_clean());
 //!
-//! // Or as a pipeline hook that vetoes invalid programs:
+//! // Or as a batch check hook that vetoes invalid programs:
 //! let check = verifier.as_check();
-//! compile_checked(&compiler, &circuit, &check).unwrap();
+//! let programs = compile_batch(&compiler, &[circuit], 1, Some(&check));
+//! assert!(programs[0].is_ok());
 //! ```
 
 // lint: no-panic

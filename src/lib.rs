@@ -22,11 +22,11 @@ pub use muss_ti;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
+    pub use baselines::{DaiCompiler, GridCompiler, MqtStyleCompiler, MuraliCompiler};
     pub use eml_qccd::{
-        compile_batch, compile_batch_with_threads, CompileContext, CompileSession, CompiledProgram,
-        Compiler, DeviceConfig, EmlQccdDevice, ExecutionMetrics, FidelityModel, GridConfig,
-        QccdGridDevice, ScheduleExecutor, StageTimings, StagedCompiler, TimingModel,
+        compile_batch, CompiledProgram, Compiler, DeviceConfig, EmlQccdDevice, ExecutionMetrics,
+        FidelityModel, GridConfig, QccdGridDevice, ScheduleCheck, ScheduleExecutor, StageTimings,
+        TimingModel,
     };
     pub use ion_circuit::{generators, qasm, Circuit, DependencyDag, Gate, QubitId};
     pub use muss_ti::{InitialMappingStrategy, MussTiCompiler, MussTiContext, MussTiOptions};

@@ -26,7 +26,7 @@ fn defective_slots_fail_alone_and_leave_the_rest_bit_identical() {
     let compiler = MussTiCompiler::new(device, MussTiOptions::default());
 
     // Baseline fingerprints from an all-healthy batch.
-    let baseline: Vec<u64> = compile_batch_with_threads(&compiler, &healthy, 4)
+    let baseline: Vec<u64> = compile_batch(&compiler, &healthy, 4, None)
         .into_iter()
         .map(|r| fingerprint(&r.expect("healthy circuits compile")))
         .collect();
@@ -43,7 +43,7 @@ fn defective_slots_fail_alone_and_leave_the_rest_bit_identical() {
     batch.insert(5, out_of_range);
 
     for threads in [1usize, 4] {
-        let results = compile_batch_with_threads(&compiler, &batch, threads);
+        let results = compile_batch(&compiler, &batch, threads, None);
         assert_eq!(results.len(), batch.len());
         assert!(
             results[2].is_err(),
@@ -74,7 +74,7 @@ fn one_shot_compiles_match_the_batch_path_on_the_same_device() {
     let widest = healthy.iter().map(Circuit::num_qubits).max().unwrap();
     let device = DeviceConfig::for_qubits(widest).build();
     let compiler = MussTiCompiler::new(device.clone(), MussTiOptions::default());
-    let batch: Vec<u64> = compile_batch_with_threads(&compiler, &healthy, 4)
+    let batch: Vec<u64> = compile_batch(&compiler, &healthy, 4, None)
         .into_iter()
         .map(|r| fingerprint(&r.expect("healthy circuits compile")))
         .collect();

@@ -8,10 +8,10 @@
 //! (`k = 12`, `T = 2`). The values were generated before the on-demand
 //! `W(q, ·)` rewrite and must stay bit-identical: a mismatch means the
 //! swap-insertion decision changed. Regenerate a pin by printing
-//! `fingerprint(&program)` and the inserted-swap count of
-//! `MussTiCompiler::compile_with_phases` on `DeviceConfig::for_qubits(n)`.
+//! `fingerprint(&program)` and the `inserted_swaps` stage counter of a
+//! `MussTiCompiler::compile` on `DeviceConfig::for_qubits(n)`.
 
-use muss_ti_repro::eml_qccd::DeviceConfig;
+use muss_ti_repro::eml_qccd::{Compiler, DeviceConfig};
 use muss_ti_repro::experiments::fingerprint::fingerprint;
 use muss_ti_repro::ion_circuit::generators::{self, BenchmarkApp};
 use muss_ti_repro::ion_circuit::Circuit;
@@ -40,10 +40,15 @@ fn assert_pinned(name: &str, circuit: &Circuit, pins: &Pins) {
     {
         assert_eq!(label, pin_label, "{name}: pin order diverged");
         let device = DeviceConfig::for_qubits(circuit.num_qubits()).build();
-        let (program, swaps, _) = MussTiCompiler::new(device, options)
-            .compile_with_phases(circuit)
+        let program = MussTiCompiler::new(device, options)
+            .compile(circuit)
             .expect("the device is sized for the circuit");
-        assert_eq!(swaps, pin_swaps, "{name} ({label}): inserted swaps");
+        let swaps = program.stage_timings().map(|t| t.inserted_swaps);
+        assert_eq!(
+            swaps,
+            Some(pin_swaps as u64),
+            "{name} ({label}): inserted swaps"
+        );
         assert_eq!(
             fingerprint(&program),
             pin_hash,
