@@ -4,7 +4,9 @@
 //! (`eml_qccd::QccdGridDevice`) — a rows × cols grid of traps connected by
 //! junctions — and share the same scheduling skeleton (DAG front layer,
 //! executable-gates-first, LRU eviction on full traps), differing only in the
-//! routing policy. They are one [`GridCompiler`], generic over a zero-sized
+//! routing policy. Their traps are ion chains kept in the same
+//! [`eml_qccd::ChainStore`] MUSS-TI schedules its zones in; only the route
+//! of a transport and where an evicted ion goes are the grid's own. They are one [`GridCompiler`], generic over a zero-sized
 //! [`GridPolicy`] marker:
 //!
 //! * [`MuraliCompiler`] = `GridCompiler<Murali>` — greedy move-one-operand
@@ -40,14 +42,20 @@
 #[cfg(test)]
 mod alloc_check;
 mod grid_compiler;
-mod grid_placement;
 mod scheduler;
 
 pub use grid_compiler::{
     Dai, DaiCompiler, GridCompiler, GridPolicy, Mqt, MqtStyleCompiler, Murali, MuraliCompiler,
 };
-pub use grid_placement::GridPlacement;
 pub use scheduler::{GridContext, RoutingPolicy};
+
+/// Test-support hooks for the external equivalence suites (not part of the
+/// API; hidden and semver-exempt): the grid transport, so the placement
+/// oracle can pin its multi-hop transfers.
+#[doc(hidden)]
+pub mod test_support {
+    pub use crate::scheduler::transport;
+}
 
 /// The `QccdGridDevice` referenced in the crate docs, re-exported for
 /// convenience so baseline users need only this crate plus `ion-circuit`.

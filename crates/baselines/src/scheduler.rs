@@ -21,12 +21,10 @@ use std::time::Instant;
 use eml_qccd::pipeline::Scheduled;
 use eml_qccd::pipeline::{self, Lowered, StageTimings};
 use eml_qccd::{
-    CompileError, CompiledProgram, DeviceDims, ExecutorScratch, QccdGridDevice, ScheduleDriver,
-    ScheduleExecutor, SchedulePass, ScheduledOp, TrapId,
+    ChainStore, CompileError, CompiledProgram, DeviceDims, ExecutorScratch, OpSink, QccdGridDevice,
+    ScheduleDriver, ScheduleExecutor, SchedulePass, ScheduledOp, TrapId,
 };
 use ion_circuit::{Circuit, DagNodeId, DependencyDag, QubitId};
-
-use crate::grid_placement::GridPlacement;
 
 /// Look-ahead window used by the Dai-style policy when deciding which operand
 /// to move (mirrors the paper's `k = 8` convention).
@@ -53,9 +51,9 @@ pub enum RoutingPolicy {
 /// the executor's clock/heat arrays, allocated once per context and recycled
 /// across compiles. Reuse is behaviour-neutral (op streams stay
 /// bit-identical to a cold compile).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GridContext {
-    state: GridPlacement,
+    state: ChainStore<TrapId>,
     ops: Vec<ScheduledOp>,
     exec: ExecutorScratch,
     driver: ScheduleDriver,
@@ -65,8 +63,10 @@ impl GridContext {
     /// Allocates a context sized for `device`.
     pub fn new(device: &QccdGridDevice) -> Self {
         GridContext {
-            state: GridPlacement::new(device),
-            ..GridContext::default()
+            state: ChainStore::new(device.num_traps()),
+            ops: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
+            exec: ExecutorScratch::new(),
+            driver: ScheduleDriver::default(),
         }
     }
 
@@ -132,7 +132,8 @@ pub(crate) fn schedule_on_grid_in(
     cx.ops.clear();
     // Placing every qubit logs it as moved, so the first step examines the
     // ready gate of every placed qubit: the whole executable front.
-    cx.state.reset_from_mapping(device, initial_mapping);
+    let capacity = device.trap_capacity();
+    cx.state.reset(initial_mapping, |_| capacity);
     let mut scheduler = GridScheduler {
         device,
         policy,
@@ -157,22 +158,12 @@ pub(crate) fn schedule_on_grid(
     let mut cx = GridContext::new(device);
     let mut dag = DependencyDag::from_circuit(circuit);
     schedule_on_grid_in(&mut cx, device, policy, &mut dag, initial_mapping)?;
-    let final_assignment = grid_final_assignment(&cx.state, circuit.num_qubits());
     Ok(Scheduled {
         ops: cx.ops,
-        final_assignment,
+        final_assignment: cx.state.mapping(),
         inserted_swaps: 0,
         swap_insertion_time: Duration::ZERO,
     })
-}
-
-/// The final qubit → trap assignment after a pass.
-#[cfg(test)]
-fn grid_final_assignment(state: &GridPlacement, num_qubits: usize) -> Vec<(QubitId, TrapId)> {
-    (0..num_qubits)
-        .map(QubitId::new)
-        .filter_map(|q| state.trap_of(q).map(|t| (q, t)))
-        .collect()
 }
 
 /// The dedicated processing trap used by the MQT-style policy: the trap
@@ -186,7 +177,7 @@ fn processing_trap(device: &QccdGridDevice) -> TrapId {
 struct GridScheduler<'a> {
     device: &'a QccdGridDevice,
     policy: RoutingPolicy,
-    state: &'a mut GridPlacement,
+    state: &'a mut ChainStore<TrapId>,
     dag: &'a mut DependencyDag,
     ops: &'a mut Vec<ScheduledOp>,
     clock: u64,
@@ -207,7 +198,7 @@ impl SchedulePass for GridScheduler<'_> {
 
     fn is_executable(&self, node: DagNodeId) -> bool {
         let (a, b) = self.dag.operands(node);
-        match (self.state.trap_of(a), self.state.trap_of(b)) {
+        match (self.state.location_of(a), self.state.location_of(b)) {
             (Some(ta), Some(tb)) if ta == tb => {
                 // The MQT-style policy only executes gates inside the
                 // processing zone.
@@ -260,7 +251,7 @@ impl SchedulePass for GridScheduler<'_> {
 impl GridScheduler<'_> {
     fn trap_of(&self, q: QubitId) -> Result<TrapId, CompileError> {
         self.state
-            .trap_of(q)
+            .location_of(q)
             .ok_or_else(|| CompileError::PlacementFailed {
                 qubit: q,
                 context: "qubit missing from the grid mapping".to_string(),
@@ -272,8 +263,8 @@ impl GridScheduler<'_> {
     fn route_greedy(&mut self, a: QubitId, b: QubitId) -> Result<(), CompileError> {
         let ta = self.trap_of(a)?;
         let tb = self.trap_of(b)?;
-        let free_a = self.state.free_slots(self.device, ta);
-        let free_b = self.state.free_slots(self.device, tb);
+        let free_a = self.free_slots(ta);
+        let free_b = self.free_slots(tb);
         let (mover, destination) = if free_a >= free_b { (b, ta) } else { (a, tb) };
         self.move_qubit(mover, destination, &[a, b])
     }
@@ -287,8 +278,8 @@ impl GridScheduler<'_> {
         let tb = self.trap_of(b)?;
         let affinity_a = self.trap_affinity(a, ta);
         let affinity_b = self.trap_affinity(b, tb);
-        let free_a = self.state.free_slots(self.device, ta);
-        let free_b = self.state.free_slots(self.device, tb);
+        let free_a = self.free_slots(ta);
+        let free_b = self.free_slots(tb);
 
         if free_a == 0 && free_b == 0 {
             // Meet halfway: nearest trap with space for both operands.
@@ -298,7 +289,7 @@ impl GridScheduler<'_> {
                 .iter()
                 .copied()
                 .filter(|&t| t != ta && t != tb)
-                .filter(|&t| self.state.free_slots(self.device, t) >= 2)
+                .filter(|&t| self.free_slots(t) >= 2)
                 .min_by_key(|&t| {
                     (
                         self.device.hop_distance(ta, t) + self.device.hop_distance(tb, t),
@@ -336,7 +327,7 @@ impl GridScheduler<'_> {
     fn trap_affinity(&self, q: QubitId, trap: TrapId) -> usize {
         let state = &*self.state;
         self.dag
-            .count_window_partners(DAI_LOOKAHEAD, q, |p| state.trap_of(p) == Some(trap))
+            .count_window_partners(DAI_LOOKAHEAD, q, |p| state.location_of(p) == Some(trap))
     }
 
     /// MQT-style: both operands go to the dedicated processing trap.
@@ -357,30 +348,80 @@ impl GridScheduler<'_> {
             return Ok(());
         }
         self.ensure_space(destination, protected)?;
-        self.state
-            .transport_into(self.device, q, destination, self.ops);
+        transport(self.device, self.state, q, destination, self.ops);
         Ok(())
     }
 
+    /// Remaining free slots in `trap` (`O(1)`).
+    fn free_slots(&self, trap: TrapId) -> usize {
+        self.device
+            .trap_capacity()
+            .saturating_sub(self.state.occupancy(trap))
+    }
+
     fn ensure_space(&mut self, trap: TrapId, protected: &[QubitId]) -> Result<(), CompileError> {
-        while self.state.free_slots(self.device, trap) == 0 {
+        while self.free_slots(trap) == 0 {
             let victim = self.state.lru_victim(trap, protected).ok_or_else(|| {
                 CompileError::PlacementFailed {
                     qubit: *protected.first().unwrap_or(&QubitId::new(0)),
                     context: format!("trap {trap} is full of protected qubits"), // lint: allow (cold error path)
                 }
             })?;
-            let target = self
-                .state
-                .nearest_trap_with_space(self.device, trap, &[trap])
-                .ok_or_else(|| CompileError::PlacementFailed {
-                    qubit: victim,
-                    context: "the whole grid is full".to_string(),
+            let target =
+                nearest_trap_with_space(self.device, self.state, trap).ok_or_else(|| {
+                    CompileError::PlacementFailed {
+                        qubit: victim,
+                        context: "the whole grid is full".to_string(),
+                    }
                 })?;
-            self.state
-                .transport_into(self.device, victim, target, self.ops);
+            transport(self.device, self.state, victim, target, self.ops);
         }
         Ok(())
+    }
+}
+
+/// The nearest trap (by hop distance from `near`, then index) other than
+/// `near` itself with a free slot: where an evicted ion goes.
+fn nearest_trap_with_space(
+    device: &QccdGridDevice,
+    state: &ChainStore<TrapId>,
+    near: TrapId,
+) -> Option<TrapId> {
+    device
+        .traps()
+        .iter()
+        .copied()
+        .filter(|&t| t != near && state.occupancy(t) < device.trap_capacity())
+        .min_by_key(|&t| (device.hop_distance(near, t), t.index()))
+}
+
+/// Moves `qubit` to `destination`, a trap with a free slot: the chain
+/// rearrangements that bring it to its chain's nearest edge, then one
+/// shuttle per hop of the rows-then-columns route
+/// ([`QccdGridDevice::next_hop`]). Ions pass through the junctions of
+/// intermediate traps without joining their chains, so only the
+/// destination's capacity matters.
+///
+/// # Panics
+///
+/// Panics if the qubit is unplaced or already at `destination`, or if
+/// `destination` is full.
+pub fn transport<S: OpSink>(
+    device: &QccdGridDevice,
+    state: &mut ChainStore<TrapId>,
+    qubit: QubitId,
+    destination: TrapId,
+    ops: &mut S,
+) {
+    let mut at = state.transfer(qubit, destination, device.trap_capacity(), ops);
+    while let Some(next) = device.next_hop(at, destination) {
+        ops.push_op(ScheduledOp::Shuttle {
+            qubit,
+            from_zone: at.index(),
+            to_zone: next.index(),
+            distance_um: device.hop_distance_um(),
+        });
+        at = next;
     }
 }
 
@@ -411,7 +452,7 @@ pub(crate) fn compile_on_grid_in(
     let state = &cx.state;
     let end = (0..circuit.num_qubits())
         .map(QubitId::new)
-        .filter_map(|q| state.trap_of(q).map(|t| (q, t.index())));
+        .filter_map(|q| state.location_of(q).map(|t| (q, t.index())));
     let start_at = mapping.iter().map(|&(q, t)| (q, t.index()));
     let Lowered { ops } = Lowered::assemble(circuit, start_at, &cx.ops, end);
 
@@ -446,6 +487,95 @@ mod tests {
     use super::*;
     use eml_qccd::GridConfig;
     use ion_circuit::generators;
+
+    fn q(i: usize) -> QubitId {
+        QubitId::new(i)
+    }
+
+    /// A 2 × 3 grid of capacity-4 traps with `mapping` placed.
+    fn placed(mapping: &[(QubitId, TrapId)]) -> (QccdGridDevice, ChainStore<TrapId>) {
+        let device = GridConfig::new(2, 3, 4).build();
+        let mut state = ChainStore::new(device.num_traps());
+        state.reset(mapping, |_| device.trap_capacity());
+        (device, state)
+    }
+
+    fn transported(
+        device: &QccdGridDevice,
+        state: &mut ChainStore<TrapId>,
+        qubit: QubitId,
+        to: TrapId,
+    ) -> Vec<ScheduledOp> {
+        let mut ops = Vec::new();
+        transport(device, state, qubit, to, &mut ops);
+        ops
+    }
+
+    #[test]
+    fn transport_emits_one_shuttle_per_hop() {
+        let (d, mut s) = placed(&[(q(0), TrapId(0))]);
+        let ops = transported(&d, &mut s, q(0), TrapId(5));
+        // Rows first, then columns: t0 -> t3 -> t4 -> t5.
+        let hops: Vec<_> = ops
+            .iter()
+            .map(|op| match *op {
+                ScheduledOp::Shuttle {
+                    from_zone, to_zone, ..
+                } => (from_zone, to_zone),
+                _ => panic!("unexpected op {op:?}"),
+            })
+            .collect();
+        assert_eq!(hops, [(0, 3), (3, 4), (4, 5)]);
+        assert_eq!(hops.len(), d.hop_distance(TrapId(0), TrapId(5)));
+        assert_eq!(s.location_of(q(0)), Some(TrapId(5)));
+        assert_eq!(
+            s.chain(TrapId(4)),
+            &[],
+            "intermediate traps are passed through"
+        );
+    }
+
+    #[test]
+    fn transport_from_chain_interior_rearranges_first() {
+        let mapping: Vec<_> = (0..4).map(|i| (q(i), TrapId(0))).collect();
+        let (d, mut s) = placed(&mapping);
+        let ops = transported(&d, &mut s, q(1), TrapId(1));
+        assert_eq!(ops.len(), 2);
+        assert_eq!(ops[0], ScheduledOp::ChainRearrange { zone: 0 });
+        assert!(ops[1].is_shuttle());
+    }
+
+    #[test]
+    #[should_panic(expected = "full")]
+    fn transport_into_full_trap_panics() {
+        let mut mapping: Vec<_> = (0..4).map(|i| (q(i), TrapId(1))).collect();
+        mapping.push((q(4), TrapId(0)));
+        let (d, mut s) = placed(&mapping);
+        transported(&d, &mut s, q(4), TrapId(1));
+    }
+
+    #[test]
+    fn nearest_trap_with_space_skips_full_and_excluded() {
+        let mut mapping: Vec<_> = (0..4).map(|i| (q(i), TrapId(1))).collect();
+        mapping.extend((4..8).map(|i| (q(i), TrapId(0))));
+        let (d, s) = placed(&mapping);
+        // t0 is full, so the nearest free trap to t1 is t2 (index order
+        // breaks the tie with t4).
+        assert_eq!(nearest_trap_with_space(&d, &s, TrapId(1)), Some(TrapId(2)));
+        assert_eq!(nearest_trap_with_space(&d, &s, TrapId(0)), Some(TrapId(3)));
+    }
+
+    #[test]
+    fn placements_and_transports_are_logged_until_drained() {
+        let (d, mut s) = placed(&[(q(0), TrapId(0)), (q(1), TrapId(1))]);
+        let mut moved = Vec::new();
+        s.drain_moved(|qubit| moved.push(qubit));
+        assert_eq!(moved, [q(0), q(1)]);
+        transported(&d, &mut s, q(0), TrapId(5));
+        moved.clear();
+        s.drain_moved(|qubit| moved.push(qubit));
+        assert_eq!(moved, [q(0)]);
+    }
 
     #[test]
     fn block_mapping_keeps_neighbours_together() {

@@ -19,6 +19,10 @@
 //!   perfect-gate / perfect-shuttle idealisations.
 //! * [`ScheduleExecutor`] / [`ExecutionMetrics`] — the makespan + fidelity
 //!   evaluator shared by all compilers.
+//! * [`ChainStore`] — the ion-chain store both kinds of compiler schedule
+//!   against, keyed by a typed [`Location`] (a [`ZoneId`] or a [`TrapId`]):
+//!   each qubit's location, chain order, LRU timestamps, the moved-qubit log
+//!   and the transfer step that brings an ion to its chain's edge.
 //! * [`ScheduleDriver`] / [`SchedulePass`] — the event-driven scheduling
 //!   loop every compiler runs, generic over the compiler's executability
 //!   rule, gate emission and routing policy.
@@ -64,9 +68,9 @@ mod executor;
 mod fidelity;
 mod grid;
 mod metrics;
-mod moved;
 mod ops;
 pub mod pipeline;
+mod placement;
 mod timing;
 mod topology;
 mod zone;
@@ -80,9 +84,9 @@ pub use executor::{ExecutorScratch, ScheduleExecutor};
 pub use fidelity::{FidelityModel, LogFidelity};
 pub use grid::{GridConfig, QccdGridDevice, TrapId};
 pub use metrics::ExecutionMetrics;
-pub use moved::MovedQubits;
 pub use ops::{OpCounter, OpSink, ResourceId, ScheduledOp};
 pub use pipeline::{compile_batch, DeviceDims, ScheduleCheck, StageTimings};
+pub use placement::{ChainStore, Location, Protected};
 pub use timing::TimingModel;
 pub use topology::DeviceTopology;
 pub use zone::{ModuleId, Zone, ZoneId, ZoneLevel};

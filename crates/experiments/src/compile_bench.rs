@@ -19,15 +19,15 @@
 use std::time::Instant;
 
 use baselines::{DaiCompiler, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{compile_batch, CompileError, Compiler, DeviceConfig};
+use eml_qccd::{compile_batch, CompileError, Compiler, DeviceConfig, StageTimings};
 use ion_circuit::{generators, qasm, Circuit};
-use muss_ti::{MussTiCompiler, MussTiOptions, PhaseTimings};
+use muss_ti::{MussTiCompiler, MussTiOptions};
 use serde::{Deserialize, Serialize};
 
 /// Sums `phases` into `acc`, field by field, rejecting negative phase values
 /// (the compiler clamps the derived scheduling slice at zero, so a negative
 /// value reaching the report would mean that guard regressed).
-fn accumulate(acc: &mut PhaseTimings, phases: &PhaseTimings) {
+fn accumulate(acc: &mut StageTimings, phases: &StageTimings) {
     for (name, value) in [
         ("placement_ms", phases.placement_ms),
         ("scheduling_ms", phases.scheduling_ms),
@@ -47,7 +47,7 @@ fn accumulate(acc: &mut PhaseTimings, phases: &PhaseTimings) {
 
 /// Divides every field by `iterations` to get per-compile means. The hot-path
 /// counters are deterministic per circuit, so their mean is exact (integer).
-fn averaged(mut sum: PhaseTimings, iterations: usize) -> PhaseTimings {
+fn averaged(mut sum: StageTimings, iterations: usize) -> StageTimings {
     let n = iterations as f64;
     sum.placement_ms /= n;
     sum.scheduling_ms /= n;
@@ -79,7 +79,7 @@ pub struct BenchRow {
     /// Mean per-phase breakdown (MUSS-TI only; averaged over the iterations —
     /// baselines report `None` because they have no comparable phase
     /// structure).
-    pub phases: Option<PhaseTimings>,
+    pub phases: Option<StageTimings>,
 }
 
 /// Multi-threaded batch-compilation throughput over the whole workload set.
@@ -233,7 +233,7 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
         circuit: &Circuit,
         compiler: &str,
         samples_ms: &[f64],
-        phases: Option<PhaseTimings>,
+        phases: Option<StageTimings>,
     ) -> BenchRow {
         let min = samples_ms.iter().cloned().fold(f64::MAX, f64::min);
         let max = samples_ms.iter().cloned().fold(f64::MIN, f64::max);
@@ -265,7 +265,7 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
         );
         let mut cx = muss_ti.context();
         let mut samples_ms = Vec::with_capacity(iterations);
-        let mut phase_sum = PhaseTimings::default();
+        let mut phase_sum = StageTimings::default();
         for _ in 0..iterations {
             let start = Instant::now();
             let program = muss_ti
@@ -530,6 +530,10 @@ const GATE_COMPILER: &str = "MUSS-TI";
 /// The parse rows the gate watches: every source of [`parse_workloads`],
 /// by median nanoseconds per statement.
 const GATE_PARSE_SOURCES: [&str; 3] = ["RAN_1024", "SQRT_299", "QFT_192"];
+/// The per-compile work counters of every MUSS-TI row that must equal the
+/// committed baseline exactly: they are deterministic, so unlike the wall
+/// times they carry no noise, and any change is an algorithmic one.
+const GATE_COUNTERS: [&str; 3] = ["window_probe_visits", "probe_skips", "swap_window_walks"];
 
 impl BenchReport {
     /// This run's MUSS-TI mean wall-clock for `circuit`, a bench-delta
@@ -561,12 +565,15 @@ impl BenchReport {
     /// statement of each [`parse_workloads`] source, against the committed
     /// baseline report and fails when any of them regressed by more than
     /// `max_ratio`× (the CI threshold is 2×, loose enough for shared-runner
-    /// noise, tight enough to catch a real hot-path regression).
+    /// noise, tight enough to catch a real hot-path regression). It also
+    /// requires the [`GATE_COUNTERS`] of every MUSS-TI row that carries a
+    /// phase breakdown to equal the baseline's exactly.
     ///
     /// # Errors
     ///
-    /// An explanatory message when a metric regressed past the threshold or
-    /// either report is missing a gated row.
+    /// An explanatory message when a metric regressed past the threshold, a
+    /// work counter differs from the baseline's, or either report is missing
+    /// a gated row.
     pub fn check_against_baseline(
         &self,
         baseline_json: &str,
@@ -609,6 +616,31 @@ impl BenchReport {
                  <= {max_ratio:.1}x committed baseline {baseline:.1}"
             ));
         }
+        for row in &self.rows {
+            let (circuit, Some(p)) = (&row.circuit, &row.phases) else {
+                continue;
+            };
+            if row.compiler != GATE_COMPILER {
+                continue;
+            }
+            let counts = [p.window_probe_visits, p.probe_skips, p.swap_window_walks];
+            for (counter, current) in GATE_COUNTERS.into_iter().zip(counts) {
+                let baseline: u64 =
+                    parse_row_field(baseline_json, circuit, counter).ok_or_else(|| {
+                        format!("baseline report has no {GATE_COMPILER} {circuit} {counter}")
+                    })?;
+                if current != baseline {
+                    return Err(format!(
+                        "work-counter gate failed: {GATE_COMPILER} {circuit} {counter} {current} \
+                         != committed baseline {baseline}"
+                    ));
+                }
+            }
+            lines.push(format!(
+                "work-counter gate passed: {GATE_COMPILER} {circuit} {} equal the committed baseline",
+                GATE_COUNTERS.join(" / ")
+            ));
+        }
         Ok(lines.join("\n"))
     }
 }
@@ -617,17 +649,20 @@ impl BenchReport {
 /// parser (the build environment has no serde_json): every result row is
 /// emitted on one line by [`BenchReport::to_json`].
 pub fn parse_gate_metric_for(json: &str, circuit: &str) -> Option<f64> {
+    parse_row_field(json, circuit, "wall_ms_mean")
+}
+
+/// Extracts the value of `field` from the MUSS-TI `circuit` row of a
+/// serialised report (a phase counter or a top-level number alike).
+fn parse_row_field<T: std::str::FromStr>(json: &str, circuit: &str, field: &str) -> Option<T> {
     let circuit_key = format!("\"circuit\": \"{circuit}\"");
     let compiler_key = format!("\"compiler\": \"{GATE_COMPILER}\"");
-    json.lines()
-        .find(|line| line.contains(&circuit_key) && line.contains(&compiler_key))
-        .and_then(|line| {
-            let key = "\"wall_ms_mean\": ";
-            let start = line.find(key)? + key.len();
-            let rest = &line[start..];
-            let end = rest.find([',', '}'])?;
-            rest[..end].trim().parse().ok()
-        })
+    let line = json
+        .lines()
+        .find(|line| line.contains(&circuit_key) && line.contains(&compiler_key))?;
+    let key = format!("\"{field}\": ");
+    let rest = &line[line.find(&key)? + key.len()..];
+    rest[..rest.find([',', '}'])?].trim().parse().ok()
 }
 
 /// Extracts a gated parse `ns_per_statement` from a serialised report: every
@@ -879,6 +914,41 @@ mod tests {
         assert!(report
             .check_against_baseline("{\"results\": []}", 2.0)
             .is_err());
+    }
+
+    #[test]
+    fn baseline_check_requires_equal_work_counters() {
+        let mut report = gated_report(1.0, 1.0);
+        report.rows[3].phases = Some(StageTimings {
+            window_probe_visits: 6277,
+            probe_skips: 0,
+            swap_window_walks: 232,
+            ..StageTimings::default()
+        });
+        let baseline = report.to_json();
+        let ok = report.check_against_baseline(&baseline, 2.0).unwrap();
+        assert!(
+            ok.contains("work-counter gate passed: MUSS-TI RAN_128"),
+            "{ok}"
+        );
+        for counter in GATE_COUNTERS {
+            let mut off_by_one = report.clone();
+            let phases = off_by_one.rows[3].phases.as_mut().unwrap();
+            match counter {
+                "window_probe_visits" => phases.window_probe_visits += 1,
+                "probe_skips" => phases.probe_skips += 1,
+                _ => phases.swap_window_walks -= 1,
+            }
+            let err = off_by_one
+                .check_against_baseline(&baseline, 2.0)
+                .unwrap_err();
+            assert!(err.contains("work-counter gate failed"), "{err}");
+            assert!(err.contains(&format!("RAN_128 {counter}")), "{err}");
+        }
+        // A baseline without the row's counters is rejected, not skipped.
+        let stripped = baseline.replace("\"swap_window_walks\"", "\"walks\"");
+        let err = report.check_against_baseline(&stripped, 2.0).unwrap_err();
+        assert!(err.contains("RAN_128 swap_window_walks"), "{err}");
     }
 
     #[test]

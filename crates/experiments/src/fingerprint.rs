@@ -1,7 +1,10 @@
 //! Shared op-stream fingerprinting: the FNV hash, the fingerprint suite and
 //! the compiler variants, used by the `op_fingerprint` bin, the
 //! `batch_smoke` bin and the pinned determinism test
-//! (`tests/op_fingerprints.rs`) so they cannot drift apart.
+//! (`tests/op_fingerprints.rs`) so they cannot drift apart. Each compile is
+//! pinned as a [`Pin`]: the op stream's hash plus the executor metrics the
+//! figures report, so neither a scheduler change nor an executor change can
+//! move a figure silently.
 //!
 //! Every fingerprint can be produced through three pipeline paths —
 //! [`FingerprintMode::OneShot`], [`FingerprintMode::Session`] (one reused
@@ -33,6 +36,36 @@ pub fn fnv(bytes: &[u8]) -> u64 {
 /// FNV-1a fingerprint of a program's exhaustive `Debug`-rendered op stream.
 pub fn fingerprint(program: &CompiledProgram) -> u64 {
     fnv(format!("{:?}", program.ops()).as_bytes())
+}
+
+/// What one compile is pinned on: its op stream's hash and the executor
+/// metrics the paper's figures report, the `f64`s by their exact bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pin {
+    /// [`fingerprint`] of the op stream.
+    pub hash: u64,
+    /// `ExecutionMetrics::shuttle_count`.
+    pub shuttles: usize,
+    /// `ExecutionMetrics::chain_rearrangements`.
+    pub chain_rearrangements: usize,
+    /// `ExecutionMetrics::execution_time_us`, as `f64::to_bits`.
+    pub execution_time_bits: u64,
+    /// `ExecutionMetrics::log10_fidelity()`, as `f64::to_bits`.
+    pub log10_fidelity_bits: u64,
+}
+
+impl Pin {
+    /// The pin of a compiled program.
+    pub fn of(program: &CompiledProgram) -> Self {
+        let metrics = program.metrics();
+        Pin {
+            hash: fingerprint(program),
+            shuttles: metrics.shuttle_count,
+            chain_rearrangements: metrics.chain_rearrangements,
+            execution_time_bits: metrics.execution_time_us.to_bits(),
+            log10_fidelity_bits: metrics.log10_fidelity().to_bits(),
+        }
+    }
 }
 
 /// The circuits the fingerprints are pinned on: one per generator family
@@ -163,14 +196,14 @@ pub enum FingerprintMode {
     },
 }
 
-/// Every `(circuit-name, variant-label, fingerprint)` across the suite, in
+/// Every `(circuit-name, variant-label, pin)` across the suite, in
 /// pin order (circuit-major, variants in [`variant_labels`] order), produced
 /// through the requested pipeline path.
 ///
 /// # Panics
 ///
 /// Panics if a compiler fails on a suite circuit (the suite is sized to fit).
-pub fn suite_fingerprints(mode: FingerprintMode) -> Vec<(String, String, u64)> {
+pub fn suite_fingerprints(mode: FingerprintMode) -> Vec<(String, String, Pin)> {
     suite_fingerprints_inner(mode, false)
 }
 
@@ -185,14 +218,14 @@ pub fn suite_fingerprints(mode: FingerprintMode) -> Vec<(String, String, u64)> {
 ///
 /// Panics if a compiler fails on a suite circuit or a schedule fails
 /// verification.
-pub fn suite_fingerprints_verified(mode: FingerprintMode) -> Vec<(String, String, u64)> {
+pub fn suite_fingerprints_verified(mode: FingerprintMode) -> Vec<(String, String, Pin)> {
     suite_fingerprints_inner(mode, true)
 }
 
-fn suite_fingerprints_inner(mode: FingerprintMode, verified: bool) -> Vec<(String, String, u64)> {
+fn suite_fingerprints_inner(mode: FingerprintMode, verified: bool) -> Vec<(String, String, Pin)> {
     let circuits = suite();
-    // hashes[variant-index][circuit-index], one variant at a time.
-    let hashes: Vec<Vec<u64>> = variant_labels()
+    // pins[variant-index][circuit-index], one variant at a time.
+    let pins: Vec<Vec<Pin>> = variant_labels()
         .into_iter()
         .map(|variant| variant_fingerprints(variant, &circuits, mode, verified))
         .collect();
@@ -202,7 +235,7 @@ fn suite_fingerprints_inner(mode: FingerprintMode, verified: bool) -> Vec<(Strin
         .flat_map(|(i, circuit)| {
             variant_labels()
                 .into_iter()
-                .zip(&hashes)
+                .zip(&pins)
                 .map(move |(variant, column)| {
                     (circuit.name().to_string(), variant.to_string(), column[i])
                 })
@@ -210,7 +243,7 @@ fn suite_fingerprints_inner(mode: FingerprintMode, verified: bool) -> Vec<(Strin
         .collect()
 }
 
-/// The fingerprints of every circuit under one variant label, in circuit
+/// The pins of every circuit under one variant label, in circuit
 /// order, through the requested pipeline path. Mirrors [`compiler_for`], but
 /// keeps each compiler's concrete type so the session and batch paths get
 /// its typed context.
@@ -219,7 +252,7 @@ fn variant_fingerprints(
     circuits: &[Circuit],
     mode: FingerprintMode,
     verified: bool,
-) -> Vec<u64> {
+) -> Vec<Pin> {
     if let Some(options) = muss_ti_options(variant) {
         let make = |n| MussTiCompiler::new(DeviceConfig::for_qubits(n).build(), options);
         return fingerprints_through(variant, make, circuits, mode, verified);
@@ -253,16 +286,16 @@ fn fingerprints_through<C: Compiler + Sync>(
     circuits: &[Circuit],
     mode: FingerprintMode,
     verified: bool,
-) -> Vec<u64> {
+) -> Vec<Pin> {
     let verifier_for = |n| verified.then(|| ScheduleVerifier::new(device_model_for(variant, n)));
-    // Hashes one compile, running the verifier (when there is one) first.
+    // Pins one compile, running the verifier (when there is one) first.
     let finish = |circuit: &Circuit, verifier: Option<&ScheduleVerifier>, result| {
         let program = Result::and_then(result, |program: CompiledProgram| match verifier {
             Some(verifier) => verifier.as_check()(circuit, &program).map(|()| program),
             None => Ok(program),
         })
         .unwrap_or_else(|e| panic!("{variant} on {}: {e}", circuit.name()));
-        fingerprint(&program)
+        Pin::of(&program)
     };
     match mode {
         FingerprintMode::OneShot => circuits
@@ -299,7 +332,7 @@ fn fingerprints_through<C: Compiler + Sync>(
                     .or_default()
                     .push(i);
             }
-            let mut hashes = vec![0; circuits.len()];
+            let mut pins = vec![None; circuits.len()];
             for indices in groups.values() {
                 let group: Vec<Circuit> = indices.iter().map(|&i| circuits[i].clone()).collect();
                 let n = group[0].num_qubits();
@@ -309,22 +342,24 @@ fn fingerprints_through<C: Compiler + Sync>(
                 let check = check.as_ref().map(|c| c as ScheduleCheck<'_>);
                 let programs = compile_batch(&make(n), &group, threads, check);
                 for ((&i, circuit), result) in indices.iter().zip(&group).zip(programs) {
-                    hashes[i] = finish(circuit, None, result);
+                    pins[i] = Some(finish(circuit, None, result));
                 }
             }
-            hashes
+            pins.into_iter()
+                .map(|pin| pin.expect("every circuit is in one group"))
+                .collect()
         }
     }
 }
 
-/// Every `(variant-label, fingerprint)` for one circuit, in the order the
+/// Every `(variant-label, pin)` for one circuit, in the order the
 /// `op_fingerprint` bin prints them: the three MUSS-TI variants, then the
 /// three baselines (one-shot compiles).
 ///
 /// # Panics
 ///
 /// Panics if a compiler fails on the circuit (the suite is sized to fit).
-pub fn fingerprints_for(circuit: &Circuit) -> Vec<(String, u64)> {
+pub fn fingerprints_for(circuit: &Circuit) -> Vec<(String, Pin)> {
     let n = circuit.num_qubits();
     variant_labels()
         .into_iter()
@@ -332,7 +367,7 @@ pub fn fingerprints_for(circuit: &Circuit) -> Vec<(String, u64)> {
             let program = compiler_for(variant, n)
                 .compile(circuit)
                 .unwrap_or_else(|e| panic!("{variant} on {}: {e}", circuit.name()));
-            (variant.to_string(), fingerprint(&program))
+            (variant.to_string(), Pin::of(&program))
         })
         .collect()
 }

@@ -8,12 +8,19 @@
 //! pair, the production QASM front-end against the original one kept in
 //! [`crate::qasm_oracle`], and a full `parse → compile` differential.
 
+use std::fmt::Debug;
+use std::hash::Hash;
+
+use baselines::test_support::transport;
 use baselines::{DaiCompiler, GridConfig, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{Compiler, DeviceConfig};
+use eml_qccd::{
+    ChainStore, Compiler, DeviceConfig, EmlQccdDevice, Location, QccdGridDevice, ScheduledOp,
+    TrapId, ZoneId,
+};
 use ion_circuit::qasm::{Diagnostic, DiagnosticKind, ParseLimits};
 use ion_circuit::{generators, qasm, Circuit, DependencyDag, NaiveDag, QubitId};
-use muss_ti::test_support::check_swap_weights;
-use muss_ti::{MussTiCompiler, MussTiOptions, NaivePlacement, PlacementState, SwapWeights};
+use muss_ti::test_support::{check_swap_weights, shuttle};
+use muss_ti::{MussTiCompiler, MussTiOptions, NaivePlacement, SwapWeights};
 use rand::rngs::StdRng;
 use rand::Rng;
 use verify::{DeviceModel, ScheduleVerifier};
@@ -244,141 +251,244 @@ pub fn check_dag_oracle(circuit: &Circuit, salt: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// A device whose locations hold ion chains, with its compiler's transfer
+/// and the oracle's.
+trait ChainDevice {
+    type L: Location + Hash + Debug;
+    fn locations(&self) -> Vec<Self::L>;
+    fn capacity(&self, at: Self::L) -> usize;
+    /// Every location the compiler could send an ion at `from` to.
+    fn reachable(&self, from: Self::L) -> Vec<Self::L>;
+    fn transfer(
+        &self,
+        store: &mut ChainStore<Self::L>,
+        q: QubitId,
+        to: Self::L,
+    ) -> Vec<ScheduledOp>;
+    fn transfer_naive(
+        &self,
+        naive: &mut NaivePlacement<Self::L>,
+        q: QubitId,
+        to: Self::L,
+    ) -> Vec<ScheduledOp>;
+}
+
+/// MUSS-TI: one intra-module hop between zones.
+impl ChainDevice for EmlQccdDevice {
+    type L = ZoneId;
+    fn locations(&self) -> Vec<ZoneId> {
+        self.zones().iter().map(|z| z.id).collect()
+    }
+    fn capacity(&self, at: ZoneId) -> usize {
+        self.zone(at).capacity
+    }
+    fn reachable(&self, from: ZoneId) -> Vec<ZoneId> {
+        let zones = self.zones_in_module(self.zone(from).module);
+        zones.iter().map(|z| z.id).filter(|&z| z != from).collect()
+    }
+    fn transfer(&self, store: &mut ChainStore<ZoneId>, q: QubitId, to: ZoneId) -> Vec<ScheduledOp> {
+        let mut ops = Vec::new();
+        shuttle(self, store, q, to, &mut ops);
+        ops
+    }
+    fn transfer_naive(
+        &self,
+        naive: &mut NaivePlacement<ZoneId>,
+        q: QubitId,
+        to: ZoneId,
+    ) -> Vec<ScheduledOp> {
+        naive.shuttle(self, q, to)
+    }
+}
+
+/// The grid baselines: one shuttle per hop between traps.
+impl ChainDevice for QccdGridDevice {
+    type L = TrapId;
+    fn locations(&self) -> Vec<TrapId> {
+        self.traps().to_vec()
+    }
+    fn capacity(&self, _: TrapId) -> usize {
+        self.trap_capacity()
+    }
+    fn reachable(&self, from: TrapId) -> Vec<TrapId> {
+        self.traps()
+            .iter()
+            .copied()
+            .filter(|&t| t != from)
+            .collect()
+    }
+    fn transfer(&self, store: &mut ChainStore<TrapId>, q: QubitId, to: TrapId) -> Vec<ScheduledOp> {
+        let mut ops = Vec::new();
+        transport(self, store, q, to, &mut ops);
+        ops
+    }
+    fn transfer_naive(
+        &self,
+        naive: &mut NaivePlacement<TrapId>,
+        q: QubitId,
+        to: TrapId,
+    ) -> Vec<ScheduledOp> {
+        naive.transport(self, q, to)
+    }
+}
+
 /// Compares every query of the flat and naive placement states.
-fn placements_agree(
-    device: &eml_qccd::EmlQccdDevice,
-    flat: &PlacementState,
-    naive: &NaivePlacement,
-    num_qubits: usize,
+fn placements_agree<D: ChainDevice>(
+    device: &D,
+    flat: &ChainStore<D::L>,
+    naive: &NaivePlacement<D::L>,
+    qubits: &[QubitId],
     step: usize,
 ) -> Result<(), String> {
-    for q in 0..num_qubits {
-        let qubit = QubitId::new(q);
+    for &q in qubits {
         ensure_eq!(
-            flat.zone_of(qubit),
-            naive.zone_of(qubit),
-            "zone_of(q{q}) at step {step}"
+            flat.location_of(q),
+            naive.location_of(q),
+            "location_of({q}) at step {step}"
         );
         ensure_eq!(
-            flat.module_of(device, qubit),
-            naive.module_of(device, qubit),
-            "module_of(q{q}) at step {step}"
-        );
-        ensure_eq!(
-            flat.last_use(qubit),
-            naive.last_use(qubit),
-            "last_use(q{q}) at step {step}"
+            flat.last_use(q),
+            naive.last_use(q),
+            "last_use({q}) at step {step}"
         );
     }
-    for zone in device.zones() {
+    for at in device.locations() {
         ensure_eq!(
-            flat.chain(zone.id),
-            naive.chain(zone.id),
-            "chain({}) at step {step}",
-            zone.id
+            flat.chain(at),
+            naive.chain(at),
+            "chain({at}) at step {step}"
         );
         ensure_eq!(
-            flat.occupancy(zone.id),
-            naive.occupancy(zone.id),
-            "occupancy({}) at step {step}",
-            zone.id
+            flat.occupancy(at),
+            naive.occupancy(at),
+            "occupancy({at}) at step {step}"
         );
         ensure_eq!(
-            flat.free_slots(device, zone.id),
-            naive.free_slots(device, zone.id),
-            "free_slots({}) at step {step}",
-            zone.id
-        );
-        ensure_eq!(
-            flat.lru_victim(zone.id, &[]),
-            naive.lru_victim(zone.id, &[]),
-            "lru_victim({}) at step {step}",
-            zone.id
-        );
-    }
-    for &module in device.modules() {
-        ensure_eq!(
-            flat.module_occupancy(module),
-            naive.module_occupancy(module),
-            "module_occupancy({module}) at step {step}"
+            flat.lru_victim(at, &[]),
+            naive.lru_victim(at, &[]),
+            "lru_victim({at}) at step {step}"
         );
     }
     ensure_eq!(flat.mapping(), naive.mapping(), "mapping() at step {step}");
     Ok(())
 }
 
-/// Random place/touch/shuttle/swap sequences against a random small device:
-/// the flat [`PlacementState`] must track [`NaivePlacement`] exactly.
+/// Random place/touch/transfer/swap sequences on a random small EML-QCCD
+/// device (one-hop shuttles) and a random small grid (multi-hop transports):
+/// the flat [`ChainStore`] must track [`NaivePlacement`] exactly, its
+/// moved-qubit log must name exactly the qubits each step moved, and LRU
+/// victims must agree under protected sets whose qubits alias mod 64.
 pub fn check_placement_oracle(rng: &mut StdRng) -> Result<(), String> {
-    let device = DeviceConfig::default()
+    let eml = DeviceConfig::default()
         .with_modules(rng.gen_range(1..4usize))
         .with_trap_capacity(rng.gen_range(2..6usize))
         .build();
-    let num_qubits = device.total_capacity().min(12);
-    let mut flat = PlacementState::new(&device);
-    let mut naive = NaivePlacement::new(&device);
+    placement_campaign(&eml, rng).map_err(|e| format!("one-hop shuttles: {e}"))?;
+    let grid = GridConfig::new(
+        rng.gen_range(1..4usize),
+        rng.gen_range(1..4usize),
+        rng.gen_range(2..6usize),
+    )
+    .build();
+    placement_campaign(&grid, rng).map_err(|e| format!("multi-hop transports: {e}"))
+}
+
+fn placement_campaign<D: ChainDevice>(device: &D, rng: &mut StdRng) -> Result<(), String> {
+    let locations = device.locations();
+    let capacity: usize = locations.iter().map(|&at| device.capacity(at)).sum();
+    // Ids spread so that q0 / q64 / q128, q1 / q65 / q129, ... alias in the
+    // protected-set mask.
+    let qubits: Vec<QubitId> = (0..capacity.min(12))
+        .map(|i| QubitId::new(i / 3 + 64 * (i % 3)))
+        .collect();
+    let mut flat = ChainStore::new(locations.len());
+    let mut naive = NaivePlacement::default();
     let mut clock = 0u64;
     let steps = rng.gen_range(20..160usize);
     for step in 0..steps {
         let placed: Vec<QubitId> = flat.mapping().iter().map(|&(q, _)| q).collect();
-        match rng.gen_range(0..4usize) {
-            // Place the next unplaced qubit into a random zone with space.
+        let has_space =
+            |flat: &ChainStore<D::L>, at: D::L| flat.occupancy(at) < device.capacity(at);
+        let mut moved = Vec::new();
+        match rng.gen_range(0..5usize) {
+            // Place the next unplaced qubit into a random location with space.
             0 => {
-                let unplaced = (0..num_qubits)
-                    .map(QubitId::new)
-                    .find(|&q| flat.zone_of(q).is_none());
-                let with_space: Vec<_> = device
-                    .zones()
+                let unplaced = qubits
                     .iter()
-                    .filter(|z| flat.free_slots(&device, z.id) > 0)
-                    .map(|z| z.id)
+                    .copied()
+                    .find(|&q| flat.location_of(q).is_none());
+                let with_space: Vec<D::L> = locations
+                    .iter()
+                    .copied()
+                    .filter(|&at| has_space(&flat, at))
                     .collect();
-                if let (Some(qubit), false) = (unplaced, with_space.is_empty()) {
-                    let zone = with_space[rng.gen_range(0..with_space.len())];
-                    flat.place(&device, qubit, zone);
-                    naive.place(&device, qubit, zone);
+                if let (Some(q), false) = (unplaced, with_space.is_empty()) {
+                    let at = with_space[rng.gen_range(0..with_space.len())];
+                    flat.place(q, at);
+                    naive.place(q, at);
+                    moved.push(q);
                 }
             }
             // Touch a random placed qubit at the next logical time.
             1 => {
                 if !placed.is_empty() {
                     clock += 1;
-                    let qubit = placed[rng.gen_range(0..placed.len())];
-                    flat.touch(qubit, clock);
-                    naive.touch(qubit, clock);
+                    let q = placed[rng.gen_range(0..placed.len())];
+                    flat.touch(q, clock);
+                    naive.touch(q, clock);
                 }
             }
-            // Shuttle a placed qubit to a same-module zone with space.
+            // Transfer a placed qubit to a reachable location with space.
             2 => {
                 if !placed.is_empty() {
-                    let qubit = placed[rng.gen_range(0..placed.len())];
-                    let home = flat.zone_of(qubit).expect("placed");
-                    let module = device.zone(home).module;
-                    let targets: Vec<_> = device
-                        .zones_in_module(module)
-                        .iter()
-                        .filter(|z| z.id == home || flat.free_slots(&device, z.id) > 0)
-                        .map(|z| z.id)
+                    let q = placed[rng.gen_range(0..placed.len())];
+                    let from = flat.location_of(q).expect("placed");
+                    let targets: Vec<D::L> = device
+                        .reachable(from)
+                        .into_iter()
+                        .filter(|&at| has_space(&flat, at))
                         .collect();
-                    let to = targets[rng.gen_range(0..targets.len())];
-                    let flat_ops = flat.shuttle(&device, qubit, to);
-                    let naive_ops = naive.shuttle(&device, qubit, to);
-                    ensure_eq!(flat_ops, naive_ops, "shuttle ops at step {step}");
+                    if !targets.is_empty() {
+                        let to = targets[rng.gen_range(0..targets.len())];
+                        let flat_ops = device.transfer(&mut flat, q, to);
+                        let naive_ops = device.transfer_naive(&mut naive, q, to);
+                        ensure_eq!(flat_ops, naive_ops, "transfer ops at step {step}");
+                        moved.push(q);
+                    }
                 }
             }
             // Logically swap two placed qubits.
-            _ => {
+            3 => {
                 if placed.len() >= 2 {
                     let a = placed[rng.gen_range(0..placed.len())];
                     let b = placed[rng.gen_range(0..placed.len())];
                     if a != b {
                         flat.swap_logical(a, b);
                         naive.swap_logical(a, b);
+                        moved.extend([a, b]);
                     }
                 }
             }
+            // LRU victims under a random protected subset of the register.
+            _ => {
+                let protected: Vec<QubitId> = qubits
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_range(0..3usize) == 0)
+                    .collect();
+                for &at in &locations {
+                    ensure_eq!(
+                        flat.lru_victim(at, &protected),
+                        naive.lru_victim(at, &protected),
+                        "lru_victim({at}, {protected:?}) at step {step}"
+                    );
+                }
+            }
         }
-        placements_agree(&device, &flat, &naive, num_qubits, step)?;
+        let mut logged = Vec::new();
+        flat.drain_moved(|q| logged.push(q));
+        ensure_eq!(logged, moved, "moved-qubit log at step {step}");
+        placements_agree(device, &flat, &naive, &qubits, step)?;
     }
     Ok(())
 }
@@ -393,7 +503,7 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
     let circuit = generators::random_circuit(num_qubits, gates, rng.gen_range(0..1u64 << 32));
     let device = DeviceConfig::for_qubits(num_qubits).build();
     let mut dag = DependencyDag::from_circuit(&circuit);
-    let mut state = PlacementState::new(&device);
+    let mut state = ChainStore::new(device.num_zones());
     // Spread the ions round-robin over every zone with space.
     let zones = device.zones();
     let mut cursor = 0usize;
@@ -401,12 +511,14 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
         loop {
             let zone = &zones[cursor % zones.len()];
             cursor += 1;
-            if state.free_slots(&device, zone.id) > 0 {
-                state.place(&device, QubitId::new(q), zone.id);
+            if state.occupancy(zone.id) < zone.capacity {
+                state.place(QubitId::new(q), zone.id);
                 break;
             }
         }
     }
+    let module_of =
+        |state: &ChainStore<ZoneId>, q| state.location_of(q).map(|z| device.zone(z).module);
     let mut weights = SwapWeights::default();
     let steps = rng.gen_range(20..120usize);
     for step in 0..steps {
@@ -424,21 +536,22 @@ pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
             // Intra-module shuttle: invisible to the module-granular weights.
             2 => {
                 let q = QubitId::new(rng.gen_range(0..num_qubits));
-                let module = state.module_of(&device, q).expect("placed");
-                let from = state.zone_of(q).expect("placed");
-                if let Some(&to) = state
-                    .zones_with_space(&device, module, None)
+                let from = state.location_of(q).expect("placed");
+                // The highest-level other zone of the module with space.
+                if let Some(to) = device
+                    .zones_in_module(device.zone(from).module)
                     .iter()
-                    .find(|&&z| z != from)
+                    .filter(|z| z.id != from && state.occupancy(z.id) < z.capacity)
+                    .min_by_key(|z| std::cmp::Reverse(z.level))
                 {
-                    let _ = state.shuttle(&device, q, to);
+                    shuttle(&device, &mut state, q, to.id, &mut Vec::new());
                 }
             }
             // Cross-module logical swap: the only way a qubit changes module.
             _ => {
                 let a = QubitId::new(rng.gen_range(0..num_qubits));
                 let b = QubitId::new(rng.gen_range(0..num_qubits));
-                if state.module_of(&device, a) != state.module_of(&device, b) {
+                if module_of(&state, a) != module_of(&state, b) {
                     state.swap_logical(a, b);
                 }
             }

@@ -19,7 +19,8 @@
 //! * [`differential`] — per-case checks: QASM round-trip exactness,
 //!   production-vs-oracle QASM parsing,
 //!   optimised-vs-oracle equivalence for [`ion_circuit::DependencyDag`] vs
-//!   `NaiveDag`, `muss_ti::PlacementState` vs `NaivePlacement`,
+//!   `NaiveDag`, `eml_qccd::ChainStore` (moved by MUSS-TI's one-hop
+//!   shuttle and the grid's multi-hop transport) vs `NaivePlacement`,
 //!   `muss_ti::SwapWeights` on-demand decisions vs the full-window
 //!   `WeightTable`, and the
 //!   `parse → compile → to_qasm → parse` differential compile.

@@ -84,16 +84,18 @@ pub use context::MussTiContext;
 /// Test-support hooks for the external parity suites (not part of the API;
 /// hidden and semver-exempt). Exposes just enough of the internal scheduler
 /// to let integration tests pin cost-only dry passes against full passes,
-/// and the on-demand SWAP-insertion weights against their full-window
-/// oracle.
+/// the on-demand SWAP-insertion weights against their full-window oracle,
+/// and MUSS-TI's shuttle against the placement oracle.
 #[doc(hidden)]
 pub mod test_support {
-    use eml_qccd::{CompileError, EmlQccdDevice, ModuleId, ZoneId};
+    use eml_qccd::{ChainStore, CompileError, EmlQccdDevice, ModuleId, ZoneId};
     use ion_circuit::{Circuit, DependencyDag, QubitId};
 
     use crate::mapping::trivial_mapping;
     use crate::scheduler::{schedule_cost_only, schedule_in, SchedulerScratch};
-    use crate::{MussTiOptions, PlacementState, SwapWeights, WeightTable};
+    use crate::{MussTiOptions, SwapWeights, WeightTable};
+
+    pub use crate::placement::shuttle;
 
     /// Checks every SWAP-insertion decision [`SwapWeights`] answers on
     /// demand against the [`WeightTable`] oracle built from the full
@@ -109,9 +111,9 @@ pub mod test_support {
         k: usize,
         threshold: usize,
         device: &EmlQccdDevice,
-        state: &PlacementState,
+        state: &ChainStore<ZoneId>,
     ) -> Result<(), String> {
-        let module_of = |q| state.module_of(device, q);
+        let module_of = |q| state.location_of(q).map(|z| device.zone(z).module);
         let table = WeightTable::compute(dag, k, device.num_modules(), module_of);
         for q in (0..dag.num_qubits()).map(QubitId::new) {
             let Some(home) = module_of(q) else { continue };
@@ -200,10 +202,4 @@ pub mod test_support {
 }
 pub use naive_placement::NaivePlacement;
 pub use options::{InitialMappingStrategy, MussTiOptions};
-pub use placement::PlacementState;
 pub use swap_insertion::{SwapWeights, WeightTable};
-
-/// Wall-clock breakdown of one compilation run, phase by phase. This is the
-/// pipeline-wide [`StageTimings`](eml_qccd::StageTimings) type, re-exported
-/// under its historical MUSS-TI name.
-pub type PhaseTimings = eml_qccd::StageTimings;

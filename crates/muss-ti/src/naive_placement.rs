@@ -1,105 +1,80 @@
 //! The retained HashMap-backed reference implementation of the placement
-//! state, kept verbatim from before the flat-array refactor.
+//! state, kept from before the flat-array refactor.
 //!
 //! [`NaivePlacement`] exists purely as an executable specification: the
-//! `placement_equivalence` suite drives random place/touch/shuttle/swap
-//! sequences through it and [`PlacementState`](crate::PlacementState) in
-//! lock-step and asserts every query agrees — the same pattern
-//! `ion_circuit::NaiveDag` pins the incremental DAG with. It is not used on
-//! any compile path.
+//! `placement_equivalence` suite drives random place/touch/transfer/swap
+//! sequences through it and through [`eml_qccd::ChainStore`] in lock-step,
+//! for MUSS-TI's one-hop shuttles over zones and the grid baselines'
+//! multi-hop transports over traps, and asserts every query agrees — the
+//! same pattern `ion_circuit::NaiveDag` pins the incremental DAG with. It is
+//! not used on any compile path.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use eml_qccd::{EmlQccdDevice, ModuleId, ScheduledOp, ZoneId, ZoneLevel};
+use eml_qccd::{EmlQccdDevice, Location, QccdGridDevice, ScheduledOp, TrapId, ZoneId};
 use ion_circuit::QubitId;
 
-/// HashMap-backed placement state (reference implementation).
+/// HashMap-backed placement state over zones or traps (reference
+/// implementation).
 ///
-/// Mirrors the [`PlacementState`](crate::PlacementState) API method for
-/// method; see there for semantics.
+/// Mirrors the [`ChainStore`](eml_qccd::ChainStore) API method for method,
+/// plus the two compilers' transfers; see there for semantics.
 #[derive(Debug, Clone)]
-pub struct NaivePlacement {
-    qubit_zone: HashMap<QubitId, ZoneId>,
-    chains: HashMap<ZoneId, Vec<QubitId>>,
+pub struct NaivePlacement<L> {
+    location: HashMap<QubitId, L>,
+    chains: HashMap<L, Vec<QubitId>>,
     last_use: HashMap<QubitId, u64>,
-    module_count: HashMap<ModuleId, usize>,
 }
 
-impl NaivePlacement {
-    /// Creates an empty placement (no ion placed yet).
-    pub fn new(device: &EmlQccdDevice) -> Self {
-        let chains = device.zones().iter().map(|z| (z.id, Vec::new())).collect();
-        let module_count = device.modules().iter().map(|&m| (m, 0)).collect();
+impl<L: Location + Hash> Default for NaivePlacement<L> {
+    fn default() -> Self {
         NaivePlacement {
-            qubit_zone: HashMap::new(),
-            chains,
+            location: HashMap::new(),
+            chains: HashMap::new(),
             last_use: HashMap::new(),
-            module_count,
         }
     }
+}
 
-    /// Builds a placement from an explicit qubit → zone assignment.
+impl<L: Location + Hash> NaivePlacement<L> {
+    /// Builds a placement from an explicit qubit → location assignment.
     ///
     /// # Panics
     ///
-    /// Panics if an assignment exceeds a zone's capacity.
-    pub fn from_mapping(device: &EmlQccdDevice, mapping: &[(QubitId, ZoneId)]) -> Self {
-        let mut state = Self::new(device);
-        for &(q, z) in mapping {
+    /// Panics if an assignment fills a location past `capacity(location)`.
+    pub fn from_mapping(mapping: &[(QubitId, L)], capacity: impl Fn(L) -> usize) -> Self {
+        let mut state = Self::default();
+        for &(q, at) in mapping {
             assert!(
-                state.occupancy(z) < device.zone(z).capacity,
-                "initial mapping overfills {z}"
+                state.occupancy(at) < capacity(at),
+                "initial mapping overfills {at}"
             );
-            state.place(device, q, z);
+            state.place(q, at);
         }
         state
     }
 
-    /// Places a not-yet-placed qubit at the edge of `zone`'s chain.
-    pub fn place(&mut self, device: &EmlQccdDevice, qubit: QubitId, zone: ZoneId) {
-        debug_assert!(
-            !self.qubit_zone.contains_key(&qubit),
-            "{qubit} placed twice"
-        );
-        self.qubit_zone.insert(qubit, zone);
-        self.chains.get_mut(&zone).expect("zone exists").push(qubit);
-        *self
-            .module_count
-            .entry(device.zone(zone).module)
-            .or_insert(0) += 1;
+    /// Places a not-yet-placed qubit at the end of `at`'s chain.
+    pub fn place(&mut self, qubit: QubitId, at: L) {
+        debug_assert!(!self.location.contains_key(&qubit), "{qubit} placed twice");
+        self.location.insert(qubit, at);
+        self.chains.entry(at).or_default().push(qubit);
     }
 
-    /// The zone currently holding `qubit`, if it has been placed.
-    pub fn zone_of(&self, qubit: QubitId) -> Option<ZoneId> {
-        self.qubit_zone.get(&qubit).copied()
+    /// The location currently holding `qubit`, if it has been placed.
+    pub fn location_of(&self, qubit: QubitId) -> Option<L> {
+        self.location.get(&qubit).copied()
     }
 
-    /// The module currently holding `qubit`.
-    pub fn module_of(&self, device: &EmlQccdDevice, qubit: QubitId) -> Option<ModuleId> {
-        self.zone_of(qubit).map(|z| device.zone(z).module)
+    /// Number of ions currently in `at`.
+    pub fn occupancy(&self, at: L) -> usize {
+        self.chains.get(&at).map(Vec::len).unwrap_or(0)
     }
 
-    /// Number of ions currently in `zone`.
-    pub fn occupancy(&self, zone: ZoneId) -> usize {
-        self.chains.get(&zone).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Number of ions currently in `module`.
-    pub fn module_occupancy(&self, module: ModuleId) -> usize {
-        self.module_count.get(&module).copied().unwrap_or(0)
-    }
-
-    /// The ions in `zone`, in chain order.
-    pub fn chain(&self, zone: ZoneId) -> &[QubitId] {
-        self.chains.get(&zone).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Remaining free slots in `zone`.
-    pub fn free_slots(&self, device: &EmlQccdDevice, zone: ZoneId) -> usize {
-        device
-            .zone(zone)
-            .capacity
-            .saturating_sub(self.occupancy(zone))
+    /// The ions in `at`, in chain order.
+    pub fn chain(&self, at: L) -> &[QubitId] {
+        self.chains.get(&at).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Records that `qubit` was just used by a gate at logical time `time`.
@@ -112,46 +87,45 @@ impl NaivePlacement {
         self.last_use.get(&qubit).copied().unwrap_or(0)
     }
 
-    /// The least-recently-used ion in `zone`, excluding `protected` qubits.
-    pub fn lru_victim(&self, zone: ZoneId, protected: &[QubitId]) -> Option<QubitId> {
-        self.chain(zone)
+    /// The least-recently-used ion in `at`, excluding `protected` qubits.
+    pub fn lru_victim(&self, at: L, protected: &[QubitId]) -> Option<QubitId> {
+        self.chain(at)
             .iter()
             .copied()
             .filter(|q| !protected.contains(q))
             .min_by_key(|q| (self.last_use(*q), q.index()))
     }
 
-    /// Moves `qubit` from its current zone to `to` (see
-    /// [`PlacementState::shuttle`](crate::PlacementState::shuttle)).
+    /// Moves `qubit` to `to` along `route` (the locations after the one it
+    /// leaves, ending at `to`): chain rearrangements to the nearest edge,
+    /// then one shuttle per hop of `distance_um(from, to)`.
     ///
     /// # Panics
     ///
-    /// Panics if the qubit is unplaced, the destination is full, or the move
-    /// crosses modules.
-    pub fn shuttle(
+    /// Panics if the qubit is unplaced or already in `to`, or if `to`
+    /// already holds `capacity` ions.
+    fn transfer(
         &mut self,
-        device: &EmlQccdDevice,
         qubit: QubitId,
-        to: ZoneId,
+        to: L,
+        capacity: usize,
+        route: impl Fn(L) -> Vec<L>,
+        distance_um: impl Fn(L, L) -> f64,
     ) -> Vec<ScheduledOp> {
         let from = self
-            .zone_of(qubit)
-            .expect("cannot shuttle an unplaced qubit");
-        if from == to {
-            return Vec::new();
-        }
-        assert_eq!(
-            device.zone(from).module,
-            device.zone(to).module,
-            "ions never shuttle between modules"
-        );
+            .location_of(qubit)
+            .expect("cannot transfer an unplaced qubit");
+        assert!(from != to, "{qubit} is already in {to}");
         assert!(
-            self.occupancy(to) < device.zone(to).capacity,
-            "shuttle destination {to} is full"
+            self.occupancy(to) < capacity,
+            "transfer destination {to} is full"
         );
 
         let mut ops = Vec::new();
-        let chain = self.chains.get_mut(&from).expect("zone exists");
+        let chain = self
+            .chains
+            .get_mut(&from)
+            .expect("placed qubits have a chain");
         let idx = chain
             .iter()
             .position(|&q| q == qubit)
@@ -162,64 +136,118 @@ impl NaivePlacement {
         }
         chain.remove(idx);
 
-        ops.push(ScheduledOp::Shuttle {
-            qubit,
-            from_zone: from.index(),
-            to_zone: to.index(),
-            distance_um: device.intra_module_distance_um(from, to),
-        });
+        let mut at = from;
+        for next in route(from) {
+            ops.push(ScheduledOp::Shuttle {
+                qubit,
+                from_zone: at.index(),
+                to_zone: next.index(),
+                distance_um: distance_um(at, next),
+            });
+            at = next;
+        }
+        assert!(at == to, "the route must end at {to}");
 
-        self.chains.get_mut(&to).expect("zone exists").push(qubit);
-        self.qubit_zone.insert(qubit, to);
+        self.chains.entry(to).or_default().push(qubit);
+        self.location.insert(qubit, to);
         ops
     }
 
     /// Logically exchanges two placed ions (see
-    /// [`PlacementState::swap_logical`](crate::PlacementState::swap_logical)).
+    /// [`ChainStore::swap_logical`](eml_qccd::ChainStore::swap_logical)).
     ///
     /// # Panics
     ///
     /// Panics if either qubit is unplaced.
     pub fn swap_logical(&mut self, a: QubitId, b: QubitId) {
-        let za = self.zone_of(a).expect("swap operand must be placed");
-        let zb = self.zone_of(b).expect("swap operand must be placed");
-        let ia = self.chains[&za]
+        let la = self.location_of(a).expect("swap operand must be placed");
+        let lb = self.location_of(b).expect("swap operand must be placed");
+        let ia = self.chains[&la]
             .iter()
             .position(|&q| q == a)
             .expect("a in chain");
-        let ib = self.chains[&zb]
+        let ib = self.chains[&lb]
             .iter()
             .position(|&q| q == b)
             .expect("b in chain");
-        self.chains.get_mut(&za).expect("zone exists")[ia] = b;
-        self.chains.get_mut(&zb).expect("zone exists")[ib] = a;
-        self.qubit_zone.insert(a, zb);
-        self.qubit_zone.insert(b, za);
+        self.chains.get_mut(&la).expect("placed")[ia] = b;
+        self.chains.get_mut(&lb).expect("placed")[ib] = a;
+        self.location.insert(a, lb);
+        self.location.insert(b, la);
     }
 
-    /// The final qubit → zone assignment, sorted by qubit.
-    pub fn mapping(&self) -> Vec<(QubitId, ZoneId)> {
-        let mut mapping: Vec<(QubitId, ZoneId)> =
-            self.qubit_zone.iter().map(|(&q, &z)| (q, z)).collect();
+    /// The final qubit → location assignment, sorted by qubit.
+    pub fn mapping(&self) -> Vec<(QubitId, L)> {
+        let mut mapping: Vec<(QubitId, L)> =
+            self.location.iter().map(|(&q, &at)| (q, at)).collect();
         mapping.sort_by_key(|(q, _)| q.index());
         mapping
     }
+}
 
-    /// Zones of a module that still have free slots, preferring higher levels.
-    pub fn zones_with_space(
-        &self,
+impl NaivePlacement<ZoneId> {
+    /// MUSS-TI's shuttle (see `muss_ti::test_support::shuttle`): one
+    /// intra-module hop into a zone with a free slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the qubit is unplaced or already in `to`, the destination is
+    /// full, or the move crosses modules.
+    pub fn shuttle(
+        &mut self,
         device: &EmlQccdDevice,
-        module: ModuleId,
-        min_level: Option<ZoneLevel>,
-    ) -> Vec<ZoneId> {
-        let mut zones: Vec<ZoneId> = device
-            .zones_in_module(module)
-            .iter()
-            .filter(|z| min_level.is_none_or(|lvl| z.level >= lvl))
-            .filter(|z| self.free_slots(device, z.id) > 0)
-            .map(|z| z.id)
-            .collect();
-        zones.sort_by_key(|&z| std::cmp::Reverse(device.zone(z).level));
-        zones
+        qubit: QubitId,
+        to: ZoneId,
+    ) -> Vec<ScheduledOp> {
+        let from = self
+            .location_of(qubit)
+            .expect("cannot shuttle an unplaced qubit");
+        assert_eq!(
+            device.zone(from).module,
+            device.zone(to).module,
+            "ions never shuttle between modules"
+        );
+        self.transfer(
+            qubit,
+            to,
+            device.zone(to).capacity,
+            |_| vec![to],
+            |a, b| device.intra_module_distance_um(a, b),
+        )
+    }
+}
+
+impl NaivePlacement<TrapId> {
+    /// The grid baselines' transport: one shuttle per hop of the
+    /// rows-then-columns route into a trap with a free slot; intermediate
+    /// traps are passed through, not joined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the qubit is unplaced or already in `to`, or the destination
+    /// is full.
+    pub fn transport(
+        &mut self,
+        device: &QccdGridDevice,
+        qubit: QubitId,
+        to: TrapId,
+    ) -> Vec<ScheduledOp> {
+        let route = |from: TrapId| {
+            let (mut r, mut c) = device.coordinates(from);
+            let (tr, tc) = device.coordinates(to);
+            let mut path = Vec::new();
+            while r != tr {
+                r = if tr > r { r + 1 } else { r - 1 };
+                path.push(device.trap_at(r, c).expect("on the grid"));
+            }
+            while c != tc {
+                c = if tc > c { c + 1 } else { c - 1 };
+                path.push(device.trap_at(r, c).expect("on the grid"));
+            }
+            path
+        };
+        self.transfer(qubit, to, device.trap_capacity(), route, |_, _| {
+            device.hop_distance_um()
+        })
     }
 }

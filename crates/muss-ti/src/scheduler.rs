@@ -30,14 +30,14 @@ use std::time::{Duration, Instant};
 #[cfg(test)]
 use eml_qccd::pipeline::Scheduled;
 use eml_qccd::{
-    CompileError, EmlQccdDevice, ModuleId, OpCounter, OpSink, ScheduleDriver, SchedulePass,
-    ScheduledOp, ZoneId, ZoneLevel,
+    ChainStore, CompileError, EmlQccdDevice, ModuleId, OpCounter, OpSink, Protected,
+    ScheduleDriver, SchedulePass, ScheduledOp, ZoneId, ZoneLevel,
 };
 #[cfg(test)]
 use ion_circuit::Circuit;
 use ion_circuit::{DagNodeId, DependencyDag, QubitId};
 
-use crate::placement::{is_protected, protected_mask, PlacementState};
+use crate::placement::shuttle;
 use crate::swap_insertion::SwapWeights;
 use crate::MussTiOptions;
 
@@ -46,8 +46,8 @@ use crate::MussTiOptions;
 #[derive(Debug, Clone)]
 pub(crate) struct SchedulerScratch {
     /// Dynamic placement state, re-initialised per pass via
-    /// [`PlacementState::reset_from_mapping`].
-    pub(crate) state: PlacementState,
+    /// [`ChainStore::reset`].
+    pub(crate) state: ChainStore<ZoneId>,
     /// The op stream of the most recent full pass (cleared at pass start;
     /// cost-only passes leave it untouched).
     pub(crate) ops: Vec<ScheduledOp>,
@@ -61,7 +61,7 @@ pub(crate) struct SchedulerScratch {
 impl SchedulerScratch {
     pub(crate) fn new(device: &EmlQccdDevice) -> Self {
         SchedulerScratch {
-            state: PlacementState::new(device),
+            state: ChainStore::new(device.num_zones()),
             ops: Vec::new(), // lint: allow (pooled-buffer setup, grown once and recycled)
             weights: SwapWeights::default(),
             driver: ScheduleDriver::default(),
@@ -181,7 +181,7 @@ fn run_pass<S: OpSink>(
     } = cx;
     // Placing every qubit logs it as moved, so the first step examines the
     // ready gate of every placed qubit: the whole executable front.
-    state.reset_from_mapping(device, initial_mapping);
+    state.reset(initial_mapping, |zone| device.zone(zone).capacity);
     let walks_before = weights.walks();
     let mut scheduler = Scheduler {
         device,
@@ -228,7 +228,7 @@ pub(crate) fn schedule(
 struct Scheduler<'a, S: OpSink> {
     device: &'a EmlQccdDevice,
     options: &'a MussTiOptions,
-    state: &'a mut PlacementState,
+    state: &'a mut ChainStore<ZoneId>,
     dag: &'a mut DependencyDag,
     ops: &'a mut S,
     weights: &'a mut SwapWeights,
@@ -252,7 +252,7 @@ impl<S: OpSink> SchedulePass for Scheduler<'_, S> {
     /// they sit in optical zones of two different modules (fiber gate).
     fn is_executable(&self, node: DagNodeId) -> bool {
         let (a, b) = self.dag.operands(node);
-        let (Some(za), Some(zb)) = (self.state.zone_of(a), self.state.zone_of(b)) else {
+        let (Some(za), Some(zb)) = (self.state.location_of(a), self.state.location_of(b)) else {
             return false;
         };
         if za == zb {
@@ -338,7 +338,7 @@ impl<S: OpSink> SchedulePass for Scheduler<'_, S> {
 impl<S: OpSink> Scheduler<'_, S> {
     fn zone_of(&self, q: QubitId) -> Result<ZoneId, CompileError> {
         self.state
-            .zone_of(q)
+            .location_of(q)
             .ok_or_else(|| CompileError::PlacementFailed {
                 qubit: q,
                 context: "qubit not present in the initial mapping".to_string(),
@@ -347,6 +347,14 @@ impl<S: OpSink> Scheduler<'_, S> {
 
     fn module_of(&self, q: QubitId) -> Result<ModuleId, CompileError> {
         Ok(self.device.zone(self.zone_of(q)?).module)
+    }
+
+    /// Remaining free slots in `zone` (`O(1)`).
+    fn free_slots(&self, zone: ZoneId) -> usize {
+        self.device
+            .zone(zone)
+            .capacity
+            .saturating_sub(self.state.occupancy(zone))
     }
 
     /// Multi-level zone selection for an intra-module gate: among the module's
@@ -381,7 +389,7 @@ impl<S: OpSink> Scheduler<'_, S> {
                     level_cost += this.device.zone(z).level.distance(zone.level);
                 }
             }
-            let free = this.state.free_slots(this.device, zone.id);
+            let free = this.free_slots(zone.id);
             (incoming, incoming.saturating_sub(free), level_cost)
         };
 
@@ -451,12 +459,7 @@ impl<S: OpSink> Scheduler<'_, S> {
             .zones_in_module_at_level(module, ZoneLevel::Optical);
         let target = optical_zones
             .iter()
-            .max_by_key(|z| {
-                (
-                    self.state.free_slots(self.device, z.id),
-                    std::cmp::Reverse(z.id.index()),
-                )
-            })
+            .max_by_key(|z| (self.free_slots(z.id), std::cmp::Reverse(z.id.index())))
             .map(|z| z.id)
             .ok_or_else(|| CompileError::PlacementFailed {
                 qubit: q,
@@ -477,7 +480,7 @@ impl<S: OpSink> Scheduler<'_, S> {
             return Ok(());
         }
         self.ensure_space(target, protected)?;
-        self.state.shuttle_into(self.device, q, target, self.ops);
+        shuttle(self.device, self.state, q, target, self.ops);
         Ok(())
     }
 
@@ -493,7 +496,7 @@ impl<S: OpSink> Scheduler<'_, S> {
         let state = &*self.state;
         self.dag
             .count_window_partners(self.options.lookahead_k, q, |p| {
-                state.zone_of(p) == Some(zone)
+                state.location_of(p) == Some(zone)
             })
     }
 
@@ -523,14 +526,14 @@ impl<S: OpSink> Scheduler<'_, S> {
     /// when two candidates actually share the minimal timestamp. The chosen
     /// victim is identical to the one-phase lexicographic minimum.
     fn ensure_space(&mut self, zone: ZoneId, protected: &[QubitId]) -> Result<(), CompileError> {
-        let mask = protected_mask(protected);
-        while self.state.free_slots(self.device, zone) == 0 {
+        let protected_set = Protected::new(protected);
+        while self.free_slots(zone) == 0 {
             // Phase 1: minimal last-use timestamp and its tie count.
             let mut min_last: Option<u64> = None;
             let mut ties = 0usize;
             let mut first_tied: Option<QubitId> = None;
             for &q in self.state.chain(zone) {
-                if is_protected(q, mask, protected) {
+                if protected_set.contains(q) {
                     continue;
                 }
                 let last = self.state.last_use(q);
@@ -551,7 +554,7 @@ impl<S: OpSink> Scheduler<'_, S> {
                     .chain(zone)
                     .iter()
                     .copied()
-                    .filter(|&q| !is_protected(q, mask, protected))
+                    .filter(|&q| !protected_set.contains(q))
                     .filter(|&q| Some(self.state.last_use(q)) == min_last)
                     .min_by_key(|&q| (std::cmp::Reverse(self.next_use_distance(q)), q.index()))
             } else {
@@ -568,8 +571,7 @@ impl<S: OpSink> Scheduler<'_, S> {
                     context: format!("no eviction target in module {module}"), // lint: allow (cold error path)
                 }
             })?;
-            self.state
-                .shuttle_into(self.device, victim, destination, self.ops);
+            shuttle(self.device, self.state, victim, destination, self.ops);
         }
         Ok(())
     }
@@ -584,7 +586,7 @@ impl<S: OpSink> Scheduler<'_, S> {
             .zones_in_module(from_zone.module)
             .iter()
             .filter(|z| z.id != from)
-            .filter(|z| self.state.free_slots(self.device, z.id) > 0)
+            .filter(|z| self.free_slots(z.id) > 0)
             .min_by_key(|z| {
                 let below = z.level < from_zone.level;
                 (
@@ -648,7 +650,7 @@ impl<S: OpSink> Scheduler<'_, S> {
             self.options.swap_threshold,
             q,
             home,
-            |p| state.module_of(device, p),
+            |p| state.location_of(p).map(|z| device.zone(z).module),
         )
     }
 
@@ -669,10 +671,9 @@ impl<S: OpSink> Scheduler<'_, S> {
                 if excluded.contains(&q) || best.is_some_and(|b| key(b) < key(q)) {
                     continue;
                 }
-                if self
-                    .weights
-                    .is_idle_on(dag, k, q, module, |p| state.module_of(device, p))
-                {
+                if self.weights.is_idle_on(dag, k, q, module, |p| {
+                    state.location_of(p).map(|z| device.zone(z).module)
+                }) {
                     best = Some(q);
                 }
             }

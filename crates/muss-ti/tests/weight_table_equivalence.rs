@@ -7,14 +7,14 @@
 //! full window (`WeightTable::compute`) is the executable specification.
 //! This suite drives arbitrary interleavings of gate retirement,
 //! intra-module shuttles and cross-module logical swaps against a real
-//! `PlacementState`, and pins every swap decision — each qubit's swap
+//! placement (`ChainStore` moved by MUSS-TI's shuttle), and pins every swap decision — each qubit's swap
 //! target and its `W(q, m) = 0` verdict per module — to the oracle's at
 //! irregular check points.
 
-use eml_qccd::{DeviceConfig, EmlQccdDevice};
+use eml_qccd::{ChainStore, DeviceConfig, EmlQccdDevice, ModuleId, ZoneId};
 use ion_circuit::{generators, DependencyDag, QubitId};
-use muss_ti::test_support::check_swap_weights;
-use muss_ti::{PlacementState, SwapWeights};
+use muss_ti::test_support::{check_swap_weights, shuttle};
+use muss_ti::SwapWeights;
 use proptest::prelude::*;
 
 const K: usize = 8;
@@ -29,8 +29,8 @@ const KS: [usize; 3] = [1, 2, K];
 const THRESHOLDS: [usize; 3] = [0, 1, 4];
 
 /// Places `num_qubits` ions round-robin across every zone with free space.
-fn spread_placement(device: &EmlQccdDevice, num_qubits: usize) -> PlacementState {
-    let mut state = PlacementState::new(device);
+fn spread_placement(device: &EmlQccdDevice, num_qubits: usize) -> ChainStore<ZoneId> {
+    let mut state = ChainStore::new(device.num_zones());
     let zones = device.zones();
     let mut zone_cursor = 0usize;
     for q in 0..num_qubits {
@@ -42,13 +42,17 @@ fn spread_placement(device: &EmlQccdDevice, num_qubits: usize) -> PlacementState
             zone_cursor += 1;
             tries += 1;
             assert!(tries <= zones.len(), "device too small for the test");
-            if state.free_slots(device, zone.id) > 0 {
-                state.place(device, QubitId::new(q), zone.id);
+            if state.occupancy(zone.id) < zone.capacity {
+                state.place(QubitId::new(q), zone.id);
                 break;
             }
         }
     }
     state
+}
+
+fn module_of(device: &EmlQccdDevice, state: &ChainStore<ZoneId>, q: QubitId) -> Option<ModuleId> {
+    state.location_of(q).map(|z| device.zone(z).module)
 }
 
 /// One random interleaving: retire / shuttle / swap / check.
@@ -80,21 +84,22 @@ fn drive_interleaving(num_qubits: usize, gates: usize, seed: u64, actions: &[usi
             // — invisible to the module-granular weights by design.
             2 => {
                 let q = QubitId::new((step * 7) % num_qubits);
-                let module = state.module_of(&device, q).unwrap();
-                let from = state.zone_of(q).unwrap();
-                if let Some(&to) = state
-                    .zones_with_space(&device, module, None)
+                let from = state.location_of(q).unwrap();
+                // The highest-level other zone of the module with space.
+                if let Some(to) = device
+                    .zones_in_module(device.zone(from).module)
                     .iter()
-                    .find(|&&z| z != from)
+                    .filter(|z| z.id != from && state.occupancy(z.id) < z.capacity)
+                    .min_by_key(|z| std::cmp::Reverse(z.level))
                 {
-                    let _ = state.shuttle(&device, q, to);
+                    shuttle(&device, &mut state, q, to.id, &mut Vec::new());
                 }
             }
             // Cross-module logical swap: the only way a qubit changes module.
             _ => {
                 let a = QubitId::new((step * 3) % num_qubits);
                 let b = QubitId::new((step * 5 + 1) % num_qubits);
-                if state.module_of(&device, a) != state.module_of(&device, b) {
+                if module_of(&device, &state, a) != module_of(&device, &state, b) {
                     state.swap_logical(a, b);
                 }
             }

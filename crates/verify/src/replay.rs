@@ -452,13 +452,19 @@ impl<'a> Machine<'a> {
                 self.no_gate_after_measure(i, *b);
                 // A compiler-inserted cross-module swap is emitted as exactly
                 // three consecutive identical fiber gates (three MS
-                // interactions = one SWAP). The triple pattern must win over
+                // interactions = one SWAP), and this pattern test guesses
+                // which triples are swaps. The triple pattern must win over
                 // gate coverage: an inserted swap often routes *for* a ready
                 // source gate on the very same pair, and covering that gate
-                // here would mis-execute the DAG and cascade. A genuine
-                // covering fiber gate is never tripled — the scheduler emits
-                // one op per remote gate, and identical consecutive source
-                // gates chain in the DAG (only one is ready at a time).
+                // here would mis-execute the DAG and cascade. The guess has a
+                // known false positive: identical consecutive source gates
+                // retire one after another with no op in between, so three
+                // of them form a triple of genuine fiber gates. SQRT_117's
+                // gates 1529, 1532 and 1533 (all `cx q[75],q[114]`) come out
+                // as ops #4548-4550; the replay then swaps the two qubits and
+                // reports a cascade of violations. Open item 1 of ROADMAP.md
+                // removes the guess by emitting inserted swaps as their own
+                // op.
                 if ops.get(i + 1) == Some(op) && ops.get(i + 2) == Some(op) {
                     let za = self.qubit_zone[a.index()];
                     self.qubit_zone[a.index()] = self.qubit_zone[b.index()];
