@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::bytes::{adversarial_source, case_rng, corpus_sources};
 use crate::circuits::{hostile_circuits, wild_circuit};
-use crate::differential;
+use crate::{dag, differential};
 use ion_circuit::qasm::{self, ParseLimits};
 
 /// How a case failed.
@@ -203,7 +203,7 @@ pub fn differential_campaign(seed: u64, cases: u64) -> CampaignReport {
         let case = i as u64;
         run_case(&mut failures, case, || {
             differential::check_qasm_roundtrip(&circuit)?;
-            differential::check_dag_oracle(&circuit, case)?;
+            dag::check_drain(&circuit, case)?;
             differential::check_differential_compile(&circuit)?;
             differential::check_all_compilers_verified(&circuit)
         });
@@ -213,7 +213,7 @@ pub fn differential_campaign(seed: u64, cases: u64) -> CampaignReport {
             let mut rng = case_rng(seed, case);
             let circuit = wild_circuit(&mut rng);
             differential::check_qasm_roundtrip(&circuit)?;
-            differential::check_dag_oracle(&circuit, case)?;
+            dag::check_drain(&circuit, case)?;
             differential::check_differential_compile(&circuit)?;
             differential::check_all_compilers_verified(&circuit)?;
             differential::check_placement_oracle(&mut rng)?;

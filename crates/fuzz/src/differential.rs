@@ -2,45 +2,26 @@
 //!
 //! Each check returns `Ok(())` or a divergence description; none of them
 //! should ever panic on a valid circuit (panics are caught and reported
-//! separately by [`crate::campaign`]). The oracles are the retained naive
-//! implementations the equivalence test suites pin against — `NaiveDag`,
-//! `NaivePlacement` and `WeightTable::compute` — plus the QASM writer/parser
+//! separately by [`crate::campaign`]). The checks are the QASM writer/parser
 //! pair, the production QASM front-end against the original one kept in
-//! [`crate::qasm_oracle`], and a full `parse → compile` differential.
+//! [`crate::qasm_oracle`], a full `parse → compile` differential, and the
+//! seeded drivers of the placement and SWAP-weight lock-step harnesses in
+//! [`crate::placement`] and [`crate::weights`] (the DAG harness,
+//! [`crate::dag::check_drain`], takes the case index as its salt).
 
-use std::fmt::Debug;
-use std::hash::Hash;
-
-use baselines::test_support::transport;
 use baselines::{DaiCompiler, GridConfig, MqtStyleCompiler, MuraliCompiler};
-use eml_qccd::{
-    ChainStore, Compiler, DeviceConfig, EmlQccdDevice, Location, QccdGridDevice, ScheduledOp,
-    TrapId, ZoneId,
-};
+use eml_qccd::{Compiler, DeviceConfig};
 use ion_circuit::qasm::{Diagnostic, DiagnosticKind, ParseLimits};
-use ion_circuit::{generators, qasm, Circuit, DependencyDag, NaiveDag, QubitId};
-use muss_ti::test_support::{check_swap_weights, shuttle};
-use muss_ti::{MussTiCompiler, MussTiOptions, NaivePlacement, SwapWeights};
+use ion_circuit::{qasm, Circuit};
+use muss_ti::{MussTiCompiler, MussTiOptions};
 use rand::rngs::StdRng;
 use rand::Rng;
 use verify::{DeviceModel, ScheduleVerifier};
 
-use crate::qasm_oracle;
+use crate::placement::Chains;
+use crate::{placement, qasm_oracle, weights, RawAction};
 
-/// The look-ahead window depth used by the scheduler (and therefore by the
-/// SWAP-weight and DAG oracle checks).
-const K: usize = 8;
-
-macro_rules! ensure_eq {
-    ($a:expr, $b:expr, $($ctx:tt)+) => {{
-        let (lhs, rhs) = (&$a, &$b);
-        if lhs != rhs {
-            return Err(format!("{}: {lhs:?} != {rhs:?}", format_args!($($ctx)+)));
-        }
-    }};
-}
-
-/// [`ensure_eq!`] that also accepts values whose `Debug` text is equal, so a
+/// `ensure_eq!` that also accepts values whose `Debug` text is equal, so a
 /// NaN a diagnostic carries (`rz(0/0)`) equals itself. The text is only
 /// rendered when `==` fails.
 macro_rules! ensure_same_debug {
@@ -178,394 +159,50 @@ pub fn check_qasm_roundtrip(circuit: &Circuit) -> Result<(), String> {
     Ok(())
 }
 
-/// Picks the next front-layer gate to retire under a pseudo-random policy,
-/// so the drain exercises many execution orders (mirrors the equivalence
-/// suite's policy).
-fn pick(front: &[ion_circuit::DagNodeId], step: usize, salt: u64) -> ion_circuit::DagNodeId {
-    let mix = (step as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(salt)
-        .rotate_left(17);
-    front[(mix % front.len() as u64) as usize]
+/// A script of `steps` raw actions drawn from `rng` (each harness folds the
+/// numbers onto its own action kinds and current state).
+fn raw_actions(rng: &mut StdRng, steps: usize) -> Vec<RawAction> {
+    let mut draw = || rng.gen_range(0..64usize);
+    (0..steps).map(|_| (draw(), draw(), draw())).collect()
 }
 
-/// Drains the circuit's DAG, comparing the incremental implementation against
-/// [`NaiveDag`] on the front layer, look-ahead window and next-use index at
-/// every step.
-pub fn check_dag_oracle(circuit: &Circuit, salt: u64) -> Result<(), String> {
-    let mut dag = DependencyDag::from_circuit(circuit);
-    let mut naive = NaiveDag::from_circuit(circuit);
-    let mut step = 0usize;
-    loop {
-        let front = dag.front_layer();
-        ensure_eq!(
-            front,
-            naive.front_layer(),
-            "front layer at step {step} of '{}'",
-            circuit.name()
-        );
-        ensure_eq!(
-            dag.front_gate(),
-            front.first().copied(),
-            "front_gate() at step {step} of '{}'",
-            circuit.name()
-        );
-        for k in [0usize, 1, K] {
-            ensure_eq!(
-                dag.lookahead_layers(k),
-                naive.lookahead_layers(k),
-                "lookahead(k={k}) at step {step} of '{}'",
-                circuit.name()
-            );
-        }
-        let naive_window = naive.lookahead_layers(K);
-        for q in 0..circuit.num_qubits() {
-            let qubit = QubitId::new(q);
-            let expected = naive_window.iter().position(|layer| {
-                layer.iter().any(|&node| {
-                    let (a, b) = dag.operands(node);
-                    a == qubit || b == qubit
-                })
-            });
-            ensure_eq!(
-                dag.next_use_depth(K, qubit),
-                expected,
-                "next_use_depth(q{q}) at step {step} of '{}'",
-                circuit.name()
-            );
-        }
-        if front.is_empty() {
-            break;
-        }
-        let node = pick(&front, step, salt);
-        dag.mark_executed(node);
-        naive.mark_executed(node);
-        step += 1;
-    }
-    ensure_eq!(
-        dag.all_executed(),
-        naive.all_executed(),
-        "drain completion of '{}'",
-        circuit.name()
-    );
-    Ok(())
+/// The placement harness over one device, with a drawn script.
+fn drive_placement<D: Chains>(device: &D, rng: &mut StdRng) -> Result<(), String> {
+    let capacity: usize = device
+        .locations()
+        .iter()
+        .map(|&at| device.capacity(at))
+        .sum();
+    let steps = rng.gen_range(20..160usize);
+    placement::drive(device, capacity.min(12), raw_actions(rng, steps))
 }
 
-/// A device whose locations hold ion chains, with its compiler's transfer
-/// and the oracle's.
-trait ChainDevice {
-    type L: Location + Hash + Debug;
-    fn locations(&self) -> Vec<Self::L>;
-    fn capacity(&self, at: Self::L) -> usize;
-    /// Every location the compiler could send an ion at `from` to.
-    fn reachable(&self, from: Self::L) -> Vec<Self::L>;
-    fn transfer(
-        &self,
-        store: &mut ChainStore<Self::L>,
-        q: QubitId,
-        to: Self::L,
-    ) -> Vec<ScheduledOp>;
-    fn transfer_naive(
-        &self,
-        naive: &mut NaivePlacement<Self::L>,
-        q: QubitId,
-        to: Self::L,
-    ) -> Vec<ScheduledOp>;
-}
-
-/// MUSS-TI: one intra-module hop between zones.
-impl ChainDevice for EmlQccdDevice {
-    type L = ZoneId;
-    fn locations(&self) -> Vec<ZoneId> {
-        self.zones().iter().map(|z| z.id).collect()
-    }
-    fn capacity(&self, at: ZoneId) -> usize {
-        self.zone(at).capacity
-    }
-    fn reachable(&self, from: ZoneId) -> Vec<ZoneId> {
-        let zones = self.zones_in_module(self.zone(from).module);
-        zones.iter().map(|z| z.id).filter(|&z| z != from).collect()
-    }
-    fn transfer(&self, store: &mut ChainStore<ZoneId>, q: QubitId, to: ZoneId) -> Vec<ScheduledOp> {
-        let mut ops = Vec::new();
-        shuttle(self, store, q, to, &mut ops);
-        ops
-    }
-    fn transfer_naive(
-        &self,
-        naive: &mut NaivePlacement<ZoneId>,
-        q: QubitId,
-        to: ZoneId,
-    ) -> Vec<ScheduledOp> {
-        naive.shuttle(self, q, to)
-    }
-}
-
-/// The grid baselines: one shuttle per hop between traps.
-impl ChainDevice for QccdGridDevice {
-    type L = TrapId;
-    fn locations(&self) -> Vec<TrapId> {
-        self.traps().to_vec()
-    }
-    fn capacity(&self, _: TrapId) -> usize {
-        self.trap_capacity()
-    }
-    fn reachable(&self, from: TrapId) -> Vec<TrapId> {
-        self.traps()
-            .iter()
-            .copied()
-            .filter(|&t| t != from)
-            .collect()
-    }
-    fn transfer(&self, store: &mut ChainStore<TrapId>, q: QubitId, to: TrapId) -> Vec<ScheduledOp> {
-        let mut ops = Vec::new();
-        transport(self, store, q, to, &mut ops);
-        ops
-    }
-    fn transfer_naive(
-        &self,
-        naive: &mut NaivePlacement<TrapId>,
-        q: QubitId,
-        to: TrapId,
-    ) -> Vec<ScheduledOp> {
-        naive.transport(self, q, to)
-    }
-}
-
-/// Compares every query of the flat and naive placement states.
-fn placements_agree<D: ChainDevice>(
-    device: &D,
-    flat: &ChainStore<D::L>,
-    naive: &NaivePlacement<D::L>,
-    qubits: &[QubitId],
-    step: usize,
-) -> Result<(), String> {
-    for &q in qubits {
-        ensure_eq!(
-            flat.location_of(q),
-            naive.location_of(q),
-            "location_of({q}) at step {step}"
-        );
-        ensure_eq!(
-            flat.last_use(q),
-            naive.last_use(q),
-            "last_use({q}) at step {step}"
-        );
-    }
-    for at in device.locations() {
-        ensure_eq!(
-            flat.chain(at),
-            naive.chain(at),
-            "chain({at}) at step {step}"
-        );
-        ensure_eq!(
-            flat.occupancy(at),
-            naive.occupancy(at),
-            "occupancy({at}) at step {step}"
-        );
-        ensure_eq!(
-            flat.lru_victim(at, &[]),
-            naive.lru_victim(at, &[]),
-            "lru_victim({at}) at step {step}"
-        );
-    }
-    ensure_eq!(flat.mapping(), naive.mapping(), "mapping() at step {step}");
-    Ok(())
-}
-
-/// Random place/touch/transfer/swap sequences on a random small EML-QCCD
-/// device (one-hop shuttles) and a random small grid (multi-hop transports):
-/// the flat [`ChainStore`] must track [`NaivePlacement`] exactly, its
-/// moved-qubit log must name exactly the qubits each step moved, and LRU
-/// victims must agree under protected sets whose qubits alias mod 64.
+/// [`placement::drive`] on a random small EML-QCCD device (one-hop
+/// shuttles) and a random small grid (multi-hop transports), each with a
+/// script drawn from `rng`.
 pub fn check_placement_oracle(rng: &mut StdRng) -> Result<(), String> {
     let eml = DeviceConfig::default()
         .with_modules(rng.gen_range(1..4usize))
         .with_trap_capacity(rng.gen_range(2..6usize))
         .build();
-    placement_campaign(&eml, rng).map_err(|e| format!("one-hop shuttles: {e}"))?;
+    drive_placement(&eml, rng).map_err(|e| format!("one-hop shuttles: {e}"))?;
     let grid = GridConfig::new(
         rng.gen_range(1..4usize),
         rng.gen_range(1..4usize),
         rng.gen_range(2..6usize),
     )
     .build();
-    placement_campaign(&grid, rng).map_err(|e| format!("multi-hop transports: {e}"))
+    drive_placement(&grid, rng).map_err(|e| format!("multi-hop transports: {e}"))
 }
 
-fn placement_campaign<D: ChainDevice>(device: &D, rng: &mut StdRng) -> Result<(), String> {
-    let locations = device.locations();
-    let capacity: usize = locations.iter().map(|&at| device.capacity(at)).sum();
-    // Ids spread so that q0 / q64 / q128, q1 / q65 / q129, ... alias in the
-    // protected-set mask.
-    let qubits: Vec<QubitId> = (0..capacity.min(12))
-        .map(|i| QubitId::new(i / 3 + 64 * (i % 3)))
-        .collect();
-    let mut flat = ChainStore::new(locations.len());
-    let mut naive = NaivePlacement::default();
-    let mut clock = 0u64;
-    let steps = rng.gen_range(20..160usize);
-    for step in 0..steps {
-        let placed: Vec<QubitId> = flat.mapping().iter().map(|&(q, _)| q).collect();
-        let has_space =
-            |flat: &ChainStore<D::L>, at: D::L| flat.occupancy(at) < device.capacity(at);
-        let mut moved = Vec::new();
-        match rng.gen_range(0..5usize) {
-            // Place the next unplaced qubit into a random location with space.
-            0 => {
-                let unplaced = qubits
-                    .iter()
-                    .copied()
-                    .find(|&q| flat.location_of(q).is_none());
-                let with_space: Vec<D::L> = locations
-                    .iter()
-                    .copied()
-                    .filter(|&at| has_space(&flat, at))
-                    .collect();
-                if let (Some(q), false) = (unplaced, with_space.is_empty()) {
-                    let at = with_space[rng.gen_range(0..with_space.len())];
-                    flat.place(q, at);
-                    naive.place(q, at);
-                    moved.push(q);
-                }
-            }
-            // Touch a random placed qubit at the next logical time.
-            1 => {
-                if !placed.is_empty() {
-                    clock += 1;
-                    let q = placed[rng.gen_range(0..placed.len())];
-                    flat.touch(q, clock);
-                    naive.touch(q, clock);
-                }
-            }
-            // Transfer a placed qubit to a reachable location with space.
-            2 => {
-                if !placed.is_empty() {
-                    let q = placed[rng.gen_range(0..placed.len())];
-                    let from = flat.location_of(q).expect("placed");
-                    let targets: Vec<D::L> = device
-                        .reachable(from)
-                        .into_iter()
-                        .filter(|&at| has_space(&flat, at))
-                        .collect();
-                    if !targets.is_empty() {
-                        let to = targets[rng.gen_range(0..targets.len())];
-                        let flat_ops = device.transfer(&mut flat, q, to);
-                        let naive_ops = device.transfer_naive(&mut naive, q, to);
-                        ensure_eq!(flat_ops, naive_ops, "transfer ops at step {step}");
-                        moved.push(q);
-                    }
-                }
-            }
-            // Logically swap two placed qubits.
-            3 => {
-                if placed.len() >= 2 {
-                    let a = placed[rng.gen_range(0..placed.len())];
-                    let b = placed[rng.gen_range(0..placed.len())];
-                    if a != b {
-                        flat.swap_logical(a, b);
-                        naive.swap_logical(a, b);
-                        moved.extend([a, b]);
-                    }
-                }
-            }
-            // LRU victims under a random protected subset of the register.
-            _ => {
-                let protected: Vec<QubitId> = qubits
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.gen_range(0..3usize) == 0)
-                    .collect();
-                for &at in &locations {
-                    ensure_eq!(
-                        flat.lru_victim(at, &protected),
-                        naive.lru_victim(at, &protected),
-                        "lru_victim({at}, {protected:?}) at step {step}"
-                    );
-                }
-            }
-        }
-        let mut logged = Vec::new();
-        flat.drain_moved(|q| logged.push(q));
-        ensure_eq!(logged, moved, "moved-qubit log at step {step}");
-        placements_agree(device, &flat, &naive, &qubits, step)?;
-    }
-    Ok(())
-}
-
-/// Random interleavings of gate retirement, shuttles and logical swaps: every
-/// SWAP-insertion decision [`SwapWeights`] answers on demand must equal the
-/// one the [`WeightTable::compute`](muss_ti::WeightTable::compute) oracle
-/// implies, at every check point.
+/// [`weights::drive_interleaving`] on a random circuit with a script drawn
+/// from `rng`.
 pub fn check_weight_table(rng: &mut StdRng) -> Result<(), String> {
     let num_qubits = rng.gen_range(40..72usize);
     let gates = rng.gen_range(20..120usize);
-    let circuit = generators::random_circuit(num_qubits, gates, rng.gen_range(0..1u64 << 32));
-    let device = DeviceConfig::for_qubits(num_qubits).build();
-    let mut dag = DependencyDag::from_circuit(&circuit);
-    let mut state = ChainStore::new(device.num_zones());
-    // Spread the ions round-robin over every zone with space.
-    let zones = device.zones();
-    let mut cursor = 0usize;
-    for q in 0..num_qubits {
-        loop {
-            let zone = &zones[cursor % zones.len()];
-            cursor += 1;
-            if state.occupancy(zone.id) < zone.capacity {
-                state.place(QubitId::new(q), zone.id);
-                break;
-            }
-        }
-    }
-    let module_of =
-        |state: &ChainStore<ZoneId>, q| state.location_of(q).map(|z| device.zone(z).module);
-    let mut weights = SwapWeights::default();
+    let seed = rng.gen_range(0..1u64 << 32);
     let steps = rng.gen_range(20..120usize);
-    for step in 0..steps {
-        match rng.gen_range(0..4usize) {
-            // Retire a random ready gate, poking a window query in between
-            // so the probe's memo is warm across retirements.
-            0 | 1 => {
-                let front = dag.front_layer();
-                if !front.is_empty() {
-                    let node = front[rng.gen_range(0..front.len())];
-                    dag.mark_executed(node);
-                    let _ = dag.next_use_depth(K, QubitId::new(step % num_qubits));
-                }
-            }
-            // Intra-module shuttle: invisible to the module-granular weights.
-            2 => {
-                let q = QubitId::new(rng.gen_range(0..num_qubits));
-                let from = state.location_of(q).expect("placed");
-                // The highest-level other zone of the module with space.
-                if let Some(to) = device
-                    .zones_in_module(device.zone(from).module)
-                    .iter()
-                    .filter(|z| z.id != from && state.occupancy(z.id) < z.capacity)
-                    .min_by_key(|z| std::cmp::Reverse(z.level))
-                {
-                    shuttle(&device, &mut state, q, to.id, &mut Vec::new());
-                }
-            }
-            // Cross-module logical swap: the only way a qubit changes module.
-            _ => {
-                let a = QubitId::new(rng.gen_range(0..num_qubits));
-                let b = QubitId::new(rng.gen_range(0..num_qubits));
-                if module_of(&state, a) != module_of(&state, b) {
-                    state.swap_logical(a, b);
-                }
-            }
-        }
-        if step % 5 == 4 || step + 1 == steps {
-            // Shallow windows often span a qubit's next k gates entirely,
-            // where the probe-free bound and the exact walk see alike.
-            let k = [1, 2, K][rng.gen_range(0..3usize)];
-            let threshold = rng.gen_range(0..5usize);
-            check_swap_weights(&mut weights, &dag, k, threshold, &device, &state)
-                .map_err(|e| format!("at step {step} (k {k}, T {threshold}): {e}"))?;
-        }
-    }
-    Ok(())
+    weights::drive_interleaving(num_qubits, gates, seed, raw_actions(rng, steps))
 }
 
 /// Compiling a circuit directly and compiling its QASM round trip must agree
@@ -676,12 +313,14 @@ mod tests {
     use super::*;
     use crate::bytes::case_rng;
     use crate::circuits::{hostile_circuits, wild_circuit};
+    use crate::dag::check_drain;
+    use ion_circuit::generators;
 
     #[test]
     fn hostile_circuits_pass_every_check() {
         for (i, c) in hostile_circuits().iter().enumerate() {
             check_qasm_roundtrip(c).unwrap();
-            check_dag_oracle(c, i as u64).unwrap();
+            check_drain(c, i as u64).unwrap();
             check_differential_compile(c).unwrap();
             check_all_compilers_verified(c).unwrap();
         }
@@ -692,7 +331,7 @@ mod tests {
         for index in 0..12 {
             let c = wild_circuit(&mut case_rng(21, index));
             check_qasm_roundtrip(&c).unwrap();
-            check_dag_oracle(&c, index).unwrap();
+            check_drain(&c, index).unwrap();
         }
     }
 

@@ -44,7 +44,7 @@ pub mod generators;
 pub mod qasm;
 
 pub use circuit::{Circuit, CircuitStats};
-pub use dag::{DagNodeId, DependencyDag, NaiveDag};
+pub use dag::{DagNodeId, DependencyDag};
 pub use error::CircuitError;
 pub use gate::Gate;
 pub use interaction::InteractionGraph;

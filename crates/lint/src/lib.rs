@@ -22,7 +22,7 @@
 //! All passes are a deliberate token-level scan — no dependencies, no syn,
 //! fast enough for a pre-commit hook — with per-line `// lint: allow
 //! (reason)` escapes for deliberate exceptions (e.g. pooled-buffer setup in
-//! constructors, the `NaiveDag` reference implementation).
+//! constructors).
 //!
 //! Usage (the binary is `analyze`; `cargo run -p lint` still resolves to it
 //! via `default-run`, so existing scripts keep working):

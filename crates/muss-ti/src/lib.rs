@@ -72,7 +72,6 @@ mod alloc_check;
 mod compiler;
 mod context;
 mod mapping;
-mod naive_placement;
 mod options;
 mod placement;
 mod scheduler;
@@ -84,62 +83,18 @@ pub use context::MussTiContext;
 /// Test-support hooks for the external parity suites (not part of the API;
 /// hidden and semver-exempt). Exposes just enough of the internal scheduler
 /// to let integration tests pin cost-only dry passes against full passes,
-/// the on-demand SWAP-insertion weights against their full-window oracle,
-/// and MUSS-TI's shuttle against the placement oracle.
+/// and MUSS-TI's shuttle to the placement and weight oracles in
+/// `crates/fuzz`.
 #[doc(hidden)]
 pub mod test_support {
-    use eml_qccd::{ChainStore, CompileError, EmlQccdDevice, ModuleId, ZoneId};
+    use eml_qccd::{CompileError, EmlQccdDevice, ZoneId};
     use ion_circuit::{Circuit, DependencyDag, QubitId};
 
     use crate::mapping::trivial_mapping;
     use crate::scheduler::{schedule_cost_only, schedule_in, SchedulerScratch};
-    use crate::{MussTiOptions, SwapWeights, WeightTable};
+    use crate::MussTiOptions;
 
     pub use crate::placement::shuttle;
-
-    /// Checks every SWAP-insertion decision [`SwapWeights`] answers on
-    /// demand against the [`WeightTable`] oracle built from the full
-    /// `k`-layer window under `state`'s placement: for every placed qubit,
-    /// the swap target and, per module `m`, whether `W(q, m) = 0`.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first disagreement.
-    pub fn check_swap_weights(
-        weights: &mut SwapWeights,
-        dag: &DependencyDag,
-        k: usize,
-        threshold: usize,
-        device: &EmlQccdDevice,
-        state: &ChainStore<ZoneId>,
-    ) -> Result<(), String> {
-        let module_of = |q| state.location_of(q).map(|z| device.zone(z).module);
-        let table = WeightTable::compute(dag, k, device.num_modules(), module_of);
-        for q in (0..dag.num_qubits()).map(QubitId::new) {
-            let Some(home) = module_of(q) else { continue };
-            let expected = if table.weight(q, home) > 0 {
-                None
-            } else {
-                table.best_remote_module(q, home, threshold).map(|(m, _)| m)
-            };
-            let got = weights.swap_target(dag, k, threshold, q, home, module_of);
-            if got != expected {
-                return Err(format!(
-                    "swap target of {q} (k {k}, T {threshold}): on demand {got:?}, oracle {expected:?}"
-                ));
-            }
-            for module in (0..device.num_modules()).map(ModuleId) {
-                let idle = table.weight(q, module) == 0;
-                if weights.is_idle_on(dag, k, q, module, module_of) != idle {
-                    return Err(format!(
-                        "W({q}, {module}) = 0 (k {k}): on demand {}, oracle {idle}",
-                        !idle
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
 
     /// Which scheduling entry point [`probe_pass`] runs.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,6 +155,5 @@ pub mod test_support {
         })
     }
 }
-pub use naive_placement::NaivePlacement;
 pub use options::{InitialMappingStrategy, MussTiOptions};
-pub use swap_insertion::{SwapWeights, WeightTable};
+pub use swap_insertion::SwapWeights;
