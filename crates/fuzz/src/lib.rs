@@ -11,7 +11,7 @@
 //! * [`bytes`] — generators for adversarial QASM byte streams: random bytes,
 //!   token soup, and structure-aware mutations of valid programs
 //!   (truncation, splicing, number inflation, parenthesis bombs).
-//! * [`circuits`] — a generator for arbitrary *valid* [`Circuit`]s covering
+//! * [`circuits`] — a generator for arbitrary *valid* [`Circuit`](ion_circuit::Circuit)s covering
 //!   the whole gate set plus deterministic hostile shapes (single-qubit-only
 //!   programs, measure-only programs, width-1 registers).
 //! * [`qasm_oracle`] — the original two-phase QASM front-end, kept as the
